@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "sim/bitpar_sim.hpp"
@@ -75,92 +76,106 @@ std::uint64_t misr_signature(const SimKernel& cut,
   return misr_signature(cut, pack_all(applied, cut.inputs().size()), m, 0);
 }
 
+std::vector<Gf2Matrix> misr_stage_operators(unsigned degree,
+                                            std::uint64_t taps) {
+  // One step moves e_c to e_{c+1} ^ taps_c * e_0 (c < degree-1), so
+  // R_0 = I and R_{c+1} = M * R_c ^ taps_c * I.
+  const Gf2Matrix M = lfsr_transition(degree, taps);
+  std::vector<Gf2Matrix> R{Gf2Matrix::identity(degree)};
+  for (unsigned c = 1; c < degree; ++c) {
+    Gf2Matrix next = M * R.back();
+    if ((taps >> (c - 1)) & 1)
+      for (unsigned i = 0; i < degree; ++i) next.set(i, i, !next.get(i, i));
+    R.push_back(std::move(next));
+  }
+  return R;
+}
+
 namespace {
 
-/// Audit core shared by misr_aliasing_check and choose_misr_fold: ONE
-/// fault-propagation sweep over the stream, evaluating every candidate
-/// output-to-stage assignment's escape count.  Returns per-candidate escape
-/// totals; `checked` gets the number of detected faults audited.
-std::vector<std::size_t> audit_fold_maps(
-    FaultSimulator& fsim, const SimKernel& cut,
-    std::span<const PatternBlock> blocks, std::size_t patterns,
-    unsigned K, std::uint64_t taps,
-    std::span<const std::int64_t> first_detected,
-    std::span<const std::vector<std::uint16_t>> maps, std::size_t* checked) {
-  const auto outs = cut.outputs();
-  const std::size_t n_blocks = (patterns + 63) / 64;
-  if (blocks.size() < n_blocks)
-    throw std::invalid_argument("misr fold audit: blocks short of stream");
+/// Audit core shared by misr_aliasing_check and choose_misr_fold: ONE pass
+/// over the stream serves every candidate output-to-stage assignment.
+///
+/// A detected fault's signature difference after n cycles is
+///   sum_t M^(n-1-t) * sum_o d_o,t * e_m(o)  =  sum_o R_m(o) * q_o,
+///   q_o = sum_t d_o,t * M^(n-1-t) * e_0,
+/// because e_c = R_c * e_0 and R_c commutes with M.  The pass accumulates
+/// the map-independent q_o per (fault, output); escapes() then scores any
+/// map m exactly as the faults whose sum_o R_m(o) * q_o is zero.
+class FoldAudit {
+ public:
+  FoldAudit(const FaultSimulator& fsim, const SimKernel& cut,
+            std::span<const PatternBlock> blocks, std::size_t patterns,
+            unsigned K, std::uint64_t taps,
+            std::span<const std::int64_t> first_detected)
+      : outs_(cut.outputs().size()),
+        stage_(misr_stage_operators(K, taps)) {
+    // Backward transition powers of stage 0: e0_at[t] = M^(patterns-1-t) *
+    // e_0, the stage-0 contribution of a difference bit at cycle t.
+    const Gf2Matrix M = lfsr_transition(K, taps);
+    std::vector<std::uint64_t> e0_at(patterns);
+    std::uint64_t v = 1;
+    for (std::size_t t = patterns; t-- > 0; v = M.apply(v)) e0_at[t] = v;
 
-  // Backward transition powers, bitsliced for 64-lane accumulation:
-  // mask[block][c][k] bit `lane` = bit k of M^(patterns-1-t) * e_c at cycle
-  // t = block*64 + lane.  A fault's contribution bit k then accumulates as
-  // parity(class_diff_word & mask[...][c][k]) — one AND+popcount per
-  // (fault, block, diffing class, k) — and the class words are the only
-  // map-dependent quantity, so every candidate shares the same sweep.
-  const Gf2Matrix M = lfsr_transition(K, taps);
-  std::vector<std::uint64_t> mask(n_blocks * K * K, 0);
-  for (unsigned c = 0; c < K; ++c) {
-    std::uint64_t v = std::uint64_t{1} << c;  // M^0 * e_c at t = patterns-1
-    for (std::size_t t = patterns; t-- > 0;) {
-      const std::size_t base = (t / 64) * K * K + c * K;
-      const unsigned lane = t % 64;
-      for (unsigned k = 0; k < K; ++k)
-        mask[base + k] |= ((v >> k) & 1) << lane;
-      v = M.apply(v);
-    }
+    std::vector<std::uint32_t> row(first_detected.size(), 0);
+    for (std::size_t f = 0; f < first_detected.size(); ++f)
+      if (first_detected[f] >= 0 &&
+          first_detected[f] < std::int64_t(patterns))
+        row[f] = static_cast<std::uint32_t>(checked_++);
+    q_.assign(checked_ * outs_, 0);
+
+    // A 64-lane diff word's contribution is the XOR of e0_at over its set
+    // lanes: eight byte-indexed tables per block, rebuilt as the sweep
+    // (ascending block order) moves on — table[j*256 + x] = XOR of
+    // e0_at[b*64 + 8j + i] over the set bits i of x.
+    std::vector<std::uint64_t> table(8 * 256);
+    std::size_t table_block = SIZE_MAX;
+    fsim.output_diff_sweep(
+        blocks, patterns, first_detected,
+        [&](std::size_t b, std::uint32_t f,
+            std::span<const FaultSimulator::OutputDiff> diffs) {
+          if (b != table_block) {
+            table_block = b;
+            for (std::size_t j = 0; j < 8; ++j) {
+              std::uint64_t* tj = table.data() + j * 256;
+              for (unsigned x = 1; x < 256; ++x) {
+                const std::size_t t = b * 64 + j * 8 + std::countr_zero(x);
+                tj[x] = tj[x & (x - 1)] ^ (t < patterns ? e0_at[t] : 0);
+              }
+            }
+          }
+          std::uint64_t* qf = q_.data() + std::size_t{row[f]} * outs_;
+          for (const FaultSimulator::OutputDiff& d : diffs) {
+            std::uint64_t delta = 0;
+            for (std::size_t j = 0; j < 8; ++j)
+              delta ^= table[j * 256 + ((d.lanes >> (8 * j)) & 255)];
+            qf[d.output] ^= delta;
+          }
+        });
   }
 
-  const std::size_t n_faults = fsim.faults().size();
-  const std::size_t n_maps = maps.size();
-  std::vector<std::uint64_t> acc(n_maps * n_faults, 0);
-  std::vector<std::uint64_t> diffs(outs.size());
-  std::vector<std::uint64_t> class_word(K);
-  KernelSim sim(cut);
-  for (std::size_t b = 0; b < n_blocks; ++b) {
-    sim.simulate(blocks[b]);
-    const std::size_t lanes_n = std::min<std::size_t>(64, patterns - b * 64);
-    const std::uint64_t lane_mask =
-        lanes_n == 64 ? ~std::uint64_t{0}
-                      : (std::uint64_t{1} << lanes_n) - 1;
-    const std::uint64_t* mblk = mask.data() + b * K * K;
-    for (std::size_t f = 0; f < n_faults; ++f) {
-      if (first_detected[f] < 0 ||
-          first_detected[f] >= std::int64_t(patterns))
-        continue;  // not detected within this stream (prefix results keep
-                   // later detections)
-      if (!fsim.output_diffs(fsim.faults()[f], sim.values(), lane_mask,
-                             diffs))
-        continue;  // no difference in this block
-      for (std::size_t mi = 0; mi < n_maps; ++mi) {
-        std::fill(class_word.begin(), class_word.end(), 0);
-        for (std::size_t o = 0; o < outs.size(); ++o)
-          class_word[maps[mi][o]] ^= diffs[o];
-        for (unsigned c = 0; c < K; ++c) {
-          const std::uint64_t cw = class_word[c];
-          if (!cw) continue;
-          const std::uint64_t* mc = mblk + c * K;
-          std::uint64_t delta = 0;
-          for (unsigned k = 0; k < K; ++k)
-            delta |= std::uint64_t(std::popcount(cw & mc[k]) & 1) << k;
-          acc[mi * n_faults + f] ^= delta;
-        }
-      }
+  /// Detected faults audited.
+  std::size_t checked() const { return checked_; }
+
+  /// Faults whose signature difference cancels under fold map `map`.
+  std::size_t escapes(std::span<const std::uint16_t> map) const {
+    std::size_t n = 0;
+    for (std::size_t f = 0; f < checked_; ++f) {
+      const std::uint64_t* qf = q_.data() + f * outs_;
+      std::uint64_t sig = 0;
+      for (std::size_t o = 0; o < outs_; ++o)
+        if (qf[o]) sig ^= stage_[map[o]].apply(qf[o]);
+      n += sig == 0;
     }
+    return n;
   }
-  std::size_t n_checked = 0;
-  std::vector<std::size_t> escapes(n_maps, 0);
-  for (std::size_t f = 0; f < n_faults; ++f) {
-    if (first_detected[f] < 0 ||
-        first_detected[f] >= std::int64_t(patterns))
-      continue;
-    ++n_checked;
-    for (std::size_t mi = 0; mi < n_maps; ++mi)
-      if (acc[mi * n_faults + f] == 0) ++escapes[mi];
-  }
-  if (checked) *checked = n_checked;
-  return escapes;
-}
+
+ private:
+  std::size_t outs_;
+  std::vector<Gf2Matrix> stage_;  ///< R_c per stage
+  std::size_t checked_ = 0;
+  std::vector<std::uint64_t> q_;  ///< checked faults x outputs
+};
 
 }  // namespace
 
@@ -178,38 +193,29 @@ AliasingReport misr_aliasing_check(FaultSimulator& fsim, const SimKernel& cut,
   AliasingReport rep;
   rep.bound = std::ldexp(1.0, -int(m.degree));
   if (!m.enabled() || patterns == 0) return rep;
-  const std::vector<std::vector<std::uint16_t>> maps{
-      fold_map(m, cut.outputs().size())};
-  const std::vector<std::size_t> esc =
-      audit_fold_maps(fsim, cut, blocks, patterns, m.degree, m.taps,
-                      first_detected, maps, &rep.detected_checked);
-  rep.escapes = esc[0];
+  const FoldAudit audit(fsim, cut, blocks, patterns, m.degree, m.taps,
+                        first_detected);
+  rep.detected_checked = audit.checked();
+  rep.escapes = audit.escapes(fold_map(m, cut.outputs().size()));
   return rep;
 }
 
-MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
-                          std::span<const PatternBlock> blocks,
-                          std::size_t patterns,
-                          std::span<const std::int64_t> first_detected,
-                          MisrSpec base) {
-  const std::size_t outs = cut.outputs().size();
-  if (!base.enabled() || patterns == 0 || outs == 0) return base;
-  const unsigned K = base.degree;
-
-  // Candidate family, in preference order: natural modulo fold, diagonal
-  // staggers (o + s*(o/K)) mod K — these split the bus-aligned stride-K
-  // pairs the natural fold collapses — then deterministic hashed
-  // assignments for CUTs whose output correlations defeat every stagger.
+std::vector<std::vector<std::uint16_t>> misr_fold_candidates(
+    unsigned K, std::size_t outputs) {
+  // Natural modulo fold first, then diagonal staggers (o + s*(o/K)) mod K —
+  // these split the bus-aligned stride-K pairs the natural fold collapses —
+  // then deterministic hashed assignments for CUTs whose output
+  // correlations defeat every stagger.
   std::vector<std::vector<std::uint16_t>> maps;
   for (unsigned s = 0; s < K; ++s) {
-    std::vector<std::uint16_t> map(outs);
-    for (std::size_t o = 0; o < outs; ++o)
+    std::vector<std::uint16_t> map(outputs);
+    for (std::size_t o = 0; o < outputs; ++o)
       map[o] = static_cast<std::uint16_t>((o + s * (o / K)) % K);
     maps.push_back(std::move(map));
   }
   for (std::uint64_t a = 1; a <= 8; ++a) {
-    std::vector<std::uint16_t> map(outs);
-    for (std::size_t o = 0; o < outs; ++o) {
+    std::vector<std::uint16_t> map(outputs);
+    for (std::size_t o = 0; o < outputs; ++o) {
       std::uint64_t x = (o + 1) * 0x9E3779B97F4A7C15ull + a * 0xBF58476D1CE4E5B9ull;
       x ^= x >> 30;
       x *= 0xBF58476D1CE4E5B9ull;
@@ -220,12 +226,30 @@ MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
     }
     maps.push_back(std::move(map));
   }
+  return maps;
+}
 
-  const std::vector<std::size_t> esc = audit_fold_maps(
-      fsim, cut, blocks, patterns, K, base.taps, first_detected, maps, nullptr);
+MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
+                          std::span<const PatternBlock> blocks,
+                          std::size_t patterns,
+                          std::span<const std::int64_t> first_detected,
+                          MisrSpec base) {
+  const std::size_t outs = cut.outputs().size();
+  if (!base.enabled() || patterns == 0 || outs == 0) return base;
+  const FoldAudit audit(fsim, cut, blocks, patterns, base.degree, base.taps,
+                        first_detected);
+  // Natural fold first; the rest of the family is scored only while no
+  // clean map has been found (first clean map wins, else fewest escapes,
+  // earliest on a tie).
+  std::vector<std::vector<std::uint16_t>> maps =
+      misr_fold_candidates(base.degree, outs);
   std::size_t best = 0;
-  for (std::size_t mi = 0; mi < maps.size() && esc[best] != 0; ++mi)
-    if (esc[mi] < esc[best]) best = mi;
+  std::size_t best_esc = audit.escapes(maps[0]);
+  for (std::size_t mi = 1; mi < maps.size() && best_esc != 0; ++mi)
+    if (const std::size_t e = audit.escapes(maps[mi]); e < best_esc) {
+      best = mi;
+      best_esc = e;
+    }
   if (best == 0) return base;  // natural fold clean (or nothing better)
   base.fold = std::move(maps[best]);
   return base;

@@ -96,6 +96,14 @@ std::uint64_t misr_fold(const MisrSpec& m, const BitVec& outputs);
 std::uint64_t misr_step(const MisrSpec& m, std::uint64_t state,
                         std::uint64_t inject);
 
+/// Stage operators of a degree-`degree` MISR with feedback `taps`: R[c] is
+/// the polynomial in the transition matrix M with R[c] * e_0 = e_c, so it
+/// commutes with M and M^j * e_c = R[c] * M^j * e_0.  The fold audit uses
+/// this to accumulate every output's signature contribution once, as if it
+/// were injected at stage 0, and to place it at any stage afterwards.
+std::vector<Gf2Matrix> misr_stage_operators(unsigned degree,
+                                            std::uint64_t taps);
+
 /// Golden signature: good-machine simulation of `cut` over the applied
 /// pattern stream (already packed into blocks; each block's `count` gives
 /// its live lanes), folding every cycle's outputs, starting from `state` —
@@ -118,26 +126,34 @@ struct AliasingReport {
   double bound = 0;                  ///< 2^-degree single-fault bound
 };
 
-/// For every detected fault (first_detected[i] >= 0, from a run over the
-/// same `blocks`), accumulate its output-difference MISR contribution and
-/// count the faults whose contribution cancels to zero (signature ==
-/// golden).  Exact — per-output difference words come from the fault
-/// simulator's propagation engine — and independent of the golden value
-/// itself by MISR linearity.  `patterns` is the stream length (the last
-/// block may be partial).
+/// For every detected fault (0 <= first_detected[i] < patterns, the first
+/// detecting pattern as run() over the same `blocks` reports it),
+/// accumulate its output-difference MISR contribution and count the faults
+/// whose contribution cancels to zero (signature == golden).  Exact —
+/// per-output difference words come from the fault simulator's stem stage
+/// (FaultSimulator::output_diff_sweep) — and independent of the golden
+/// value itself by MISR linearity.  `patterns` is the stream length (the
+/// last block may be partial).
 AliasingReport misr_aliasing_check(FaultSimulator& fsim, const SimKernel& cut,
                                    std::span<const PatternBlock> blocks,
                                    std::size_t patterns, const MisrSpec& m,
                                    std::span<const std::int64_t> first_detected);
 
-/// Audited fold selection: evaluate a deterministic family of output-to-
-/// stage assignments (the natural fold, diagonal staggers, then hashed
-/// assignments) against the detected faults of the given stream — all in
-/// ONE fault-propagation sweep — and return `base` with the first
-/// assignment whose empirical escape count is zero (preferring the natural
-/// fold, so clean CUTs keep the canonical wiring).  When no candidate is
-/// clean the one with the fewest escapes wins; verify_wrapper/bench report
-/// the residue honestly.  Callers audit the exact applied stream of the
+/// The deterministic candidate family of output-to-stage assignments for a
+/// degree-K MISR over `outputs` outputs, in preference order: the natural
+/// fold (o mod K), the K-1 diagonal staggers, then 8 hashed assignments.
+std::vector<std::vector<std::uint16_t>> misr_fold_candidates(
+    unsigned K, std::size_t outputs);
+
+/// Audited fold selection over misr_fold_candidates(): return `base` with
+/// the first assignment whose empirical escape count on the given stream is
+/// zero (preferring the natural fold, so clean CUTs keep the canonical
+/// wiring).  When no candidate is clean the one with the fewest escapes
+/// wins, the earliest on a tie; verify_wrapper/bench report the residue
+/// honestly.  ONE fault-propagation pass serves every candidate: it
+/// accumulates each detected fault's per-output signature contribution, and
+/// a map is scored from those alone — the natural fold first, the rest only
+/// when it has escapes.  Callers audit the exact applied stream of the
 /// point being signed off — in particular including the top-off patterns,
 /// since the structural escapers are random-pattern-resistant faults the
 /// pseudo-random phase never detects (and so never audits).
@@ -175,6 +191,8 @@ struct CompressedTopoff {
   /// CUT primary-output count (fixes the MISR fold structure, so the area
   /// model can price the injection XORs without the kernel in hand).
   std::size_t cut_outputs = 0;
+  /// Wall clock of the point's GF(2) reseeding solves, MISR fold audit and
+  /// golden-signature simulation.
   double solve_seconds = 0;
 
   std::uint64_t seed_rom_bits() const { return seeds.size() * degree; }

@@ -110,10 +110,13 @@ SimWord<W> local_stem_word(const SimKernel& k, const Fault& f,
 // (subset of `lanes`): returns the lanes on which the stem flip reaches a
 // primary output.  Lanes are independent in 2-valued simulation, so the
 // result is exact per lane even when `diff` ORs several faults' stem words.
+// `out_hits`, when given, receives (output gate, flipped lanes) for every
+// primary-output gate the flip reaches.
 template <unsigned W>
-SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
-                          const SimWord<W>* good, SimWord<W> lanes,
-                          FfrScratch<W>& s, std::uint64_t* evals) {
+SimWord<W> propagate_stem(
+    const SimKernel& k, KIndex stem, SimWord<W> diff, const SimWord<W>* good,
+    SimWord<W> lanes, FfrScratch<W>& s, std::uint64_t* evals,
+    std::vector<std::pair<KIndex, SimWord<W>>>* out_hits = nullptr) {
   using Word = SimWord<W>;
   const MicroOp* op = k.op_data();
   const std::uint64_t* inv = k.invert_data();
@@ -129,7 +132,10 @@ SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
   s.fval[stem] = good[stem] ^ diff;
   s.touched[stem] = 1;
   s.touched_list.push_back(stem);
-  if (is_out[stem]) det = diff;
+  if (is_out[stem]) {
+    det = diff;
+    if (out_hits) out_hits->emplace_back(stem, diff);
+  }
 
   unsigned lo_level = max_lv + 1;
   for (std::uint32_t i = fo_off[stem]; i < fo_off[stem + 1]; ++i) {
@@ -155,7 +161,10 @@ SimWord<W> propagate_stem(const SimKernel& k, KIndex stem, SimWord<W> diff,
       s.fval[u] = v;
       s.touched[u] = 1;
       s.touched_list.push_back(u);
-      if (is_out[u]) det |= d;
+      if (is_out[u]) {
+        det |= d;
+        if (out_hits) out_hits->emplace_back(u, d);
+      }
       for (std::uint32_t i = fo_off[u]; i < fo_off[u + 1]; ++i) {
         const KIndex w = fo[i];
         if (!s.queued[w]) {
@@ -378,6 +387,77 @@ std::uint64_t FaultSimulator::propagate_fault(const Fault& f,
   for (const KIndex u : touched_list_) touched_[u] = 0;
   touched_list_.clear();
   return det;
+}
+
+void FaultSimulator::output_diff_sweep(
+    std::span<const PatternBlock> blocks, std::size_t patterns,
+    std::span<const std::int64_t> first_detected,
+    const OutputDiffVisitor& visit) const {
+  const std::size_t n_blocks = (patterns + 63) / 64;
+  if (blocks.size() < n_blocks)
+    throw std::invalid_argument("output_diff_sweep: blocks short of stream");
+  if (first_detected.size() != faults_.size())
+    throw std::invalid_argument("output_diff_sweep: fault list mismatch");
+
+  // Per stem group, the faults the stream detects; each joins the sweep at
+  // its first-detection block.
+  const std::size_t ngroups = group_stem_.size();
+  std::vector<std::vector<std::uint32_t>> live(ngroups);
+  std::size_t first_block = n_blocks;
+  for (std::size_t g = 0; g < ngroups; ++g)
+    for (std::uint32_t i = group_offset_[g]; i < group_offset_[g + 1]; ++i) {
+      const std::uint32_t f = group_faults_[i];
+      const std::int64_t fd = first_detected[f];
+      if (fd < 0 || fd >= static_cast<std::int64_t>(patterns)) continue;
+      live[g].push_back(f);
+      first_block = std::min(first_block, static_cast<std::size_t>(fd) / 64);
+    }
+
+  // PO indices driven by each output gate (a gate may feed several POs).
+  const auto outs = k_->outputs();
+  std::vector<std::vector<std::uint32_t>> po_of(k_->gate_count());
+  for (std::size_t i = 0; i < outs.size(); ++i)
+    po_of[outs[i]].push_back(static_cast<std::uint32_t>(i));
+
+  FfrScratch<1> s;
+  s.init(*k_);
+  std::vector<std::pair<KIndex, std::uint64_t>> hits;
+  std::vector<OutputDiff> diffs;
+  std::uint64_t evals = 0;
+  KernelSim good(*k_);
+  for (std::size_t b = first_block; b < n_blocks; ++b) {
+    good.simulate(blocks[b]);
+    const std::size_t live_lanes = std::min<std::size_t>(64, patterns - b * 64);
+    const std::uint64_t lanes = live_lanes == 64
+                                    ? ~std::uint64_t{0}
+                                    : (std::uint64_t{1} << live_lanes) - 1;
+    const std::uint64_t* gv = good.values().data();
+    for (std::size_t g = 0; g < ngroups; ++g) {
+      const auto& lf = live[g];
+      s.stem_words.assign(lf.size(), 0);
+      std::uint64_t acc = 0;
+      for (std::size_t i = 0; i < lf.size(); ++i) {
+        if (static_cast<std::size_t>(first_detected[lf[i]]) / 64 > b) continue;
+        s.stem_words[i] = local_stem_word<1>(*k_, faults_[lf[i]], gv, lanes,
+                                             &evals);
+        acc |= s.stem_words[i];
+      }
+      if (!acc) continue;
+      hits.clear();
+      if (!propagate_stem<1>(*k_, group_stem_[g], acc, gv, lanes, s, &evals,
+                             &hits))
+        continue;
+      for (std::size_t i = 0; i < lf.size(); ++i) {
+        const std::uint64_t sw = s.stem_words[i];
+        if (!sw) continue;
+        diffs.clear();
+        for (const auto& [gate, d] : hits)
+          if (const std::uint64_t w = sw & d)
+            for (const std::uint32_t o : po_of[gate]) diffs.push_back({o, w});
+        if (!diffs.empty()) visit(b, lf[i], diffs);
+      }
+    }
+  }
 }
 
 void FaultSimulator::finalize_curves(FaultSimResult& r) const {

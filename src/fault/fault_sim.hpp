@@ -38,6 +38,7 @@
 // equivalence-class size, denominator = uncollapsed fault count).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -170,8 +171,8 @@ class FaultSimulator {
 
   /// detect_lanes plus the per-primary-output difference words: diffs[i]
   /// (PO order, size >= output count) gets the lanes on which fault f flips
-  /// output i.  Building block of the MISR aliasing audit (bist/compress),
-  /// which needs *where* a fault is observed, not just whether.
+  /// output i.  One full-cone propagation per fault: the reference oracle
+  /// for output_diff_sweep().
   std::uint64_t output_diffs(const Fault& f,
                              std::span<const std::uint64_t> good_values,
                              std::uint64_t lane_mask,
@@ -180,6 +181,31 @@ class FaultSimulator {
     return propagate_fault(f, good_values.data(), lane_mask, &evals,
                            diffs.data());
   }
+
+  /// One flipped primary output of a fault in one block.
+  struct OutputDiff {
+    std::uint32_t output = 0;  ///< PO index
+    std::uint64_t lanes = 0;   ///< lanes on which the fault flips it
+  };
+  using OutputDiffVisitor = std::function<void(
+      std::size_t block, std::uint32_t fault, std::span<const OutputDiff>)>;
+
+  /// Per-output difference words of every fault with 0 <= first_detected[f]
+  /// < patterns (first_detected as run() reports it over the same stream),
+  /// over the first `patterns` patterns of `blocks` — the input of the MISR
+  /// aliasing audit (bist/compress), which needs *where* a fault is
+  /// observed, not just whether.  Built on the FFR stem stage: per block,
+  /// ONE cone propagation per stem for the OR of its faults' stem words
+  /// yields the stem flip's per-output words D_o, and since lanes are
+  /// independent, fault f's diff on output o is stem_word(f) & D_o.  A fault
+  /// joins at its first-detection block (its diffs are zero before it).
+  /// `visit` is called in ascending block order for each (block, fault) with
+  /// any flipped output, each flipped output listed once; the words equal
+  /// output_diffs() lane for lane.  Single-threaded, 64-lane.
+  void output_diff_sweep(std::span<const PatternBlock> blocks,
+                         std::size_t patterns,
+                         std::span<const std::int64_t> first_detected,
+                         const OutputDiffVisitor& visit) const;
 
  private:
   std::uint64_t propagate_fault(const Fault& f, const std::uint64_t* good,

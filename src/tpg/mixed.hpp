@@ -117,13 +117,15 @@ struct MixedSchemeResult {
   /// Wall-clock phase breakdown: pseudo-random phase (LFSR stream + fault
   /// simulation; 0 when a precomputed result was supplied), deterministic
   /// phase (PODEM generation + X-fill + pattern verification), and back end
-  /// (compaction + final tail accounting).  Sweep points report only the
-  /// work actually done for that point (cache hits cost no PODEM time).
+  /// (compaction + final tail accounting, plus the MISR fold audit and
+  /// golden signature when compressed).  Sweep points report only the work
+  /// actually done for that point (cache hits cost no PODEM time).
   double lfsr_seconds = 0.0;
   double podem_seconds = 0.0;
   double compact_seconds = 0.0;
-  /// Compression-layer wall-clock (GF(2) reseeding solves + golden-signature
-  /// simulation); a sub-measure of the phases above, not additional time.
+  /// Compression-layer wall-clock (GF(2) reseeding solves + MISR fold audit
+  /// + golden-signature simulation); a sub-measure of the phases above, not
+  /// additional time.
   double solve_seconds = 0.0;
   /// Anytime ladder position (Complete unless a deadline/cancel fired) and
   /// why a non-Complete state was reached.  For a Complete point `status`

@@ -50,8 +50,10 @@ struct MixedSweepStats {
   double lfsr_seconds = 0.0;     ///< the one shared max-length fault-sim pass
   double podem_seconds = 0.0;    ///< all points: generation + fill + verify
   double compact_seconds = 0.0;  ///< all points: compaction + accounting
-  /// All points: GF(2) reseeding solves + golden-signature simulation (a
-  /// sub-measure of the two above, not additional wall-clock).
+  /// All points: the compression layer — GF(2) reseeding solves, then per
+  /// point the MISR fold audit and golden-signature simulation over its
+  /// applied stream (a sub-measure of the two above, not additional
+  /// wall-clock).
   double solve_seconds = 0.0;
 };
 

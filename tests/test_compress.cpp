@@ -1,10 +1,12 @@
 // Unit tests of the test-data compression layer (bist/compress): the
 // reseeding solver's round-trip guarantee (every care bit of a cube is
 // reproduced by the seed expansion), its fallback-by-cost rule, the
-// MISR fold/step/signature helpers, and the empirical aliasing audit on a
-// real circuit.
+// MISR fold/step/signature helpers, the MISR stage operators, and the
+// empirical aliasing audit against a brute-force MISR simulation of every
+// detected fault on real circuits.
 
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <vector>
 
@@ -13,7 +15,10 @@
 #include "fault/fault_sim.hpp"
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
+#include "sim/bitpar_sim.hpp"
 #include "tpg/lfsr.hpp"
+#include "tpg/mixed.hpp"
+#include "util/gf2.hpp"
 #include "util/rng.hpp"
 
 using namespace bist;
@@ -199,6 +204,203 @@ void test_signature_chaining_and_audit() {
   CHECK(rep.bound <= 1.0 / 65536.0);
 }
 
+// --- Fold audit vs brute force -------------------------------------------
+
+// Brute-force escape count per candidate map: rebuild each detected fault's
+// faulty output stream (good outputs XOR FaultSimulator::output_diffs), step
+// it through misr_step from state 0 and compare with misr_signature.
+// `blocks` must hold exactly the stream.
+std::vector<std::size_t> brute_force_escapes(
+    const SimKernel& k, FaultSimulator& fsim,
+    std::span<const PatternBlock> blocks,
+    std::span<const std::int64_t> first_detected, const MisrSpec& base,
+    const std::vector<std::vector<std::uint16_t>>& maps) {
+  const auto outs = k.outputs();
+  const std::size_t n_outs = outs.size();
+  const std::size_t n_blocks = blocks.size();
+  std::vector<std::uint32_t> audited;
+  for (std::size_t f = 0; f < first_detected.size(); ++f)
+    if (first_detected[f] >= 0) audited.push_back(std::uint32_t(f));
+  std::vector<std::uint64_t> good(n_blocks * n_outs);
+  std::vector<std::uint64_t> diff(audited.size() * n_blocks * n_outs);
+  KernelSim sim(k);
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    sim.simulate(blocks[b]);
+    for (std::size_t o = 0; o < n_outs; ++o)
+      good[b * n_outs + o] = sim.value_at(outs[o]);
+    for (std::size_t i = 0; i < audited.size(); ++i)
+      fsim.output_diffs(
+          fsim.faults()[audited[i]], sim.values(), blocks[b].lane_mask(),
+          std::span(diff).subspan((i * n_blocks + b) * n_outs, n_outs));
+  }
+  std::vector<std::size_t> escapes;
+  for (const auto& map : maps) {
+    MisrSpec m = base;
+    m.fold = map;
+    const std::uint64_t golden = misr_signature(k, blocks, m, 0);
+    std::size_t esc = 0;
+    for (std::size_t i = 0; i < audited.size(); ++i) {
+      std::uint64_t state = 0;
+      for (std::size_t b = 0; b < n_blocks; ++b) {
+        const std::uint64_t* g = good.data() + b * n_outs;
+        const std::uint64_t* d = diff.data() + (i * n_blocks + b) * n_outs;
+        for (std::size_t lane = 0; lane < blocks[b].count; ++lane) {
+          std::uint64_t inj = 0;
+          for (std::size_t o = 0; o < n_outs; ++o)
+            inj ^= (((g[o] ^ d[o]) >> lane) & 1) << map[o];
+          state = misr_step(m, state, inj);
+        }
+      }
+      esc += state == golden;
+    }
+    escapes.push_back(esc);
+  }
+  return escapes;
+}
+
+// The audit's per-map escape counts equal the brute-force counts for every
+// candidate map, and choose_misr_fold returns the selection rule's pick from
+// those counts (earliest map with the fewest escapes, so the first clean map
+// when one exists; the natural fold keeps the empty fold).  Returns the
+// brute-force counts.
+std::vector<std::size_t> check_audit_against_brute_force(
+    const char* what, const SimKernel& k, FaultSimulator& fsim,
+    std::span<const PatternBlock> blocks, std::size_t n,
+    std::span<const std::int64_t> first_detected, const MisrSpec& base) {
+  const auto maps = misr_fold_candidates(base.degree, k.outputs().size());
+  CHECK_EQ(maps.size(), std::size_t{base.degree} + 8);
+  CHECK(maps[0] == fold_map(base, k.outputs().size()));
+  const std::vector<std::size_t> brute =
+      brute_force_escapes(k, fsim, blocks, first_detected, base, maps);
+  std::size_t detected = 0;
+  for (const std::int64_t fd : first_detected) detected += fd >= 0;
+  std::size_t expect = 0;
+  for (std::size_t mi = 0; mi < maps.size(); ++mi) {
+    MisrSpec m = base;
+    m.fold = maps[mi];
+    const AliasingReport rep =
+        misr_aliasing_check(fsim, k, blocks, n, m, first_detected);
+    CHECK_EQ(rep.detected_checked, detected);
+    if (rep.escapes != brute[mi])
+      std::printf("%s: map %zu audit %zu vs brute force %zu escapes\n", what,
+                  mi, rep.escapes, brute[mi]);
+    CHECK_EQ(rep.escapes, brute[mi]);
+    if (brute[mi] < brute[expect]) expect = mi;
+  }
+  const MisrSpec chosen =
+      choose_misr_fold(fsim, k, blocks, n, first_detected, base);
+  CHECK(chosen.fold == (expect == 0 ? base.fold : maps[expect]));
+  return brute;
+}
+
+void test_stage_operators_all_degrees() {
+  // R_c is the polynomial in M with R_c e_0 = e_c.  It exists because e_0
+  // spans the Krylov space {M^j e_0}; solve for its coefficients there and
+  // compare with misr_stage_operators' recurrence, for every MISR degree the
+  // generator uses.
+  for (unsigned K = 16; K <= 24; ++K) {
+    const std::uint64_t taps = Lfsr::primitive_taps(K);
+    const Gf2Matrix M = lfsr_transition(K, taps);
+    std::vector<std::uint64_t> krylov(K);  // krylov[j] = M^j e_0
+    krylov[0] = 1;
+    for (unsigned j = 1; j < K; ++j) krylov[j] = M.apply(krylov[j - 1]);
+    std::vector<Gf2Matrix> powers{Gf2Matrix::identity(K)};  // M^j
+    for (unsigned j = 1; j < K; ++j) powers.push_back(M * powers.back());
+    const std::vector<Gf2Matrix> R = misr_stage_operators(K, taps);
+    CHECK_EQ(R.size(), std::size_t{K});
+    for (unsigned c = 0; c < K && c < R.size(); ++c) {
+      // Row i of the system: sum_j a_j * bit_i(M^j e_0) = [i == c].
+      Gf2Solver sys(K);
+      for (unsigned i = 0; i < K; ++i) {
+        std::uint64_t coeffs = 0;
+        for (unsigned j = 0; j < K; ++j)
+          coeffs |= ((krylov[j] >> i) & 1) << j;
+        sys.add(coeffs, i == c);
+      }
+      if (sys.rank() != K) {
+        std::printf("FAIL degree %u: e_0 does not span the Krylov space "
+                    "(rank %u)\n", K, sys.rank());
+        CHECK(false);
+        continue;
+      }
+      const std::uint64_t a = sys.solve();
+      Gf2Matrix poly(K);
+      for (unsigned j = 0; j < K; ++j)
+        if ((a >> j) & 1)
+          for (unsigned i = 0; i < K; ++i)
+            poly.set_row(i, poly.row(i) ^ powers[j].row(i));
+      CHECK(R[c] == poly);
+      CHECK_EQ(R[c].apply(1), std::uint64_t{1} << c);
+      CHECK(R[c] * M == M * R[c]);
+    }
+  }
+}
+
+void test_audit_c432s_degree8_aliases() {
+  // A degree-8 MISR over c432s' ~340 detected faults expects more than one
+  // temporal escape at 2^-8 (this stream aliases 3 under the natural fold):
+  // the audit must count exactly what brute force counts.
+  const Netlist cut = make_iscas85("c432s");
+  const SimKernel k(cut);
+  MisrSpec m;
+  m.degree = 8;
+  m.taps = Lfsr::primitive_taps(8);
+  const std::size_t n = 2048;
+  const auto blocks = Lfsr::maximal(24, 3).blocks(cut.input_count(), n);
+  FaultSimulator fsim(k);
+  const FaultSimResult fr = fsim.run(blocks);
+  const auto brute = check_audit_against_brute_force(
+      "c432s K=8", k, fsim, blocks, n, fr.first_detected, m);
+  CHECK_EQ(brute[0], std::size_t{3});
+}
+
+void test_audit_c880s_sweep_point() {
+  // c880s' 1024-pattern mixed point: the natural fold has escapes on its
+  // applied stream (LFSR prefix + kept top-off), so the stagger and hashed
+  // candidates are scored, and the pipeline's audited fold is what the
+  // brute-force counts select.
+  const Netlist cut = make_iscas85("c880s");
+  const SimKernel k(cut);
+  MixedTpgOptions opt;
+  opt.lfsr_patterns = 1024;
+  const MixedSchemeResult r = run_mixed_tpg(k, opt);
+  CHECK(r.comp.enabled);
+  std::vector<BitVec> applied;
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  for (std::size_t t = 0; t < r.lfsr_patterns; ++t)
+    applied.push_back(lfsr.next_pattern(cut.input_count()));
+  applied.insert(applied.end(), r.topoff.begin(), r.topoff.end());
+  const auto blocks = pack_all(applied, cut.input_count());
+  FaultSimulator fsim(k);
+  const FaultSimResult fr = fsim.run(blocks);
+  MisrSpec base = r.comp.misr;
+  base.fold.clear();
+  const auto brute = check_audit_against_brute_force(
+      "c880s sweep point", k, fsim, blocks, applied.size(), fr.first_detected,
+      base);
+  CHECK(brute[0] > 0);
+  CHECK(!r.comp.misr.fold.empty());
+  CHECK(choose_misr_fold(fsim, k, blocks, applied.size(), fr.first_detected,
+                         base)
+            .fold == r.comp.misr.fold);
+}
+
+void test_audit_clean_circuit() {
+  // c1355s' pseudo-random stream is clean under the natural fold: the audit
+  // agrees with brute force and the natural fold is kept.
+  const Netlist cut = make_iscas85("c1355s");
+  const SimKernel k(cut);
+  const MisrSpec m = misr_spec_for(cut.output_count());
+  const std::size_t n = 256;
+  const auto blocks = Lfsr::maximal(24, 3).blocks(cut.input_count(), n);
+  FaultSimulator fsim(k);
+  const FaultSimResult fr = fsim.run(blocks);
+  const auto brute = check_audit_against_brute_force(
+      "c1355s", k, fsim, blocks, n, fr.first_detected, m);
+  CHECK_EQ(brute[0], std::size_t{0});
+  CHECK(choose_misr_fold(fsim, k, blocks, n, fr.first_detected, m).fold.empty());
+}
+
 void test_expand_row_reseed_overwrite() {
   // A mid-stream reseed overwrites the register: bits after the event come
   // from the new seed's expansion, and the first `degree` of them spell the
@@ -227,5 +429,9 @@ int main() {
   test_misr_step_linearity();
   test_signature_chaining_and_audit();
   test_expand_row_reseed_overwrite();
+  test_stage_operators_all_degrees();
+  test_audit_c432s_degree8_aliases();
+  test_audit_c880s_sweep_point();
+  test_audit_clean_circuit();
   return bist_test::summary();
 }
