@@ -7,12 +7,6 @@
 
 namespace bist {
 
-namespace {
-
-inline bool is_binary(Ternary v) { return v != Ternary::VX; }
-
-}  // namespace
-
 std::string_view podem_status_name(PodemStatus s) {
   switch (s) {
     case PodemStatus::Detected: return "detected";
@@ -24,7 +18,7 @@ std::string_view podem_status_name(PodemStatus s) {
 }
 
 Podem::Podem(const SimKernel& k)
-    : k_(&k), good_(k), faulty_(k) {
+    : k_(&k), sim_(k) {
   pi_ordinal_.assign(k.gate_count(), ~0u);
   for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
     pi_ordinal_[k.inputs()[i]] = i;
@@ -57,11 +51,8 @@ void Podem::build_cone(KIndex site) {
 }
 
 bool Podem::detected() const {
-  for (KIndex o : k_->outputs()) {
-    const Ternary g = good_.value_at(o);
-    const Ternary f = faulty_.value_at(o);
-    if (is_binary(g) && is_binary(f) && g != f) return true;
-  }
+  for (KIndex o : k_->outputs())
+    if (PairSim::is_diff(sim_.pair(o))) return true;
   return false;
 }
 
@@ -75,7 +66,7 @@ bool Podem::x_path_ok() {
   for (auto it = cone_.rbegin(); it != cone_.rend(); ++it) {
     const KIndex u = *it;
     bool r = false;
-    if (good_.value_at(u) == Ternary::VX || faulty_.value_at(u) == Ternary::VX) {
+    if (PairSim::has_x(sim_.pair(u))) {
       if (k_->is_output(u)) {
         r = true;
       } else {
@@ -87,9 +78,7 @@ bool Podem::x_path_ok() {
   }
   if (reach_[site_]) return true;  // fault effect can still materialize here
   for (KIndex u : cone_) {
-    const Ternary g = good_.value_at(u);
-    const Ternary f = faulty_.value_at(u);
-    if (!(is_binary(g) && is_binary(f) && g != f)) continue;  // not a D signal
+    if (!PairSim::is_diff(sim_.pair(u))) continue;  // not a D signal
     if (k_->is_output(u)) return true;  // detected, caller handles first
     for (KIndex fo : k_->fanouts(u))
       if (reach_[fo]) return true;
@@ -100,7 +89,7 @@ bool Podem::x_path_ok() {
 bool Podem::objective(KIndex* gate, Ternary* v) const {
   // Phase 1: activate the fault — drive the faulted line to the opposite of
   // its stuck value.
-  if (good_.value_at(line_) == Ternary::VX) {
+  if (sim_.good(line_) == Ternary::VX) {
     *gate = line_;
     *v = stuck_t_ == Ternary::V0 ? Ternary::V1 : Ternary::V0;
     return true;
@@ -112,15 +101,11 @@ bool Podem::objective(KIndex* gate, Ternary* v) const {
   // propagation path needs the fewest side-input justifications.
   KIndex best = kNoGate;
   for (const KIndex u : cone_) {
-    if (is_binary(good_.value_at(u)) && is_binary(faulty_.value_at(u)))
-      continue;
+    if (!PairSim::has_x(sim_.pair(u))) continue;
     bool frontier = branch_fault_ && u == site_;
     if (!frontier) {
-      for (KIndex w : k_->fanins(u)) {
-        const Ternary g = good_.value_at(w);
-        const Ternary f = faulty_.value_at(w);
-        if (is_binary(g) && is_binary(f) && g != f) { frontier = true; break; }
-      }
+      for (KIndex w : k_->fanins(u))
+        if (PairSim::is_diff(sim_.pair(w))) { frontier = true; break; }
     }
     if (!frontier) continue;
     if (best == kNoGate || po_dist_[u] < po_dist_[best]) best = u;
@@ -145,8 +130,8 @@ KIndex Podem::pick_x_fanin(KIndex g, bool easiest) const {
   KIndex pick = kNoGate;
   bool pick_good = false;
   for (KIndex w : k_->fanins(g)) {
-    const bool gx = good_.value_at(w) == Ternary::VX;
-    const bool fx = faulty_.value_at(w) == Ternary::VX;
+    const bool gx = sim_.good(w) == Ternary::VX;
+    const bool fx = sim_.faulty(w) == Ternary::VX;
     if (!gx && !fx) continue;
     if (pick == kNoGate || (gx && !pick_good) ||
         (gx == pick_good &&
@@ -179,7 +164,7 @@ void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
       if (next == kNoGate)
         throw std::logic_error("Podem::backtrace: no X fanin on the walk");
       for (KIndex w : k_->fanins(g))
-        if (w != next && good_.value_at(w) == Ternary::V1) parity = !parity;
+        if (w != next && sim_.good(w) == Ternary::V1) parity = !parity;
       if (parity) v = t_not(v);
     } else {
       if (inv) v = t_not(v);
@@ -199,20 +184,20 @@ void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
 
 bool Podem::search() {
   // Cooperative stop, polled once per search node (== once per decision
-  // plus the root): a node costs a full ternary simulate, orders of
-  // magnitude above the poll, so cancellation latency is one node while an
-  // undeadlined search is untouched — the poll reads a clock and a flag,
-  // never search state.  Reuses the abort unwinding (no second branches),
-  // so the whole stack collapses immediately.
+  // plus the root): a node costs an event-driven implication pass plus the
+  // x_path_ok/objective cone scans, far above the poll, so cancellation
+  // latency is one node while an undeadlined search is untouched — the poll
+  // reads a clock and a flag, never search state.  Reuses the abort
+  // unwinding (no second branches), so the whole stack collapses
+  // immediately.
   if (deadline_ && deadline_->should_stop()) {
     cancelled_ = true;
     aborted_ = true;
     return false;
   }
   if (detected()) return true;
-  const Ternary lg = good_.value_at(line_);
-  if (lg == stuck_t_) return false;  // activation impossible under this cube
-  if (!x_path_ok()) return false;    // every propagation path is dead
+  if (sim_.good(line_) == stuck_t_) return false;  // activation impossible
+  if (!x_path_ok()) return false;  // every propagation path is dead
   KIndex og;
   Ternary ov;
   if (!objective(&og, &ov)) return false;
@@ -220,41 +205,28 @@ bool Podem::search() {
   Ternary v;
   backtrace(og, ov, &idx, &v);
 
+  // Unassigning the PI pops the trail back to the mark: the state before
+  // the decision is restored byte for byte without re-simulating X.
   ++decisions_;
-  good_.set_input(idx, v);
-  faulty_.set_input(idx, v);
+  const std::size_t mark = sim_.mark();
+  sim_.assign(idx, v);
   if (search()) return true;
+  sim_.undo(mark);
   if (!aborted_ && ++backtracks_ > limit_) aborted_ = true;
-  if (aborted_) {
-    good_.set_input(idx, Ternary::VX);
-    faulty_.set_input(idx, Ternary::VX);
-    return false;
-  }
-  v = t_not(v);
-  good_.set_input(idx, v);
-  faulty_.set_input(idx, v);
+  if (aborted_) return false;
+  sim_.assign(idx, t_not(v));
   if (search()) return true;
-  good_.set_input(idx, Ternary::VX);
-  faulty_.set_input(idx, Ternary::VX);
+  sim_.undo(mark);
   return false;
 }
 
 PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
-  good_.reset();
-  faulty_.reset();
-
   site_ = k_->index_of(f.gate);
   branch_fault_ = !f.is_output_fault();
   stuck_t_ = f.stuck ? Ternary::V1 : Ternary::V0;
-  if (branch_fault_) {
-    if (static_cast<std::size_t>(f.pin) >= k_->fanins(site_).size())
-      throw std::out_of_range("Podem::generate: fault pin out of range");
-    line_ = k_->fanins(site_)[f.pin];
-    faulty_.force_pin(f.gate, static_cast<unsigned>(f.pin), stuck_t_);
-  } else {
-    line_ = site_;
-    faulty_.force(f.gate, stuck_t_);
-  }
+  // Drops the previous fault, assignments and trail; throws on a bad pin.
+  sim_.reset(site_, f.pin, stuck_t_);
+  line_ = branch_fault_ ? k_->fanins(site_)[f.pin] : site_;
   build_cone(site_);
 
   backtracks_ = 0;
@@ -272,17 +244,12 @@ PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
     r.status = PodemStatus::Detected;
     r.cube.resize(k_->inputs().size());
     for (std::size_t i = 0; i < r.cube.size(); ++i)
-      r.cube[i] = good_.value_at(k_->inputs()[i]);
+      r.cube[i] = sim_.good(k_->inputs()[i]);
   } else if (cancelled_) {
     r.status = PodemStatus::Cancelled;  // no verdict: the search was cut off
   } else {
     r.status = aborted_ ? PodemStatus::Aborted : PodemStatus::Redundant;
   }
-
-  if (branch_fault_)
-    faulty_.unforce_pin(f.gate, static_cast<unsigned>(f.pin));
-  else
-    faulty_.unforce(f.gate);
   return r;
 }
 

@@ -1,17 +1,21 @@
 #pragma once
 // PODEM (path-oriented decision making) deterministic test generation for
 // single stuck-at faults — the generator behind the mixed scheme's top-off
-// phase.  Two TernarySims run in lock-step over a shared SimKernel: the good
-// machine carries the fault-free circuit, the faulty machine has the fault
-// injected (stem faults via force(), fanout-branch faults via force_pin()).
-// A signal whose (good, faulty) pair is (1,0) carries D, (0,1) carries D-bar;
-// a test is found when some primary output pair differs on binary values.
+// phase.  One PairSim over a shared SimKernel is the implication engine: it
+// carries the good and the faulty machine in one byte per gate and evaluates
+// both with the same bitwise ops, the fault injected into the faulty lane
+// only (stem faults overwrite the site's lane, fanout-branch faults the
+// forced pin's).  A signal whose (good, faulty) pair is (1,0) carries D,
+// (0,1) carries D-bar; a test is found when some primary output pair
+// differs on binary values.
 //
 // The search is the classic PODEM loop: pick an objective (activate the
 // fault line, then advance a D-frontier gate), backtrace it through the
-// X-valued region to a primary-input assignment, simulate, and backtrack on
-// failure.  Pruning is conservative — a branch is cut only when the fault
-// provably cannot be activated, or no X-path from a difference (or the
+// X-valued region to a primary-input assignment, propagate it, and
+// backtrack on failure.  Unassigning a PI pops the engine's trail back to
+// the mark taken before the assignment, restoring every byte without
+// re-simulating.  Pruning is conservative — a branch is cut only when the
+// fault provably cannot be activated, or no X-path from a difference (or the
 // still-unresolved fault site) reaches a primary output under the current
 // assignment — so an exhausted search proves the fault redundant.  Searches
 // that hit the backtrack limit are reported Aborted, separately from
@@ -25,7 +29,7 @@
 
 #include "fault/fault.hpp"
 #include "sim/kernel.hpp"
-#include "sim/ternary_sim.hpp"
+#include "sim/pair_sim.hpp"
 #include "util/deadline.hpp"
 
 namespace bist {
@@ -33,7 +37,7 @@ namespace bist {
 class WorkerPool;
 
 enum class PodemStatus : std::uint8_t {
-  Detected,   ///< test cube found (and verified by the lock-step sims)
+  Detected,   ///< test cube found (and verified by the lock-step lanes)
   Redundant,  ///< search space exhausted: no test exists
   Aborted,    ///< backtrack limit hit before a verdict
   Cancelled,  ///< deadline/cancel fired mid-search: NO verdict — unlike
@@ -69,10 +73,11 @@ struct PodemResult {
 /// The kernel must outlive the engine.
 ///
 /// Reuse contract (what lets pooled workers hold one engine each): generate()
-/// starts by resetting both lock-step simulators and every per-fault field,
-/// and removes its fault injection before returning, so the result of a call
-/// depends only on (kernel, fault, options) — never on the faults generated
-/// before it.  The engine carries no RNG; the search is fully deterministic.
+/// starts by resetting the pair simulator (one full evaluation that drops
+/// the previous fault injection, every PI assignment and the trail, even
+/// after a throw) and every per-fault field, so the result of a call depends
+/// only on (kernel, fault, options) — never on the faults generated before
+/// it.  The engine carries no RNG; the search is fully deterministic.
 class Podem {
  public:
   explicit Podem(const SimKernel& k);
@@ -89,7 +94,7 @@ class Podem {
   void build_cone(KIndex site);
 
   const SimKernel* k_;
-  TernarySim good_, faulty_;
+  PairSim sim_;
   std::vector<std::uint32_t> pi_ordinal_;  // kernel idx -> PI index, ~0 if not PI
   std::vector<std::uint32_t> po_dist_;     // min fanout hops to a primary output
 
@@ -109,11 +114,10 @@ class Podem {
   const Deadline* deadline_ = nullptr;
 };
 
-/// Parallel PODEM: one persistent engine (its own good/faulty TernarySim
-/// pair) per worker of an owned WorkerPool, reused across generate() calls —
-/// the construction cost (pool threads + per-engine kernel-sized scratch) is
-/// paid once per batch object, which is what a sweep over many candidate
-/// LFSR lengths needs.
+/// Parallel PODEM: one persistent engine (its own PairSim) per worker of an
+/// owned WorkerPool, reused across generate() calls — the construction cost
+/// (pool threads + per-engine kernel-sized scratch) is paid once per batch
+/// object, which is what a sweep over many candidate LFSR lengths needs.
 ///
 /// generate() partitions the fault list dynamically at grain 1 (per-fault
 /// cost is heavily skewed: an easy detection is microseconds while a

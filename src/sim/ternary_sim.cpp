@@ -4,18 +4,24 @@
 
 namespace bist {
 
-Ternary eval_gate_ternary(GateType t, std::span<const Ternary> ins) {
+namespace {
+
+// Folds a gate's nin inputs, read one at a time through in(i): AND/OR stop
+// at the first controlling value, XOR tracks parity.  Any fanin count.
+template <class In>
+Ternary fold_gate(GateType t, std::size_t nin, In in) {
   using T = Ternary;
   switch (t) {
     case GateType::Input: return T::VX;
     case GateType::Const0: return T::V0;
     case GateType::Const1: return T::V1;
-    case GateType::Buf: return ins[0];
-    case GateType::Not: return t_not(ins[0]);
+    case GateType::Buf: return in(0);
+    case GateType::Not: return t_not(in(0));
     case GateType::And:
     case GateType::Nand: {
       bool any_x = false;
-      for (T v : ins) {
+      for (std::size_t i = 0; i < nin; ++i) {
+        const T v = in(i);
         if (v == T::V0) return t == GateType::And ? T::V0 : T::V1;
         if (v == T::VX) any_x = true;
       }
@@ -25,7 +31,8 @@ Ternary eval_gate_ternary(GateType t, std::span<const Ternary> ins) {
     case GateType::Or:
     case GateType::Nor: {
       bool any_x = false;
-      for (T v : ins) {
+      for (std::size_t i = 0; i < nin; ++i) {
+        const T v = in(i);
         if (v == T::V1) return t == GateType::Or ? T::V1 : T::V0;
         if (v == T::VX) any_x = true;
       }
@@ -35,7 +42,8 @@ Ternary eval_gate_ternary(GateType t, std::span<const Ternary> ins) {
     case GateType::Xor:
     case GateType::Xnor: {
       bool parity = (t == GateType::Xnor);
-      for (T v : ins) {
+      for (std::size_t i = 0; i < nin; ++i) {
+        const T v = in(i);
         if (v == T::VX) return T::VX;
         if (v == T::V1) parity = !parity;
       }
@@ -45,6 +53,8 @@ Ternary eval_gate_ternary(GateType t, std::span<const Ternary> ins) {
   return T::VX;
 }
 
+}  // namespace
+
 TernarySim::TernarySim(const Netlist& n)
     : owned_kernel_(std::make_unique<SimKernel>(n)), k_(owned_kernel_.get()) {
   init();
@@ -53,13 +63,7 @@ TernarySim::TernarySim(const Netlist& n)
 TernarySim::TernarySim(const SimKernel& k) : k_(&k) { init(); }
 
 void TernarySim::init() {
-  // compute() gathers fanins into a fixed Ternary[64] buffer; wider gates
-  // are legal in the netlist (and fine in KernelSim) but not representable
-  // here.
   const std::uint32_t* off = k_->fanin_offset_data();
-  for (KIndex g = 0; g < k_->gate_count(); ++g)
-    if (off[g + 1] - off[g] > 64)
-      throw std::invalid_argument("TernarySim: gate fanin > 64 unsupported");
   values_.assign(k_->gate_count(), Ternary::VX);
   assigned_.assign(k_->gate_count(), Ternary::VX);
   forced_.assign(k_->gate_count(), Ternary::VX);
@@ -115,16 +119,14 @@ void TernarySim::unforce_pin_at(KIndex k, unsigned pin) {
 Ternary TernarySim::compute(KIndex k) const {
   if (has_force_[k]) return forced_[k];
   if (k_->type(k) == GateType::Input) return assigned_[k];
-  Ternary fis[64];
   const std::uint32_t* off = k_->fanin_offset_data();
   const KIndex* fi = k_->fanin_data();
   const std::uint32_t b = off[k];
-  const std::size_t nin = off[k + 1] - b;
-  for (std::size_t i = 0; i < nin; ++i) fis[i] = values_[fi[b + i]];
-  if (has_pin_force_[k])
-    for (std::size_t i = 0; i < nin; ++i)
-      if (pin_forced_[b + i] != Ternary::VX) fis[i] = pin_forced_[b + i];
-  return eval_gate_ternary(k_->type(k), {fis, nin});
+  const bool pinned = has_pin_force_[k];
+  return fold_gate(k_->type(k), off[k + 1] - b, [&](std::size_t i) {
+    if (pinned && pin_forced_[b + i] != Ternary::VX) return pin_forced_[b + i];
+    return values_[fi[b + i]];
+  });
 }
 
 void TernarySim::set_input(std::size_t input_idx, Ternary v) {

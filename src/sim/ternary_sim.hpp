@@ -1,11 +1,13 @@
 #pragma once
-// Three-valued (0/1/X) logic for ATPG.  PODEM runs two ternary simulations
-// in lock-step (good machine / faulty machine); a gate whose pair is (1,0)
-// carries D, (0,1) carries D-bar.
+// Three-valued (0/1/X) logic: the Ternary value type used for PODEM test
+// cubes, and TernarySim, the reference oracle of the ternary simulation
+// layer.  One TernarySim simulates one machine; PODEM's engine (PairSim,
+// both machines in one byte per gate) is tested lane for lane against a
+// pair of them, one with the fault forced.  Nothing outside the tests runs
+// a TernarySim.
 //
 // The simulator is event-driven and levelized: assigning one PI only
-// re-evaluates the affected cone, which is what makes PODEM's
-// assign/unassign cycle cheap.
+// re-evaluates the affected cone.  Gates of any fanin count are supported.
 //
 // Fault injection comes in two grains, matching the stem/branch fault model:
 //  - force(g, v): the gate's output net is stuck (stem fault);
@@ -17,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -31,8 +32,6 @@ inline Ternary t_not(Ternary a) {
   if (a == Ternary::VX) return Ternary::VX;
   return a == Ternary::V0 ? Ternary::V1 : Ternary::V0;
 }
-
-Ternary eval_gate_ternary(GateType t, std::span<const Ternary> ins);
 
 /// Event-driven ternary simulator with per-gate and per-pin forced-value
 /// support (used to inject the fault site value in the faulty machine).

@@ -2,8 +2,14 @@
 // conditions of a hand-analyzed fault, redundancy recognition, abort
 // reporting) plus the property test: every cube PODEM emits is confirmed by
 // the PPSFP fault simulator to detect its target fault — under both all-0
-// and all-1 completion of the don't-care bits.
+// and all-1 completion of the don't-care bits.  A checked-in digest pins the
+// search bit for bit (status, cube, backtracks, decisions of every LFSR-tail
+// fault on three surrogates), so an implication-engine change that alters a
+// single decision fails here, and one engine reused over a shuffled fault
+// order must reproduce the in-order per-fault results.
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -15,6 +21,8 @@
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 using namespace bist;
 
@@ -34,6 +42,28 @@ bool fault_sim_confirms(FaultSimulator& fsim, const SimKernel& k,
   const PatternBlock blk = pack_patterns({&pattern, 1}, pattern.size());
   sim.simulate(blk);
   return (fsim.detect_lanes(f, sim.values(), blk.lane_mask()) & 1) != 0;
+}
+
+// Faults of n left undetected by a short maximal-LFSR phase.
+std::vector<Fault> lfsr_tail(const Netlist& n, FaultSimulator& fsim,
+                             std::size_t patterns) {
+  Lfsr lfsr = Lfsr::maximal(32, 0xACE1);
+  const FaultSimResult lr = fsim.run(lfsr.blocks(n.input_count(), patterns));
+  std::vector<Fault> tail;
+  for (std::size_t i = 0; i < lr.first_detected.size(); ++i)
+    if (lr.first_detected[i] < 0) tail.push_back(fsim.faults()[i]);
+  return tail;
+}
+
+void hash_result(Hasher& h, const PodemResult& r) {
+  h.u8(static_cast<std::uint8_t>(r.status)).u32(r.backtracks).u64(r.decisions);
+  h.u64(r.cube.size());
+  for (Ternary t : r.cube) h.u8(static_cast<std::uint8_t>(t));
+}
+
+bool same_result(const PodemResult& a, const PodemResult& b) {
+  return a.status == b.status && a.cube == b.cube &&
+         a.backtracks == b.backtracks && a.decisions == b.decisions;
 }
 
 }  // namespace
@@ -130,6 +160,49 @@ int main() {
     }
     CHECK(tried > 0);      // the short LFSR phase leaves a tail
     CHECK(detected > 0);   // and PODEM cracks LFSR-resistant faults
+  }
+
+  // --- the search, pinned bit for bit ----------------------------------
+  // One digest over every PodemResult of the 512-pattern LFSR tails of
+  // c432s, c880s and c1355s at backtrack limits 50 and 0.  The value was
+  // recorded with the two-TernarySim implication engine; any engine must
+  // reproduce it, since implication never decides what the search does.
+  {
+    Hasher h;
+    for (const std::string& name : {std::string("c432s"), std::string("c880s"),
+                                    std::string("c1355s")}) {
+      const Netlist n = make_iscas85(name);
+      const SimKernel k(n);
+      FaultSimulator fsim(k);
+      const std::vector<Fault> tail = lfsr_tail(n, fsim, 512);
+      CHECK(!tail.empty());
+      Podem podem(k);
+      for (const std::uint32_t limit : {50u, 0u}) {
+        PodemOptions opt;
+        opt.backtrack_limit = limit;
+        std::vector<PodemResult> in_order;
+        h.str(name).u32(limit).u64(tail.size());
+        for (const Fault& f : tail) {
+          in_order.push_back(podem.generate(f, opt));
+          hash_result(h, in_order.back());
+        }
+        // Reuse contract: the same engine over a shuffled order returns the
+        // same result for every fault.
+        std::vector<std::size_t> perm(tail.size());
+        for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+        Rng rng(0x9e3779b9u + limit);
+        for (std::size_t i = perm.size(); i > 1; --i)
+          std::swap(perm[i - 1],
+                    perm[rng.next_below(static_cast<std::uint32_t>(i))]);
+        std::size_t differ = 0;
+        for (const std::size_t i : perm)
+          differ += !same_result(podem.generate(tail[i], opt), in_order[i]);
+        CHECK_EQ(differ, 0u);
+      }
+    }
+    const std::string got = h.digest().hex();
+    std::printf("podem search digest: %s\n", got.c_str());
+    CHECK_EQ(got, std::string("33fe0b6759e316efdf0f4067cf623838"));
   }
 
   return bist_test::summary();

@@ -1,9 +1,11 @@
 // Robustness suite: exception-safe WorkerPool regions, hardened .bench
 // parsing, Deadline/CancelToken semantics, anytime degradation of the sweep
 // (deadline-cut runs stay bit-identical for the work they completed and
-// always yield a schedulable, verifiable plan), and per-stage fault
-// containment in the pipeline job layer.
+// always yield a schedulable, verifiable plan), per-stage fault
+// containment in the pipeline job layer, and a plan job over a gate wider
+// than 64 inputs.
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -565,6 +567,45 @@ static void test_job_timeout_and_cancel() {
   }
 }
 
+// A gate with more than 64 fanins is legal everywhere: the job runs every
+// stage Ok, and PODEM (not the LFSR, which never sets 80 inputs to 1 at
+// once) covers the wide AND's input-pin faults.
+static void test_wide_gate_job() {
+  Netlist n("wide80");
+  std::vector<GateId> in;
+  for (int i = 0; i < 80; ++i)
+    in.push_back(n.add_input("i" + std::to_string(i)));
+  const GateId wide = n.add_gate(GateType::And, in, "wide");
+  const GateId x = n.add_gate(GateType::Xor, {in[0], in[1], in[2]}, "x");
+  const GateId o = n.add_gate(GateType::Or, {wide, x}, "o");
+  n.add_output(o);
+  n.add_output(n.add_gate(GateType::Nand, {in[3], x}, "y"));
+  n.freeze();
+
+  JobSpec s;
+  s.name = "wide80";
+  s.bench_text = write_bench(n);
+  s.sweep_lengths = {128, 256};
+  for (const bool compress : {true, false}) {
+    s.tpg.compress = compress;
+    const JobReport r = run_plan_job(s);
+    CHECK(r.status.ok());
+    CHECK(r.wrapper_ok);
+    CHECK_EQ(r.stages.size(), 5u);
+    for (const StageReport& st : r.stages) {
+      CHECK(st.status.ok());
+      if (!st.status.ok())
+        std::printf("wide80 %s: %s\n", st.name.c_str(),
+                    st.status.message.c_str());
+    }
+    CHECK_EQ(r.sweep.points.size(), 2u);
+    for (const MixedSchemeResult& p : r.sweep.points) {
+      CHECK(p.podem_detected > 0);
+      CHECK(p.all_verified);
+    }
+  }
+}
+
 int main() {
   test_deadline_units();
   test_worker_pool_exceptions();
@@ -576,5 +617,6 @@ int main() {
   test_zero_deadline_full_family_degraded();
   test_job_stage_containment();
   test_job_timeout_and_cancel();
+  test_wide_gate_job();
   return bist_test::summary();
 }
