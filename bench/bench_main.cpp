@@ -88,6 +88,7 @@
 //                        [--out FILE] [--plot]
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -263,27 +264,74 @@ struct JobModeConfig {
   std::string out_path;
 };
 
+// The one JobSpec builder: --jobs and --serve submit identical specs for
+// identical knobs, so their job_keys (and manifests) line up.
+bist::JobSpec job_spec(const JobModeConfig& cfg, std::string name,
+                       std::string bench_text) {
+  bist::JobSpec spec;
+  spec.name = std::move(name);
+  spec.bench_text = std::move(bench_text);
+  spec.sweep_lengths = cfg.sweep_lengths;
+  spec.tpg.lfsr_patterns = cfg.patterns;
+  spec.tpg.fsim = cfg.fopt;
+  spec.tpg.podem.backtrack_limit = cfg.podem_backtracks;
+  spec.tpg.podem_threads = cfg.threads;
+  spec.tpg.compress = cfg.compress;
+  spec.schedule.test_time_budget = cfg.budget;
+  spec.schedule.lfsr_degree = spec.tpg.lfsr_degree;
+  spec.schedule.lfsr_seed = spec.tpg.lfsr_seed;
+  spec.sweep_deadline_s = cfg.deadline_ms / 1000.0;
+  spec.job_timeout_s = cfg.job_timeout_ms / 1000.0;
+  spec.retry.attempts = std::max(1u, cfg.retries);
+  return spec;
+}
+
+const char* json_bool(bool v) { return v ? "true" : "false"; }
+
+// The one JobReport JSON writer: a single-line object, used for the --jobs
+// "jobs" entries and the --serve JSONL stream alike.
+std::string job_report_json(const bist::JobReport& rep) {
+  const auto code = [](bist::StageCode c) {
+    return json_str(std::string(bist::stage_code_name(c)));
+  };
+  std::ostringstream js;
+  js << "{\"name\": " << json_str(rep.name)
+     << ", \"status\": " << code(rep.status.code)
+     << ", \"status_message\": " << json_str(rep.status.message)
+     << ", \"degraded\": " << json_bool(rep.degraded)
+     << ", \"wrapper_ok\": " << json_bool(rep.wrapper_ok)
+     << ", \"cache\": {\"consulted\": " << json_bool(rep.cache.consulted)
+     << ", \"hit\": " << json_bool(rep.cache.hit)
+     << ", \"stored\": " << json_bool(rep.cache.stored)
+     << ", \"quarantined\": " << json_bool(rep.cache.quarantined)
+     << ", \"manifest\": " << json_bool(rep.cache.manifest)
+     << ", \"note\": " << json_str(rep.cache.note) << "}, \"stages\": [";
+  for (std::size_t s = 0; s < rep.stages.size(); ++s) {
+    const bist::StageReport& sr = rep.stages[s];
+    js << (s ? ", " : "") << "{\"name\": " << json_str(sr.name)
+       << ", \"status\": " << code(sr.status.code)
+       << ", \"attempts\": " << sr.attempts
+       << ", \"seconds\": " << json_num(sr.seconds) << "}";
+  }
+  js << "], \"chosen_length\": " << rep.plan.lfsr_patterns
+     << ", \"topoff_patterns\": " << rep.plan.topoff_patterns
+     << ", \"test_time\": " << rep.plan.test_time
+     << ", \"rom_bits\": " << rep.plan.rom_bits
+     << ", \"area_bits\": " << rep.plan.area.area_bits()
+     << ", \"final_coverage\": " << json_num(rep.plan.final_coverage)
+     << ", \"selfsim_cycles\": " << rep.verification.cycles
+     << ", \"selfsim_coverage\": "
+     << json_num(rep.verification.achieved_coverage)
+     << ", \"seconds\": " << json_num(rep.seconds) << "}";
+  return js.str();
+}
+
 int run_job_mode(const JobModeConfig& cfg) {
   std::vector<bist::JobSpec> specs;
   specs.reserve(cfg.names.size());
-  for (const std::string& name : cfg.names) {
-    bist::JobSpec spec;
-    spec.name = name;
-    spec.bench_text = bist::write_bench(bist::make_iscas85(name));
-    spec.sweep_lengths = cfg.sweep_lengths;
-    spec.tpg.lfsr_patterns = cfg.patterns;
-    spec.tpg.fsim = cfg.fopt;
-    spec.tpg.podem.backtrack_limit = cfg.podem_backtracks;
-    spec.tpg.podem_threads = cfg.threads;
-    spec.tpg.compress = cfg.compress;
-    spec.schedule.test_time_budget = cfg.budget;
-    spec.schedule.lfsr_degree = spec.tpg.lfsr_degree;
-    spec.schedule.lfsr_seed = spec.tpg.lfsr_seed;
-    spec.sweep_deadline_s = cfg.deadline_ms / 1000.0;
-    spec.job_timeout_s = cfg.job_timeout_ms / 1000.0;
-    spec.retry.attempts = std::max(1u, cfg.retries);
-    specs.push_back(std::move(spec));
-  }
+  for (const std::string& name : cfg.names)
+    specs.push_back(
+        job_spec(cfg, name, bist::write_bench(bist::make_iscas85(name))));
 
   // The store and the manifest live side by side under --cache-dir; a batch
   // without one runs uncached (and --resume has nothing to replay from).
@@ -311,7 +359,7 @@ int run_job_mode(const JobModeConfig& cfg) {
   std::ostringstream js;
   js << "{\n  \"bench\": \"job_batch\",\n  \"patterns\": " << cfg.patterns
      << ",\n  \"retries\": " << cfg.retries
-     << ",\n  \"resume\": " << (cfg.resume ? "true" : "false")
+     << ",\n  \"resume\": " << json_bool(cfg.resume)
      << ",\n  \"jobs\": [\n";
   for (std::size_t i = 0; i < batch.reports.size(); ++i) {
     const bist::JobReport& rep = batch.reports[i];
@@ -338,40 +386,9 @@ int run_job_mode(const JobModeConfig& cfg) {
               << (rep.degraded ? " [DEGRADED]" : "") << " ("
               << bist::format_fixed(rep.seconds, 2) << "s)\n";
 
-    js << (i ? ",\n" : "") << "    {\n      \"name\": " << json_str(rep.name)
-       << ",\n      \"status\": "
-       << json_str(std::string(bist::stage_code_name(rep.status.code)))
-       << ",\n      \"degraded\": " << (rep.degraded ? "true" : "false")
-       << ",\n      \"wrapper_ok\": " << (rep.wrapper_ok ? "true" : "false")
-       << ",\n      \"cache\": {\"consulted\": "
-       << (rep.cache.consulted ? "true" : "false")
-       << ", \"hit\": " << (rep.cache.hit ? "true" : "false")
-       << ", \"stored\": " << (rep.cache.stored ? "true" : "false")
-       << ", \"quarantined\": " << (rep.cache.quarantined ? "true" : "false")
-       << ", \"manifest\": " << (rep.cache.manifest ? "true" : "false")
-       << ", \"note\": " << json_str(rep.cache.note) << "},\n"
-       << "      \"stages\": [";
-    for (std::size_t s = 0; s < rep.stages.size(); ++s) {
-      const bist::StageReport& sr = rep.stages[s];
+    for (const bist::StageReport& sr : rep.stages)
       retry_attempts += sr.attempts > 0 ? sr.attempts - 1 : 0;
-      js << (s ? ", " : "") << "{\"name\": " << json_str(sr.name)
-         << ", \"status\": "
-         << json_str(std::string(bist::stage_code_name(sr.status.code)))
-         << ", \"attempts\": " << sr.attempts
-         << ", \"seconds\": " << json_num(sr.seconds) << "}";
-    }
-    js << "],\n"
-       << "      \"chosen_length\": " << rep.plan.lfsr_patterns << ",\n"
-       << "      \"topoff_patterns\": " << rep.plan.topoff_patterns << ",\n"
-       << "      \"test_time\": " << rep.plan.test_time << ",\n"
-       << "      \"rom_bits\": " << rep.plan.rom_bits << ",\n"
-       << "      \"area_bits\": " << rep.plan.area.area_bits() << ",\n"
-       << "      \"final_coverage\": " << json_num(rep.plan.final_coverage)
-       << ",\n"
-       << "      \"selfsim_cycles\": " << rep.verification.cycles << ",\n"
-       << "      \"selfsim_coverage\": "
-       << json_num(rep.verification.achieved_coverage) << ",\n"
-       << "      \"seconds\": " << json_num(rep.seconds) << "\n    }";
+    js << (i ? ",\n" : "") << "    " << job_report_json(rep);
   }
   const bist::StoreStats ss =
       store ? store->stats() : bist::StoreStats{};
@@ -407,18 +424,26 @@ int run_job_mode(const JobModeConfig& cfg) {
 
 // --- Service mode: long-lived resilient job server -------------------------
 //
-// --serve runs the JobService front end: submissions arrive as text lines —
-// `<circuit> [client=NAME] [priority=N]` — either from stdin (default, until
-// EOF or a line reading `STOP`) or from a spool directory (--spool DIR:
-// every *.job file is read line by line, submitted, and renamed to
-// *.job.done; a `stop.ctl` sentinel file requests a full drain and exit;
-// move files into the spool atomically).  Unknown circuit names become jobs
-// whose bench text is the raw line, so a malformed submission is contained
-// as a parse-stage Error report instead of killing the server.  Every
-// submission streams exactly one JSONL report (--stream FILE, appended and
-// flushed per line) whose object shape matches the --jobs per-job entries,
-// so a service stream and a cold batch run are directly comparable once
-// volatile fields (seconds, attempts, cache provenance) are stripped.
+// --serve runs the JobService front end: submissions arrive as text lines,
+// either from stdin (default, until EOF or a line reading `STOP`) or from a
+// spool directory (--spool DIR: every *.job file is read line by line,
+// submitted, and renamed to *.job.done; a `stop.ctl` sentinel file requests
+// a full drain and exit; move files into the spool atomically).  Line
+// grammar, whitespace-separated:
+//
+//   <circuit> [client=NAME] [priority=N]
+//
+// Blank lines and lines starting with `#` are skipped; unknown tokens are
+// ignored; N is a decimal int (higher runs first).  A line whose priority=
+// value is not an int, or is out of range, is rejected with a note on
+// stderr and never submitted — it gets no report, and the server keeps
+// serving.  Unknown circuit names become jobs whose bench text is the raw
+// line, so a malformed submission is contained as a parse-stage Error
+// report instead of killing the server.  Every submission streams exactly
+// one JSONL report (--stream FILE, appended and flushed per line) written
+// by the same job_report_json as the --jobs per-job entries, so a service
+// stream and a cold batch run are directly comparable once volatile fields
+// (seconds, attempts, cache provenance, status_message) are stripped.
 // SIGTERM/SIGINT trigger a graceful drain bounded by --drain-ms: in-flight
 // work is cancelled at the deadline, queued work is dropped WITH a report,
 // and the manifest journal under --cache-dir lets a restarted server
@@ -444,41 +469,6 @@ struct ServeConfig {
   std::string chaos;  // stage:circuit[:times[:transient|det]]
   JobModeConfig job;  // shared spec/store/manifest knobs
 };
-
-std::string jobreport_jsonl(const bist::JobReport& rep) {
-  std::ostringstream js;
-  js << "{\"name\": " << json_str(rep.name) << ", \"status\": "
-     << json_str(std::string(bist::stage_code_name(rep.status.code)))
-     << ", \"status_message\": " << json_str(rep.status.message)
-     << ", \"degraded\": " << (rep.degraded ? "true" : "false")
-     << ", \"wrapper_ok\": " << (rep.wrapper_ok ? "true" : "false")
-     << ", \"cache\": {\"consulted\": "
-     << (rep.cache.consulted ? "true" : "false")
-     << ", \"hit\": " << (rep.cache.hit ? "true" : "false")
-     << ", \"stored\": " << (rep.cache.stored ? "true" : "false")
-     << ", \"quarantined\": " << (rep.cache.quarantined ? "true" : "false")
-     << ", \"manifest\": " << (rep.cache.manifest ? "true" : "false")
-     << ", \"note\": " << json_str(rep.cache.note) << "}, \"stages\": [";
-  for (std::size_t s = 0; s < rep.stages.size(); ++s) {
-    const bist::StageReport& sr = rep.stages[s];
-    js << (s ? ", " : "") << "{\"name\": " << json_str(sr.name)
-       << ", \"status\": "
-       << json_str(std::string(bist::stage_code_name(sr.status.code)))
-       << ", \"attempts\": " << sr.attempts
-       << ", \"seconds\": " << json_num(sr.seconds) << "}";
-  }
-  js << "], \"chosen_length\": " << rep.plan.lfsr_patterns
-     << ", \"topoff_patterns\": " << rep.plan.topoff_patterns
-     << ", \"test_time\": " << rep.plan.test_time
-     << ", \"rom_bits\": " << rep.plan.rom_bits
-     << ", \"area_bits\": " << rep.plan.area.area_bits()
-     << ", \"final_coverage\": " << json_num(rep.plan.final_coverage)
-     << ", \"selfsim_cycles\": " << rep.verification.cycles
-     << ", \"selfsim_coverage\": "
-     << json_num(rep.verification.achieved_coverage)
-     << ", \"seconds\": " << json_num(rep.seconds) << "}";
-  return js.str();
-}
 
 int run_serve_mode(const ServeConfig& cfg) {
   namespace fs = std::filesystem;
@@ -526,7 +516,7 @@ int run_serve_mode(const ServeConfig& cfg) {
   }
   std::uint64_t streamed = 0;
   bist::JobService svc(so, [&](const bist::JobReport& rep) {
-    stream << jobreport_jsonl(rep) << "\n";
+    stream << job_report_json(rep) << "\n";
     stream.flush();  // one durable line per report: tail-able and kill-safe
     ++streamed;      // sink calls are serialized by the service
   });
@@ -534,39 +524,37 @@ int run_serve_mode(const ServeConfig& cfg) {
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
 
-  // One submission line: `<circuit> [client=NAME] [priority=N]`.
+  // One submission line: `<circuit> [client=NAME] [priority=N]`.  A line
+  // whose priority is not an int is rejected here, before submission, so it
+  // gets no report and the server keeps serving.
   const auto submit_line = [&](const std::string& line) {
     std::istringstream is(line);
     std::string name, tok, client;
     int priority = 0;
     if (!(is >> name) || name[0] == '#') return;  // blank / comment
     while (is >> tok) {
-      if (tok.rfind("client=", 0) == 0) client = tok.substr(7);
-      else if (tok.rfind("priority=", 0) == 0)
-        priority = std::stoi(tok.substr(9));
+      if (tok.rfind("client=", 0) == 0) {
+        client = tok.substr(7);
+      } else if (tok.rfind("priority=", 0) == 0) {
+        const char* first = tok.data() + 9;
+        const char* last = tok.data() + tok.size();
+        const auto [end, ec] = std::from_chars(first, last, priority);
+        if (ec != std::errc() || end != last) {
+          std::cerr << "rejected line (bad " << tok << "): " << line << "\n";
+          return;
+        }
+      }
     }
-    bist::JobSpec spec;
-    spec.name = name;
+    std::string bench_text;
     try {
-      spec.bench_text = bist::write_bench(bist::make_iscas85(name));
+      bench_text = bist::write_bench(bist::make_iscas85(name));
     } catch (const std::exception&) {
       // Unknown circuit: ship the raw line as the bench text so the parse
       // stage contains the failure as a per-job Error, not a server fault.
-      spec.bench_text = line;
+      bench_text = line;
     }
-    spec.sweep_lengths = cfg.job.sweep_lengths;
-    spec.tpg.lfsr_patterns = cfg.job.patterns;
-    spec.tpg.fsim = cfg.job.fopt;
-    spec.tpg.podem.backtrack_limit = cfg.job.podem_backtracks;
-    spec.tpg.podem_threads = cfg.job.threads;
-    spec.tpg.compress = cfg.job.compress;
-    spec.schedule.test_time_budget = cfg.job.budget;
-    spec.schedule.lfsr_degree = spec.tpg.lfsr_degree;
-    spec.schedule.lfsr_seed = spec.tpg.lfsr_seed;
-    spec.sweep_deadline_s = cfg.job.deadline_ms / 1000.0;
-    spec.job_timeout_s = cfg.job.job_timeout_ms / 1000.0;
-    spec.retry.attempts = std::max(1u, cfg.job.retries);
-    const bist::SubmitResult r = svc.submit(std::move(spec), client, priority);
+    const bist::SubmitResult r = svc.submit(
+        job_spec(cfg.job, name, std::move(bench_text)), client, priority);
     std::cout << "submit " << name << ": " << bist::submit_code_name(r.code)
               << " (ticket " << r.ticket << ")\n";
   };
@@ -809,23 +797,7 @@ int run_bench(int argc, char** argv) {
   fopt.threads = threads;
   fopt.word_width = width;
 
-  if (serve_mode) {
-    serve.job.patterns = patterns;
-    serve.job.sweep_lengths = sweep_lengths;
-    serve.job.fopt = fopt;
-    serve.job.threads = threads;
-    serve.job.podem_backtracks = podem_backtracks;
-    serve.job.compress = compress;
-    serve.job.budget = budget;
-    serve.job.deadline_ms = deadline_ms;
-    serve.job.job_timeout_ms = job_timeout_ms;
-    serve.job.cache_dir = cache_dir;
-    serve.job.resume = resume;
-    serve.job.retries = retries;
-    return run_serve_mode(serve);
-  }
-
-  if (jobs_mode) {
+  if (serve_mode || jobs_mode) {
     JobModeConfig cfg;
     cfg.names = names;
     cfg.patterns = patterns;
@@ -841,6 +813,10 @@ int run_bench(int argc, char** argv) {
     cfg.cache_dir = cache_dir;
     cfg.resume = resume;
     cfg.retries = retries;
+    if (serve_mode) {
+      serve.job = std::move(cfg);
+      return run_serve_mode(serve);
+    }
     cfg.out_path = out_path == "BENCH_fault_sim.json" ? "BENCH_job_batch.json"
                                                       : out_path;
     return run_job_mode(cfg);

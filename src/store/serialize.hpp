@@ -7,17 +7,28 @@
 // varints — because the record framing (store/record) already carries the
 // format version and a checksum: a layout change bumps
 // kStoreFormatVersion and old records quarantine as BadVersion before a
-// byte of payload is decoded.  Deserialization is nevertheless fully
-// bounds-checked (a checksum-valid record could still have been written by
-// a buggy producer): ByteReader throws std::runtime_error on any overrun,
-// count that exceeds the remaining bytes, or out-of-range enum, and the
-// store converts that throw into a quarantine + miss.
+// byte of payload is decoded.
+//
+// Each persisted struct's layout is written down once, as one walk()
+// template in serialize.cpp that the writer and the reader both run over a
+// shared primitive surface.  Adding a field is therefore one line in that
+// struct's walk, a kStoreFormatVersion bump, and re-pinning the format
+// digests in tests/test_store.cpp.
+//
+// Deserialization is fully bounds-checked (a checksum-valid record could
+// still have been written by a buggy producer): it throws
+// std::runtime_error on any overrun, a count that exceeds the remaining
+// bytes, an out-of-range enum or bool, set bitvec tail bits, or trailing
+// bytes, and the store converts that throw into a quarantine + miss.  No
+// accepted value is normalised, so every payload that decodes re-encodes
+// to exactly the same bytes.
 //
 // Serialization is deterministic: the same in-memory value always produces
 // the same bytes.  Combined with the pipeline's bit-identical determinism
 // contract this makes serialized equality a usable differential oracle —
-// strip_volatile() zeroes the wall-clock/attempt/cache fields and the
-// kill-and-resume test compares resumed and cold batches byte for byte.
+// strip_volatile() zeroes the fields that legitimately vary between runs of
+// the same job, and the kill-and-resume test compares resumed and cold
+// batches byte for byte.
 
 #include <cstdint>
 #include <span>
@@ -37,11 +48,17 @@ std::vector<std::uint8_t> serialize_job_report(const JobReport& r);
 /// Throws std::runtime_error on malformed bytes.
 JobReport deserialize_job_report(std::span<const std::uint8_t> bytes);
 
-/// Zero every wall-clock-shaped field (stage/job seconds, solve breakdowns,
-/// retry attempt counts, cache outcomes) so two reports that did the same
-/// *work* serialize identically regardless of how fast they ran or where
-/// their data came from.  The kill-and-resume differential and the manifest
-/// equality checks compare serialize_job_report(strip_volatile(...)) bytes.
+/// Zero every field that varies between runs of the same job, so two
+/// reports that did the same *work* serialize identically regardless of how
+/// fast they ran, where their data came from, or which engine configuration
+/// computed them: stage/job seconds and solve breakdowns, retry attempt
+/// counts and stage notes, cache outcomes, and the engine-configuration
+/// echoes (sweep.stats.podem_threads and each point's lfsr_result.threads,
+/// .word_width and the width-dependent .faulty_gate_evals).  The sweep
+/// cache key excludes those knobs, so a hit served from another thread
+/// count or word width must still byte-match its cold run.  The
+/// kill-and-resume differential and the manifest equality checks compare
+/// serialize_job_report(strip_volatile(...)) bytes.
 void strip_volatile(JobReport& r);
 
 }  // namespace bist

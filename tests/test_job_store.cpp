@@ -1,7 +1,8 @@
 // Durability of the pipeline end to end: cache hits through run_plan_job
 // (bit-identical to the computed sweep), corruption quarantined inside a job
 // that still completes Ok, bounded deterministic retry for transient stage
-// failures vs. fail-fast for deterministic ones, and the batch manifest's
+// failures vs. fail-fast for deterministic ones, stripped report bytes that
+// do not depend on thread count or word width, and the batch manifest's
 // kill-and-resume contract — a resumed batch's reports are byte-identical
 // (volatile fields stripped) to a cold run's, and a torn manifest tail
 // replays everything before the tear.
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "circuits/iscas85_family.hpp"
@@ -187,6 +189,26 @@ void test_retry_and_fail_fast() {
 }
 
 // ---------------------------------------------------------------------------
+// Engine configuration (worker count, pattern word width) is excluded from
+// the sweep cache key, so a hit may be served to a job running a different
+// configuration: the stripped report must therefore not depend on it.
+void test_stripped_engine_config_invariance() {
+  std::vector<std::uint8_t> first;
+  for (const auto& [threads, width] :
+       {std::pair{1u, 1u}, {3u, 1u}, {1u, 4u}, {2u, 4u}}) {
+    JobSpec spec = make_spec("c432s");
+    spec.tpg.fsim.threads = threads;
+    spec.tpg.fsim.word_width = width;
+    spec.tpg.podem_threads = threads;
+    const JobReport r = run_plan_job(spec);
+    CHECK(r.status.ok());
+    const std::vector<std::uint8_t> bytes = stripped_bytes(r);
+    if (first.empty()) first = bytes;
+    CHECK(bytes == first);
+  }
+}
+
+// ---------------------------------------------------------------------------
 void test_manifest_resume(ResultStore& store) {
   const std::string mp = "jobstore_manifest.bin";
   fs::remove(mp);
@@ -259,6 +281,7 @@ int main() {
     test_cache_hit_through_job(store);
     test_quarantine_through_job(store);
     test_retry_and_fail_fast();
+    test_stripped_engine_config_invariance();
     test_manifest_resume(store);
   }
   fs::remove_all(dir);

@@ -1,10 +1,11 @@
 // Persistence-layer unit tests: canonical hashing and the netlist
 // fingerprint, the on-disk record framing (every corruption class maps to
 // its RecordCheck verdict), serializer round trips with full bounds
-// checking, and the ResultStore's contract that corruption quarantines and
-// degrades to a miss — never a stale hit, never a crash — including under
-// injected file-system failure (short writes, ENOSPC-shaped write_file,
-// refused renames) via the FileOps shim.
+// checking, the pinned payload format, per-byte payload mutation (every
+// mutant throws or re-encodes to itself), and the ResultStore's contract
+// that corruption quarantines and degrades to a miss — never a stale hit,
+// never a crash — including under injected file-system failure (short
+// writes, ENOSPC-shaped write_file, refused renames) via the FileOps shim.
 
 #include <cstdint>
 #include <filesystem>
@@ -222,14 +223,14 @@ void test_record_framing() {
 }
 
 // ---------------------------------------------------------------------------
-MixedSweepResult small_sweep(const std::string& name) {
+MixedSweepResult small_sweep(const std::string& name,
+                             std::vector<std::size_t> lengths = {32, 128}) {
   const Netlist n = make_iscas85(name);
   const SimKernel k(n);
   FaultSimulator fsim(k);
   MixedTpgOptions mopt;
   mopt.lfsr_patterns = 128;
   mopt.podem.backtrack_limit = 50;
-  const std::vector<std::size_t> lengths = {32, 128};
   return run_mixed_sweep(k, fsim, lengths, mopt);
 }
 
@@ -264,6 +265,227 @@ void test_serializer_roundtrip() {
     auto t = bytes;
     for (std::size_t i = 0; i < 8 && i < t.size(); ++i) t[i] = 0xFF;
     CHECK_THROWS(deserialize_sweep(t));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A hand-built report in which every field holds a distinct nonzero value
+// (bools true, enums off their defaults) and every vector is non-empty, so a
+// field the codec drops, duplicates, widens or reorders changes the bytes.
+// Synthetic on purpose: the pinned digests below guard the on-disk format,
+// not engine results.
+JobReport synthetic_report() {
+  std::uint64_t n = 0;
+  const auto u = [&] { return ++n; };
+  const auto f = [&] { return double(++n) + 0.25; };
+  const auto status = [&](StageCode c) {
+    return StageStatus{c, "msg" + std::to_string(u())};
+  };
+  const auto bits = [&] {
+    BitVec v(70);
+    v.set(1, true);
+    v.set(u() % 70, true);
+    v.set(69, true);
+    return v;
+  };
+  const auto comp = [&] {
+    CompressedTopoff c;
+    c.enabled = true;
+    c.degree = unsigned(u());
+    c.seeds = {{std::uint32_t(u()), std::uint32_t(u()), u()}};
+    c.fallback = {std::uint8_t(u())};
+    c.misr.degree = unsigned(u());
+    c.misr.taps = u();
+    c.misr.fold = {std::uint16_t(u()), std::uint16_t(u())};
+    c.golden = u();
+    c.cut_outputs = u();
+    c.solve_seconds = f();
+    return c;
+  };
+  const auto fault = [&] {
+    return Fault{GateId(u()), std::int16_t(u()), std::uint8_t(1)};
+  };
+
+  MixedSchemeResult p;
+  p.lfsr_patterns = u();
+  p.tail_faults = u();
+  p.podem_detected = u();
+  p.redundant = u();
+  p.aborted = u();
+  p.podem_backtracks = u();
+  p.podem_decisions = u();
+  p.topoff_before_compaction = u();
+  p.topoff_patterns = u();
+  p.topoff = {bits()};
+  p.comp = comp();
+  p.redundant_faults = {fault()};
+  p.aborted_faults = {fault()};
+  p.lfsr_coverage = f();
+  p.lfsr_coverage_weighted = f();
+  p.final_coverage = f();
+  p.final_coverage_weighted = f();
+  p.all_verified = true;
+  FaultSimResult& fr = p.lfsr_result;
+  fr.total_faults = u();
+  fr.sim_faults = u();
+  fr.detected = u();
+  fr.detected_weight = u();
+  fr.total_weight = u();
+  fr.patterns = u();
+  fr.status = status(StageCode::DeadlineExceeded);
+  fr.threads = unsigned(u());
+  fr.word_width = unsigned(u());
+  fr.first_detected = {std::int64_t(u()), -1};
+  fr.coverage = {f(), f()};
+  fr.coverage_weighted = {f(), f()};
+  fr.faulty_gate_evals = u();
+  p.lfsr_seconds = f();
+  p.podem_seconds = f();
+  p.compact_seconds = f();
+  p.solve_seconds = f();
+  p.state = PointState::LfsrOnly;
+  p.status = status(StageCode::Cancelled);
+
+  JobReport r;
+  r.name = "synthetic";
+  r.status = status(StageCode::Error);
+  r.degraded = true;
+  r.wrapper_ok = true;
+  r.stages = {{"sweep", status(StageCode::Rejected), f(), unsigned(u()),
+               "note" + std::to_string(u())}};
+  MixedSweepResult& sw = r.sweep;
+  sw.lengths = {u()};
+  sw.points = {p};
+  sw.width = u();
+  sw.stats.podem_calls = u();
+  sw.stats.podem_cache_hits = u();
+  sw.stats.podem_threads = unsigned(u());
+  sw.stats.lfsr_seconds = f();
+  sw.stats.podem_seconds = f();
+  sw.stats.compact_seconds = f();
+  sw.stats.solve_seconds = f();
+  sw.status = status(StageCode::DeadlineExceeded);
+
+  BistPlan& pl = r.plan;
+  pl.point_index = u();
+  pl.lfsr_patterns = u();
+  pl.topoff_patterns = u();
+  pl.test_time = u();
+  pl.rom_bits = u();
+  pl.cost = f();
+  pl.knee_distance = f();
+  pl.area = {f(), f(), f(), f(), f(), f(), u(), u(), u(), u()};
+  pl.area_model = {f(), f(), f(), f(), f()};
+  pl.lfsr_degree = unsigned(u());
+  pl.lfsr_taps = u();
+  pl.lfsr_seed = u();
+  pl.width = u();
+  pl.topoff = {bits()};
+  pl.comp = comp();
+  pl.lfsr_coverage = f();
+  pl.final_coverage = f();
+  pl.final_coverage_weighted = f();
+  pl.degraded = true;
+  pl.candidates = {{u(), u(), u(), u(), u(), u(), u(), u(), u(), f(), f(),
+                    true, f()}};
+
+  WrapperVerification& v = r.verification;
+  v.lfsr_phase_identical = v.topoff_identical = v.coverage_identical = true;
+  v.seeds_identical = v.signature_identical = true;
+  v.cycles = u();
+  v.achieved_coverage = f();
+  v.achieved_coverage_weighted = f();
+  v.misr_signature = u();
+  v.aliasing = {u(), u(), f()};
+  v.status = status(StageCode::Cancelled);
+
+  r.solve_seconds = f();
+  r.wrapper_bench = "INPUT(a)\nOUTPUT(a)\n";
+  r.seconds = f();
+  r.cache = {true, true, true, true, true, "cache-note"};
+  return r;
+}
+
+// The store format, pinned: kStoreFormatVersion 2 as written by the field
+// walk in store/serialize.cpp.  A layout change must bump
+// kStoreFormatVersion and re-pin both digests in the same change.
+void test_format_pin() {
+  const JobReport r = synthetic_report();
+  const std::vector<std::uint8_t> rep = serialize_job_report(r);
+  const std::vector<std::uint8_t> sw = serialize_sweep(r.sweep);
+  const Digest128 rep_digest = Hasher().bytes(rep.data(), rep.size()).digest();
+  const Digest128 sw_digest = Hasher().bytes(sw.data(), sw.size()).digest();
+  CHECK_EQ(rep_digest.hex(), std::string("7114258c7d91ad9cf3012a31fef28a3a"));
+  CHECK_EQ(sw_digest.hex(), std::string("c3b4d6648e04648841d59e2fa89e2507"));
+  CHECK_EQ(rep.size(), std::size_t{1236});
+  CHECK_EQ(sw.size(), std::size_t{548});
+  CHECK(serialize_job_report(deserialize_job_report(rep)) == rep);
+  CHECK(serialize_sweep(deserialize_sweep(sw)) == sw);
+}
+
+// ---------------------------------------------------------------------------
+// No reader path accepts a value and then normalises it: at every byte
+// offset, overwriting the byte with 0xFF or adding 1 to it yields a payload
+// that either throws std::runtime_error or re-serializes to exactly the
+// mutated bytes.
+template <class Decode, class Encode>
+void check_mutations(const std::vector<std::uint8_t>& bytes, Decode decode,
+                     Encode encode) {
+  std::size_t normalised = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (const bool saturate : {true, false}) {
+      std::vector<std::uint8_t> t = bytes;
+      t[i] = saturate ? std::uint8_t{0xFF} : std::uint8_t(t[i] + 1);
+      try {
+        if (encode(decode(t)) != t) ++normalised;
+      } catch (const std::runtime_error&) {
+      }
+    }
+  }
+  CHECK_EQ(normalised, std::size_t{0});
+}
+
+// Offset of the first byte at which two equal-length encodings differ.
+std::size_t diff_at(const std::vector<std::uint8_t>& a,
+                    const std::vector<std::uint8_t>& b) {
+  CHECK_EQ(a.size(), b.size());
+  std::size_t i = 0;
+  while (i < a.size() && a[i] == b[i]) ++i;
+  CHECK(i < a.size());
+  return i;
+}
+
+void test_mutated_payloads() {
+  const MixedSweepResult sw = small_sweep("c432s", {64});
+  check_mutations(serialize_sweep(sw), deserialize_sweep, serialize_sweep);
+  const JobReport rep = synthetic_report();
+  const std::vector<std::uint8_t> bytes = serialize_job_report(rep);
+  check_mutations(bytes, deserialize_job_report, serialize_job_report);
+
+  // Targeted out-of-range values, located by flipping the field in question
+  // and diffing the encodings.
+  const auto throws_with = [&](auto mutate, std::uint8_t value) {
+    JobReport other = rep;
+    mutate(other);
+    std::vector<std::uint8_t> t = bytes;
+    t[diff_at(bytes, serialize_job_report(other))] = value;
+    CHECK_THROWS(deserialize_job_report(t));
+  };
+  throws_with([](JobReport& r) { r.degraded = false; }, 2);
+  throws_with([](JobReport& r) { r.status.code = StageCode::Ok; },
+              std::uint8_t(StageCode::Rejected) + 1);
+  throws_with(
+      [](JobReport& r) { r.sweep.points[0].state = PointState::Complete; },
+      std::uint8_t(PointState::Skipped) + 1);
+  // Bit 69 is the last bit of the 70-bit top-off row; its byte also holds
+  // tail bits 70 and 71, which must stay clear.
+  {
+    JobReport other = rep;
+    other.sweep.points[0].topoff[0].set(69, false);
+    std::vector<std::uint8_t> t = bytes;
+    const std::size_t at = diff_at(bytes, serialize_job_report(other));
+    t[at] |= 0x40;
+    CHECK_THROWS(deserialize_job_report(t));
   }
 }
 
@@ -460,6 +682,8 @@ int main() {
   test_fingerprint();
   test_record_framing();
   test_serializer_roundtrip();
+  test_format_pin();
+  test_mutated_payloads();
   test_result_store();
   test_store_io_failure();
   return bist_test::summary();
