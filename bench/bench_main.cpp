@@ -1,52 +1,49 @@
-// Fault-simulation throughput bench: seed BitParSim loop vs. SimKernel path,
-// plus the PPSFP fault simulator driven by a maximal-length LFSR, across the
-// ISCAS85 surrogate family.  Emits BENCH_fault_sim.json with gate-evals/sec
-// for both logic-sim paths (and their ratio), faults-dropped/sec for the
-// fault simulator, and the full mixed-scheme pipeline per circuit (LFSR
-// phase -> PODEM top-off -> compaction): top-off pattern counts and final
-// coverage under both fault-accounting conventions — the direct input for
-// the scheduler and area model.
+// Fault-simulation throughput bench and front end of the BIST generator:
+// seed BitParSim loop vs. SimKernel path, plus the PPSFP fault simulator
+// driven by a maximal-length LFSR, across the ISCAS85 surrogate family.
+// Emits BENCH_fault_sim.json with gate-evals/sec for both logic-sim paths
+// (and their ratio), faults-dropped/sec for the fault simulator, and each
+// circuit's plan job (LFSR phase -> PODEM top-off -> schedule -> wrapper).
 //
-// Every timed section follows the same statistical hygiene: one untimed
-// warmup pass (page in the scratch, warm the caches and the branch
-// predictors), then N timed repetitions reporting the fastest (small-circuit
-// sections are microseconds-scale, where min-of-N is the standard way to
-// suppress scheduler noise).  Each JSON section carries `reps` and
-// `seconds_best` so downstream comparisons know what they are looking at.
+// The logic-sim and fault-sim sections follow the same statistical hygiene:
+// one untimed warmup pass (page in the scratch, warm the caches and the
+// branch predictors), then --reps timed repetitions reporting the fastest
+// (small-circuit sections are microseconds-scale, where min-of-N is the
+// standard way to suppress scheduler noise).  Each JSON section carries
+// `reps` and `seconds_best` so downstream comparisons know what they are
+// looking at.
 //
-// The mixed-scheme section follows the same discipline (its own rep count,
-// --mixed-reps, since a pass is orders of magnitude more expensive than a
-// logic-sim pass) and reports a per-phase breakdown: lfsr_seconds /
-// podem_seconds / compact_seconds.  The sweep section evaluates the scheme
-// at --sweep-lengths candidate LFSR lengths two ways — the naive per-point
-// run_mixed_tpg loop (timed once; it is the slow baseline) and the
-// incremental run_mixed_sweep engine (warmup + best-of---sweep-reps) —
-// cross-checks that every per-point result is bit-identical, and reports
-// the naive/sweep speedup: the cost conversion that makes the scheduler's
-// length-vs-ROM trade-off search cheap.
+// Per circuit the classic mode then runs the paper's generator as ONE plan
+// job — run_plan_job over the same JobSpec --jobs builds (sweep -> schedule
+// -> synth -> verify), one warmup pass plus best-of---sweep-reps passes of
+// the whole job — and writes its JSON sections from the JobReport
+// (--no-mixed skips the job):
 //
-// The bist_plan section closes the paper's loop: the scheduler picks the
-// knee of the sweep's length-vs-ROM trade-off (optionally under a
-// --budget test-time cap), the synthesizer emits the gate-level BIST
-// wrapper (LFSR + counter + decoded-pattern ROM + muxed CUT copy) as
-// wrapper_<circuit>.bench, and the self-simulation harness drives the
-// wrapper cycle by cycle, proving the applied patterns and the achieved
-// CUT coverage reproduce the scheduled point exactly
-// (wrapper_matches_plan gates the run).  --plot adds the
-// coverage-vs-length and ROM-vs-length trade-off curves so the knee is
-// visible in CI logs.
+//   mixed_sweep  the scheme at --sweep-lengths candidate LFSR lengths, plus
+//                the naive per-point run_mixed_tpg loop (timed once; it is
+//                the slow baseline), cross-checked point by point against
+//                the sweep (a divergence fails the run) and reported as the
+//                naive/sweep speedup.
+//   mixed_tpg    the sweep's longest point (--patterns with the default
+//                lengths); its per-phase lfsr/podem/compact/solve_seconds
+//                come from the naive run at that length.
+//   bist_plan    the scheduled knee of the length-vs-ROM trade-off (under an
+//                optional --budget test-time cap), the synthesized wrapper
+//                (written as wrapper_<circuit>.bench) and its cycle-by-cycle
+//                self-simulation, which must reproduce the scheduled point
+//                exactly (wrapper_matches_plan).  --plot adds the
+//                coverage-vs-length and ROM-vs-length curves.
 //
-// Robustness flags: --deadline-ms D arms a cooperative anytime deadline over
-// each mixed-scheme / sweep section (per circuit, per section), and
-// --job-timeout-ms J caps each circuit's whole pipeline; the tighter of the
-// two drives every section's Deadline.  Deadline-shaped runs degrade instead
-// of failing — the sweep yields LfsrOnly/Skipped points per its anytime
-// contract, the scheduler falls back to a degraded (LFSR-only) plan, and the
-// wrapper is still synthesized and self-verified.  Because results are then
-// wall-clock-shaped, the naive cross-check is skipped and each timed section
-// runs exactly once (no warmup/best-of, which would mix deadline states);
-// the JSON carries `state`/`status`/`degraded` fields so downstream tooling
-// can gate on them.
+// Robustness flags: --deadline-ms D becomes the job's anytime sweep deadline
+// and --job-timeout-ms J its whole-job cap, exactly as in --jobs.
+// Deadline-shaped runs degrade instead of failing — the sweep yields
+// LfsrOnly/Skipped points per its anytime contract, the scheduler falls back
+// to a degraded (LFSR-only) plan, and the wrapper is still synthesized and
+// self-verified; a synth or verify stopped by J shows as bist_plan.status.
+// Because results are then wall-clock-shaped, the job runs exactly once and
+// the naive loop is skipped (mixed_tpg's timing fields are then 0).  The run
+// exits nonzero on any job Error (a wrapper that mismatches its plan is one)
+// and on any top-off pattern that failed its fault-sim check.
 //
 // The compressed test-data architecture is on by default: top-off cubes are
 // stored as LFSR reseeding schedules (seed ROM) with decoded fallback rows,
@@ -59,8 +56,8 @@
 // (aliasing_escapes must be 0 for wrapper_matches_plan to hold).
 //
 // Batch (jobs) mode: --jobs switches to the fault-tolerant pipeline driver
-// (run_job_batch) — one JobSpec per circuit, same knobs as the classic
-// sections.  --cache-dir DIR (implies --jobs) attaches the durable
+// (run_job_batch) — one JobSpec per circuit, the same job_spec the classic
+// mode runs.  --cache-dir DIR (implies --jobs) attaches the durable
 // content-addressed ResultStore: sweep results are served from / published
 // to DIR, corrupt records quarantine and recompute, and the batch journals
 // completed jobs to DIR/batch.manifest so --resume replays them after a
@@ -74,9 +71,8 @@
 // Usage: bench_fault_sim [--patterns N] [--reps N] [--threads N] [--width W]
 //                        [--circuits c17,c6288s,...]
 //                        [--podem-backtracks N] [--no-mixed]
-//                        [--mixed-reps N] [--no-sweep] [--sweep-reps N]
-//                        [--sweep-lengths a,b,c]
-//                        [--no-bist] [--no-compress] [--budget N]
+//                        [--sweep-reps N] [--sweep-lengths a,b,c]
+//                        [--no-compress] [--budget N]
 //                        [--wrapper-dir DIR]
 //                        [--deadline-ms D] [--job-timeout-ms J]
 //                        [--jobs] [--cache-dir DIR] [--resume] [--retries N]
@@ -98,12 +94,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "bist/schedule.hpp"
-#include "bist/synth.hpp"
-#include "bist/verify.hpp"
 #include "pipeline/job.hpp"
 #include "service/service.hpp"
 #include "store/result_store.hpp"
@@ -115,9 +109,7 @@
 #include "sim/kernel.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/mixed.hpp"
-#include "tpg/sweep.hpp"
 #include "util/ascii_plot.hpp"
-#include "util/deadline.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/wallclock.hpp"
@@ -245,23 +237,24 @@ namespace {
 
 int run_bench(int argc, char** argv);
 
-// --- Jobs mode: fault-tolerant batch pipeline with durable caching ---------
+// The knobs every mode turns into JobSpecs, plus the batch store/manifest
+// and output paths.
 struct JobModeConfig {
   std::vector<std::string> names;
-  std::size_t patterns = 0;
-  std::vector<std::size_t> sweep_lengths;
+  std::size_t patterns = 10240;
+  std::vector<std::size_t> sweep_lengths;  // empty = derive from patterns
   bist::FaultSimOptions fopt;
-  unsigned threads = 0;
+  unsigned threads = 0;                    // 0 = hardware concurrency
   std::uint32_t podem_backtracks = 100;
-  bool compress = true;
-  std::size_t budget = 0;
-  std::string wrapper_dir;
-  double deadline_ms = 0;
-  double job_timeout_ms = 0;
-  std::string cache_dir;
-  bool resume = false;
-  unsigned retries = 1;
-  std::string out_path;
+  bool compress = true;                    // compressed test data (seeds + MISR)
+  std::size_t budget = 0;                  // scheduler test-time budget, 0 = none
+  std::string wrapper_dir = ".";           // where wrapper_<circuit>.bench lands
+  double deadline_ms = 0;                  // sweep anytime deadline, 0 = off
+  double job_timeout_ms = 0;               // whole-job wall-clock cap, 0 = off
+  std::string cache_dir;                   // durable sweep store root
+  bool resume = false;                     // replay the batch manifest
+  unsigned retries = 1;                    // stage attempts (1 = no retry)
+  std::string out_path = "BENCH_fault_sim.json";
 };
 
 // The one JobSpec builder: --jobs and --serve submit identical specs for
@@ -287,6 +280,29 @@ bist::JobSpec job_spec(const JobModeConfig& cfg, std::string name,
 }
 
 const char* json_bool(bool v) { return v ? "true" : "false"; }
+
+// Write `text` to `path`; false when the file could not be written.
+bool write_text(const std::string& path, const std::string& text) {
+  std::ofstream f(path);
+  f << text;
+  f.flush();
+  return bool(f);
+}
+
+// Where every mode writes a job's wrapper netlist (JobReport::wrapper_bench).
+std::string wrapper_path(const std::string& dir, const std::string& name) {
+  return dir + "/wrapper_" + name + ".bench";
+}
+
+// The named stage of a job report; a stage the job never reached (or a job
+// that never ran) reads as not run.
+bist::StageReport stage_of(const bist::JobReport& rep, std::string_view name) {
+  for (const bist::StageReport& s : rep.stages)
+    if (s.name == name) return s;
+  bist::StageReport none;
+  none.status = bist::StageStatus::error("not run");
+  return none;
+}
 
 // The one JobReport JSON writer: a single-line object, used for the --jobs
 // "jobs" entries and the --serve JSONL stream alike.
@@ -366,11 +382,9 @@ int run_job_mode(const JobModeConfig& cfg) {
     any_error = any_error || rep.status.code == bist::StageCode::Error;
 
     if (!rep.wrapper_bench.empty() && !cfg.wrapper_dir.empty()) {
-      const std::string wf = cfg.wrapper_dir + "/wrapper_" + rep.name + ".bench";
-      std::ofstream f(wf);
-      f << rep.wrapper_bench;
-      f.flush();
-      if (!f) std::cerr << "warning: could not write " << wf << "\n";
+      const std::string wf = wrapper_path(cfg.wrapper_dir, rep.name);
+      if (!write_text(wf, rep.wrapper_bench))
+        std::cerr << "warning: could not write " << wf << "\n";
     }
 
     const char* source = rep.cache.manifest ? "manifest"
@@ -401,10 +415,7 @@ int run_job_mode(const JobModeConfig& cfg) {
      << ", \"retry_attempts\": " << retry_attempts
      << "},\n  \"seconds\": " << json_num(batch_secs) << "\n}\n";
 
-  std::ofstream out(cfg.out_path);
-  out << js.str();
-  out.flush();
-  if (!out) {
+  if (!write_text(cfg.out_path, js.str())) {
     std::cerr << "error: could not write " << cfg.out_path << "\n";
     return 1;
   }
@@ -640,29 +651,14 @@ int main(int argc, char** argv) {
 namespace {
 
 int run_bench(int argc, char** argv) {
-  std::size_t patterns = 10240;
+  JobModeConfig cfg;
+  cfg.names = bist::iscas85_names();
+  cfg.fopt.word_width = bist::kMaxWordWidth;
   int reps = 5;
-  unsigned threads = 0;  // 0 = hardware concurrency
-  unsigned width = bist::kMaxWordWidth;
-  std::string out_path = "BENCH_fault_sim.json";
-  std::vector<std::string> names = bist::iscas85_names();
   bool plot = false;
   bool mixed = true;
-  std::uint32_t podem_backtracks = 100;
-  int mixed_reps = 2;
-  bool sweep = true;
   int sweep_reps = 2;
-  std::vector<std::size_t> sweep_lengths;  // empty = derive from --patterns
-  bool run_bist = true;
-  bool compress = true;            // compressed test data (seeds + MISR)
-  std::size_t budget = 0;          // scheduler test-time budget, 0 = none
-  std::string wrapper_dir = ".";   // where wrapper_<circuit>.bench lands
-  double deadline_ms = 0;          // anytime deadline per timed section, 0 = off
-  double job_timeout_ms = 0;       // wall-clock cap per circuit pipeline, 0 = off
   bool jobs_mode = false;          // run the fault-tolerant batch pipeline
-  std::string cache_dir;           // durable sweep store root; implies jobs
-  bool resume = false;             // replay the batch manifest; implies jobs
-  unsigned retries = 1;            // stage attempts (1 = no retry)
   bool serve_mode = false;         // long-lived job service front end
   ServeConfig serve;               // --serve knobs (spool, stream, watchdog)
 
@@ -676,49 +672,43 @@ int run_bench(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--patterns") {
-      patterns = std::stoul(next());
+      cfg.patterns = std::stoul(next());
     } else if (a == "--reps") {
       reps = std::stoi(next());
     } else if (a == "--threads") {
-      threads = static_cast<unsigned>(std::stoul(next()));
+      cfg.threads = static_cast<unsigned>(std::stoul(next()));
     } else if (a == "--width") {
-      width = static_cast<unsigned>(std::stoul(next()));
+      cfg.fopt.word_width = static_cast<unsigned>(std::stoul(next()));
     } else if (a == "--out") {
-      out_path = next();
+      cfg.out_path = next();
     } else if (a == "--plot") {
       plot = true;
     } else if (a == "--no-mixed") {
       mixed = false;
     } else if (a == "--podem-backtracks") {
-      podem_backtracks = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (a == "--mixed-reps") {
-      mixed_reps = std::stoi(next());
-    } else if (a == "--no-sweep") {
-      sweep = false;
+      cfg.podem_backtracks = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (a == "--sweep-reps") {
       sweep_reps = std::stoi(next());
-    } else if (a == "--no-bist") {
-      run_bist = false;
     } else if (a == "--no-compress") {
-      compress = false;
+      cfg.compress = false;
     } else if (a == "--budget") {
-      budget = std::stoul(next());
+      cfg.budget = std::stoul(next());
     } else if (a == "--wrapper-dir") {
-      wrapper_dir = next();
+      cfg.wrapper_dir = next();
     } else if (a == "--deadline-ms") {
-      deadline_ms = std::stod(next());
+      cfg.deadline_ms = std::stod(next());
     } else if (a == "--job-timeout-ms") {
-      job_timeout_ms = std::stod(next());
+      cfg.job_timeout_ms = std::stod(next());
     } else if (a == "--jobs") {
       jobs_mode = true;
     } else if (a == "--cache-dir") {
-      cache_dir = next();
+      cfg.cache_dir = next();
       jobs_mode = true;
     } else if (a == "--resume") {
-      resume = true;
+      cfg.resume = true;
       jobs_mode = true;
     } else if (a == "--retries") {
-      retries = static_cast<unsigned>(std::stoul(next()));
+      cfg.retries = static_cast<unsigned>(std::stoul(next()));
     } else if (a == "--serve") {
       serve_mode = true;
     } else if (a == "--spool") {
@@ -744,21 +734,21 @@ int run_bench(int argc, char** argv) {
     } else if (a == "--chaos") {
       serve.chaos = next();
     } else if (a == "--sweep-lengths") {
-      sweep_lengths.clear();
+      cfg.sweep_lengths.clear();
       const std::string list = next();
       for (auto tok : bist::split(list, ","))
-        sweep_lengths.push_back(std::stoul(std::string(tok)));
+        cfg.sweep_lengths.push_back(std::stoul(std::string(tok)));
     } else if (a == "--circuits") {
-      names.clear();
+      cfg.names.clear();
       const std::string list = next();  // keep alive: split returns views
       for (auto tok : bist::split(list, ","))
-        names.emplace_back(tok);
+        cfg.names.emplace_back(tok);
     } else {
       std::cerr << "usage: bench_fault_sim [--patterns N] [--reps N] "
                    "[--threads N] [--width W] [--circuits a,b] "
-                   "[--podem-backtracks N] [--no-mixed] [--mixed-reps N] "
-                   "[--no-sweep] [--sweep-reps N] [--sweep-lengths a,b,c] "
-                   "[--no-bist] [--no-compress] [--budget N] "
+                   "[--podem-backtracks N] [--no-mixed] "
+                   "[--sweep-reps N] [--sweep-lengths a,b,c] "
+                   "[--no-compress] [--budget N] "
                    "[--wrapper-dir DIR] "
                    "[--deadline-ms D] [--job-timeout-ms J] "
                    "[--jobs] [--cache-dir DIR] [--resume] [--retries N] "
@@ -770,20 +760,17 @@ int run_bench(int argc, char** argv) {
       return 2;
     }
   }
+  std::size_t& patterns = cfg.patterns;
   if (patterns == 0 || patterns % 64 != 0) patterns = ((patterns / 64) + 1) * 64;
   if (reps < 1) reps = 1;
-  if (mixed_reps < 1) mixed_reps = 1;
   if (sweep_reps < 1) sweep_reps = 1;
   // Deadline-shaped runs are not repeatable measurements: a warmup or a
-  // best-of-N rep would consume a different slice of the budget each pass and
-  // compare apples to anytime oranges.  Each deadlined section runs exactly
-  // once against a fresh Deadline, and the naive cross-check (which expects
-  // bit-identical Complete points) is skipped.
-  const bool anytime = deadline_ms > 0 || job_timeout_ms > 0;
-  if (anytime) {
-    mixed_reps = 1;
-    sweep_reps = 1;
-  }
+  // best-of-N pass would consume a different slice of the budget each time.
+  // A deadlined job runs exactly once, and the naive cross-check (which
+  // expects bit-identical Complete points) is skipped.
+  const bool anytime = cfg.deadline_ms > 0 || cfg.job_timeout_ms > 0;
+  if (anytime) sweep_reps = 1;
+  std::vector<std::size_t>& sweep_lengths = cfg.sweep_lengths;
   if (sweep_lengths.empty()) {
     // Six points spanning the trade-off curve up to the full phase length.
     for (const double f : {0.125, 0.25, 0.375, 0.5, 0.75, 1.0}) {
@@ -792,64 +779,33 @@ int run_bench(int argc, char** argv) {
         sweep_lengths.push_back(len);
     }
   }
+  cfg.fopt.threads = cfg.threads;
 
-  bist::FaultSimOptions fopt;
-  fopt.threads = threads;
-  fopt.word_width = width;
-
-  if (serve_mode || jobs_mode) {
-    JobModeConfig cfg;
-    cfg.names = names;
-    cfg.patterns = patterns;
-    cfg.sweep_lengths = sweep_lengths;
-    cfg.fopt = fopt;
-    cfg.threads = threads;
-    cfg.podem_backtracks = podem_backtracks;
-    cfg.compress = compress;
-    cfg.budget = budget;
-    cfg.wrapper_dir = wrapper_dir;
-    cfg.deadline_ms = deadline_ms;
-    cfg.job_timeout_ms = job_timeout_ms;
-    cfg.cache_dir = cache_dir;
-    cfg.resume = resume;
-    cfg.retries = retries;
-    if (serve_mode) {
-      serve.job = std::move(cfg);
-      return run_serve_mode(serve);
-    }
-    cfg.out_path = out_path == "BENCH_fault_sim.json" ? "BENCH_job_batch.json"
-                                                      : out_path;
+  if (serve_mode) {
+    serve.job = std::move(cfg);
+    return run_serve_mode(serve);
+  }
+  if (jobs_mode) {
+    if (cfg.out_path == "BENCH_fault_sim.json")
+      cfg.out_path = "BENCH_job_batch.json";
     return run_job_mode(cfg);
   }
 
+  const bist::FaultSimOptions& fopt = cfg.fopt;
   std::ostringstream js;
   js << "{\n  \"bench\": \"fault_sim\",\n  \"patterns\": " << patterns
      << ",\n  \"circuits\": [\n";
 
+  if (!mixed) {
+    // --budget / --wrapper-dir would be silently dead otherwise.
+    std::cerr << "note: --no-mixed skips the plan job (sweep, BIST plan and "
+                 "wrapper)\n";
+  }
   double c6288_speedup = 0;
   bool all_verified = true;
-  bool wrappers_ok = true;
+  bool any_error = false;
   bool first = true;
-  for (const std::string& name : names) {
-    // Per-circuit robustness budget: each deadlined section gets the tighter
-    // of --deadline-ms and whatever --job-timeout-ms has left for this
-    // circuit's pipeline (so a blown job budget degrades later sections
-    // immediately instead of overrunning).
-    const auto circuit_t0 = Clock::now();
-    const auto section_budget = [&]() -> double {
-      double s = -1;  // -1 = no deadline
-      if (deadline_ms > 0) s = deadline_ms / 1000.0;
-      if (job_timeout_ms > 0) {
-        const double rem =
-            std::max(0.0, job_timeout_ms / 1000.0 - seconds_since(circuit_t0));
-        s = s < 0 ? rem : std::min(s, rem);
-      }
-      return s;
-    };
-    // Section deadlines live at circuit scope: options structs hold a raw
-    // pointer into them across the section's run.
-    bist::Deadline mixed_dl, sweep_dl;
-
+  for (const std::string& name : cfg.names) {
     bist::Netlist n = bist::make_iscas85(name);
     const bist::NetlistStats st = bist::compute_stats(n);
     const bist::SimKernel kernel(n);
@@ -898,34 +854,90 @@ int run_bench(int argc, char** argv) {
               << " dropped/s, " << fr.threads << " threads, "
               << fr.word_width << "x64 lanes)\n";
 
-    bist::MixedTpgOptions mopt;
-    mopt.lfsr_patterns = patterns;
-    mopt.fsim = fopt;
-    mopt.podem.backtrack_limit = podem_backtracks;
-    mopt.podem_threads = threads;
-    mopt.compress = compress;
-
-    bist::MixedSchemeResult mr;
-    double msecs = 0;
-    if (mixed && anytime) {
-      mixed_dl = bist::Deadline::after(section_budget());
-      mopt.deadline = &mixed_dl;
-    }
+    // --- The plan job: sweep -> schedule -> synth -> verify ---------------
+    // The same run_plan_job (and JobSpec) --jobs drives: one warm-up pass,
+    // then best-of---sweep-reps passes of the whole job (one pass when
+    // deadlined).
+    bist::JobReport rep;
+    // Naive baseline: an independent run_mixed_tpg per length, each paying
+    // its own LFSR pass and full PODEM tail, timed once and cross-checked
+    // point by point against the job's sweep.
+    std::vector<bist::MixedSchemeResult> naive;
+    std::vector<double> naive_point_secs;
+    double naive_secs = 0;
+    std::string wrapper_file;
     if (mixed) {
-      // Same hygiene as the sim sections: one untimed warmup, then
-      // mixed_reps timed full-pipeline passes (LFSR phase included — the
-      // per-phase breakdown wants the real thing, not the cached fr), best
-      // kept.  Results are identical every pass; only timing varies.
-      msecs = 1e30;
-      // anytime: no warmup pass — it would burn the (single, shared) budget.
-      for (int rep = anytime ? 0 : -1; rep < mixed_reps; ++rep) {
-        const auto tm0 = Clock::now();
-        bist::MixedSchemeResult cur = bist::run_mixed_tpg(kernel, fsim, mopt);
-        const double s = seconds_since(tm0);
-        if (rep < 0 || s < msecs) mr = std::move(cur);  // phase times follow best
-        if (rep >= 0) msecs = std::min(msecs, s);
+      const bist::JobSpec spec = job_spec(cfg, name, bist::write_bench(n));
+      rep = bist::run_plan_job(spec);
+      for (int r = 0; !anytime && r < sweep_reps; ++r) {
+        bist::JobReport cur = bist::run_plan_job(spec);
+        if (r == 0 || cur.seconds < rep.seconds) rep = std::move(cur);
       }
-      all_verified = all_verified && mr.all_verified;
+      if (rep.status.code == bist::StageCode::Error) {
+        any_error = true;
+        std::cerr << name << ": " << rep.status.message << "\n";
+      }
+
+      if (!anytime && !rep.sweep.points.empty()) {
+        for (const std::size_t len : sweep_lengths) {
+          bist::MixedTpgOptions po = spec.tpg;
+          po.lfsr_patterns = len;
+          const auto tn0 = Clock::now();
+          naive.push_back(bist::run_mixed_tpg(kernel, fsim, po));
+          naive_point_secs.push_back(seconds_since(tn0));
+          naive_secs += naive_point_secs.back();
+        }
+        for (std::size_t p = 0; p < sweep_lengths.size(); ++p)
+          if (!same_scheme_point(rep.sweep.points[p], naive[p])) {
+            std::cerr << name << ": sweep point results diverge from the "
+                         "naive per-point loop!\n";
+            return 1;
+          }
+      }
+
+      if (!rep.wrapper_bench.empty()) {
+        wrapper_file = wrapper_path(cfg.wrapper_dir, name);
+        if (!write_text(wrapper_file, rep.wrapper_bench)) {
+          std::cerr << "error: could not write " << wrapper_file << "\n";
+          return 1;
+        }
+      }
+    }
+
+    const bist::MixedSweepResult& sw = rep.sweep;
+    const bool have_sweep = !sw.points.empty();
+    const bool have_plan = stage_of(rep, "schedule").status.ok();
+    const bist::BistPlan& plan = rep.plan;
+    const bist::WrapperVerification& wv = rep.verification;
+    const double sweep_secs = stage_of(rep, "sweep").seconds;
+    const double sched_secs = stage_of(rep, "schedule").seconds;
+    const double synth_secs = stage_of(rep, "synth").seconds;
+    const double selfsim_secs = stage_of(rep, "verify").seconds;
+    // A synth or verify stage stopped by --job-timeout-ms reports its stop
+    // here; a verify that ran and mismatched reports "error".
+    std::string bist_status = "ok";
+    for (const char* s : {"synth", "verify"}) {
+      const bist::StageStatus ss = stage_of(rep, s).status;
+      if (!ss.ok()) {
+        bist_status = bist::stage_code_name(ss.code);
+        break;
+      }
+    }
+
+    // mixed_tpg is the sweep's longest point; its timing fields come from
+    // the naive run at that length (0 when the naive loop was skipped).
+    const std::size_t longest = static_cast<std::size_t>(
+        std::max_element(sweep_lengths.begin(), sweep_lengths.end()) -
+        sweep_lengths.begin());
+    const bist::MixedSchemeResult untimed;
+    const bist::MixedSchemeResult& mr = have_sweep ? sw.points[longest] : untimed;
+    const bist::MixedSchemeResult& mt = naive.empty() ? untimed : naive[longest];
+    const double msecs = naive.empty() ? 0 : naive_point_secs[longest];
+    const int naive_reps = anytime ? 0 : 1;
+
+    if (have_sweep) {
+      for (const auto& pt : sw.points)
+        all_verified = all_verified && pt.all_verified;
       std::cout << name << ": mixed scheme " << mr.lfsr_patterns << " LFSR + "
                 << mr.topoff_patterns << " top-off patterns (tail "
                 << mr.tail_faults << ": " << mr.podem_detected << " podem, "
@@ -934,61 +946,15 @@ int run_bench(int argc, char** argv) {
                 << bist::format_fixed(100 * mr.lfsr_coverage, 2) << "% -> "
                 << bist::format_fixed(100 * mr.final_coverage, 2) << "%"
                 << " (" << bist::format_fixed(msecs, 2) << "s: lfsr "
-                << bist::format_fixed(mr.lfsr_seconds, 2) << " podem "
-                << bist::format_fixed(mr.podem_seconds, 2) << " compact "
-                << bist::format_fixed(mr.compact_seconds, 2) << ")"
+                << bist::format_fixed(mt.lfsr_seconds, 2) << " podem "
+                << bist::format_fixed(mt.podem_seconds, 2) << " compact "
+                << bist::format_fixed(mt.compact_seconds, 2) << ")"
                 << (mr.all_verified ? "" : " [VERIFY FAILED]") << "\n";
       if (!mr.status.ok())
         std::cout << name << ": mixed scheme degraded to "
                   << bist::point_state_name(mr.state) << " ("
                   << bist::stage_code_name(mr.status.code) << ")\n";
-    }
 
-    // --- Incremental sweep vs. the naive per-point loop ------------------
-    bist::MixedSweepResult sw;
-    double naive_secs = 0, sweep_secs = 0;
-    bool sweep_match = true;
-    if (mixed && sweep) {
-      // Naive baseline: independent run_mixed_tpg per length, each paying
-      // its own LFSR fault-sim pass and full PODEM tail.  Timed once — it
-      // is the expensive side of the comparison, and the min-of-N treatment
-      // is reserved for the engine under test.
-      std::vector<bist::MixedSchemeResult> naive;
-      if (!anytime) {
-        const auto tn0 = Clock::now();
-        for (const std::size_t len : sweep_lengths) {
-          bist::MixedTpgOptions po = mopt;
-          po.lfsr_patterns = len;
-          naive.push_back(bist::run_mixed_tpg(kernel, fsim, po));
-        }
-        naive_secs = seconds_since(tn0);
-      }
-
-      if (anytime) {
-        sweep_dl = bist::Deadline::after(section_budget());
-        mopt.deadline = &sweep_dl;
-      }
-      sweep_secs = 1e30;
-      for (int rep = anytime ? 0 : -1; rep < sweep_reps; ++rep) {
-        const auto ts0 = Clock::now();
-        bist::MixedSweepResult cur =
-            bist::run_mixed_sweep(kernel, fsim, sweep_lengths, mopt);
-        const double s = seconds_since(ts0);
-        if (rep < 0 || s < sweep_secs) sw = std::move(cur);
-        if (rep >= 0) sweep_secs = std::min(sweep_secs, s);
-      }
-
-      if (!anytime) {
-        for (std::size_t p = 0; p < sweep_lengths.size(); ++p)
-          sweep_match = sweep_match && same_scheme_point(sw.points[p], naive[p]);
-        if (!sweep_match) {
-          std::cerr << name << ": sweep point results diverge from the naive "
-                       "per-point loop!\n";
-          return 1;
-        }
-      }
-      for (const auto& pt : sw.points)
-        all_verified = all_verified && pt.all_verified;
       const double ratio = sweep_secs > 0 ? naive_secs / sweep_secs : 0;
       std::cout << name << ": sweep " << sweep_lengths.size() << " lengths in "
                 << bist::format_fixed(sweep_secs, 2) << "s vs naive "
@@ -1006,56 +972,20 @@ int run_bench(int argc, char** argv) {
       }
     }
 
-    // --- BIST hardware plan: schedule -> synthesize -> self-verify --------
-    bist::BistPlan plan;
-    bist::BistSynthResult syn;
-    bist::WrapperVerification wv;
-    std::string wrapper_file;
-    double sched_secs = 0, synth_secs = 0, selfsim_secs = 0;
-    const bool do_bist = mixed && sweep && run_bist;
-    if (!do_bist && run_bist && first) {
-      // --budget / --wrapper-dir would be silently dead otherwise.
-      std::cerr << "note: BIST plan skipped (" << (mixed ? "--no-sweep" : "--no-mixed")
-                << " disables the sweep it schedules from)\n";
-    }
-    if (do_bist) {
-      bist::ScheduleOptions so;
-      so.test_time_budget = budget;
-      so.lfsr_degree = mopt.lfsr_degree;
-      so.lfsr_seed = mopt.lfsr_seed;
-      const auto tp0 = Clock::now();
-      plan = bist::schedule_bist(sw, n.input_count(), so);
-      sched_secs = seconds_since(tp0);
-
-      const auto ts0 = Clock::now();
-      syn = bist::synthesize_bist_wrapper(n, plan);
-      synth_secs = seconds_since(ts0);
-
-      wrapper_file = wrapper_dir + "/wrapper_" + name + ".bench";
-      std::ofstream wf(wrapper_file);
-      wf << bist::write_bench(syn.wrapper);
-      wf.flush();
-      if (!wf) {
-        std::cerr << "error: could not write " << wrapper_file << "\n";
-        return 1;
-      }
-
-      const auto tv0 = Clock::now();
-      wv = bist::verify_wrapper(syn.wrapper, n, plan,
-                                sw.points[plan.point_index], fopt);
-      selfsim_secs = seconds_since(tv0);
-      wrappers_ok = wrappers_ok && wv.ok();
-
+    if (have_plan) {
       std::cout << name << ": bist plan L=" << plan.lfsr_patterns << " + "
                 << plan.topoff_patterns << " ROM patterns ("
                 << plan.rom_bits << " ROM bits, "
                 << plan.area.area_bits() << " area bits, "
-                << bist::format_fixed(syn.actual.total(), 1)
-                << " GE), wrapper " << syn.wrapper.gate_count() << " gates -> "
+                << bist::format_fixed(rep.synth.actual.total(), 1)
+                << " GE), wrapper " << rep.synth.wrapper_gates << " gates -> "
                 << wrapper_file << ", self-sim " << wv.cycles
                 << " cycles coverage "
                 << bist::format_fixed(100 * wv.achieved_coverage, 2) << "%"
-                << (wv.ok() ? " == plan" : " [PLAN MISMATCH]") << " ("
+                << (bist_status == "ok"      ? " == plan"
+                    : bist_status == "error" ? " [PLAN MISMATCH]"
+                                             : " [" + bist_status + "]")
+                << " ("
                 << bist::format_fixed(sched_secs + synth_secs + selfsim_secs, 2)
                 << "s)" << (plan.degraded ? " [DEGRADED: LFSR-only tier]" : "")
                 << "\n";
@@ -1076,6 +1006,11 @@ int run_bench(int argc, char** argv) {
                   << wv.aliasing.escapes << "/" << wv.aliasing.detected_checked
                   << " escapes\n";
       }
+    } else if (mixed) {
+      // A job stopped or failed before its schedule stage has no plan.
+      std::cout << name << ": no BIST plan (job "
+                << bist::stage_code_name(rep.status.code) << ": "
+                << rep.status.message << ")\n";
     }
 
     if (!first) js << ",\n";
@@ -1115,7 +1050,7 @@ int run_bench(int argc, char** argv) {
        << "        \"faulty_gate_evals_per_sec\": "
        << json_num(fsecs > 0 ? double(fr.faulty_gate_evals) / fsecs : 0) << "\n"
        << "      }";
-    if (mixed) {
+    if (have_sweep) {
       js << ",\n      \"mixed_tpg\": {\n"
          << "        \"lfsr_patterns\": " << mr.lfsr_patterns << ",\n"
          << "        \"tail_faults\": " << mr.tail_faults << ",\n"
@@ -1124,7 +1059,7 @@ int run_bench(int argc, char** argv) {
          << ", \"aborted\": " << mr.aborted
          << ", \"backtracks\": " << mr.podem_backtracks
          << ", \"decisions\": " << mr.podem_decisions << "},\n"
-         << "        \"podem_threads\": " << bist::resolve_threads(threads)
+         << "        \"podem_threads\": " << bist::resolve_threads(cfg.threads)
          << ",\n"
          << "        \"topoff_patterns\": " << mr.topoff_patterns << ",\n"
          << "        \"topoff_before_compaction\": "
@@ -1142,16 +1077,16 @@ int run_bench(int argc, char** argv) {
          << "        \"status\": "
          << json_str(std::string(bist::stage_code_name(mr.status.code)))
          << ",\n"
-         << "        \"reps\": " << mixed_reps << ",\n"
+         << "        \"reps\": " << naive_reps << ",\n"
          << "        \"seconds_best\": " << json_num(msecs) << ",\n"
-         << "        \"lfsr_seconds\": " << json_num(mr.lfsr_seconds) << ",\n"
-         << "        \"podem_seconds\": " << json_num(mr.podem_seconds) << ",\n"
-         << "        \"compact_seconds\": " << json_num(mr.compact_seconds)
+         << "        \"lfsr_seconds\": " << json_num(mt.lfsr_seconds) << ",\n"
+         << "        \"podem_seconds\": " << json_num(mt.podem_seconds) << ",\n"
+         << "        \"compact_seconds\": " << json_num(mt.compact_seconds)
          << ",\n"
-         << "        \"solve_seconds\": " << json_num(mr.solve_seconds)
+         << "        \"solve_seconds\": " << json_num(mt.solve_seconds)
          << "\n      }";
     }
-    if (mixed && sweep) {
+    if (have_sweep) {
       js << ",\n      \"mixed_sweep\": {\n        \"lengths\": [";
       for (std::size_t p = 0; p < sweep_lengths.size(); ++p)
         js << (p ? ", " : "") << sweep_lengths[p];
@@ -1191,26 +1126,25 @@ int run_bench(int argc, char** argv) {
                             return pt.state == bist::PointState::Complete;
                           })
          << ",\n"
-         << "        \"naive_reps\": " << (anytime ? 0 : 1) << ",\n"
+         << "        \"naive_reps\": " << naive_reps << ",\n"
          << "        \"naive_seconds\": " << json_num(naive_secs) << ",\n"
          << "        \"sweep_reps\": " << sweep_reps << ",\n"
          << "        \"sweep_seconds_best\": " << json_num(sweep_secs) << ",\n"
          << "        \"speedup_naive_over_sweep\": "
          << json_num(sweep_secs > 0 ? naive_secs / sweep_secs : 0) << ",\n";
-      if (!anytime)
-        js << "        \"points_match_naive\": "
-           << (sweep_match ? "true" : "false") << ",\n";
-      js << "        \"deadline_ms\": " << json_num(deadline_ms)
+      if (!naive.empty())  // a divergence has already failed the run
+        js << "        \"points_match_naive\": true,\n";
+      js << "        \"deadline_ms\": " << json_num(cfg.deadline_ms)
          << "\n      }";
     }
-    if (do_bist) {
+    if (have_plan) {
       js << ",\n      \"bist_plan\": {\n"
          << "        \"objective\": \"knee_under_budget\",\n"
          << "        \"degraded\": " << (plan.degraded ? "true" : "false")
          << ",\n"
-         << "        \"status\": " << (wv.ok() ? "\"ok\"" : "\"error\"")
+         << "        \"status\": " << json_str(bist_status)
          << ",\n"
-         << "        \"test_time_budget\": " << budget << ",\n"
+         << "        \"test_time_budget\": " << cfg.budget << ",\n"
          << "        \"chosen_length\": " << plan.lfsr_patterns << ",\n"
          << "        \"topoff_patterns\": " << plan.topoff_patterns << ",\n"
          << "        \"test_time\": " << plan.test_time << ",\n"
@@ -1252,16 +1186,16 @@ int run_bench(int argc, char** argv) {
          << ", \"misr\": " << json_num(plan.area.misr)
          << ", \"total\": " << json_num(plan.area.total()) << "},\n"
          << "        \"area_actual_ge\": {\"lfsr\": "
-         << json_num(syn.actual.lfsr)
-         << ", \"rom\": " << json_num(syn.actual.rom)
-         << ", \"seed_rom\": " << json_num(syn.actual.seed_rom)
-         << ", \"controller\": " << json_num(syn.actual.controller)
-         << ", \"mux\": " << json_num(syn.actual.mux)
-         << ", \"misr\": " << json_num(syn.actual.misr)
-         << ", \"total\": " << json_num(syn.actual.total()) << "},\n"
-         << "        \"wrapper_gates\": " << syn.wrapper.gate_count() << ",\n"
-         << "        \"bist_gates\": " << syn.bist_gates << ",\n"
-         << "        \"counter_bits\": " << syn.counter_bits << ",\n"
+         << json_num(rep.synth.actual.lfsr)
+         << ", \"rom\": " << json_num(rep.synth.actual.rom)
+         << ", \"seed_rom\": " << json_num(rep.synth.actual.seed_rom)
+         << ", \"controller\": " << json_num(rep.synth.actual.controller)
+         << ", \"mux\": " << json_num(rep.synth.actual.mux)
+         << ", \"misr\": " << json_num(rep.synth.actual.misr)
+         << ", \"total\": " << json_num(rep.synth.actual.total()) << "},\n"
+         << "        \"wrapper_gates\": " << rep.synth.wrapper_gates << ",\n"
+         << "        \"bist_gates\": " << rep.synth.bist_gates << ",\n"
+         << "        \"counter_bits\": " << rep.synth.counter_bits << ",\n"
          << "        \"wrapper_file\": " << json_str(wrapper_file) << ",\n"
          << "        \"candidates\": [\n";
       for (std::size_t c = 0; c < plan.candidates.size(); ++c) {
@@ -1317,7 +1251,7 @@ int run_bench(int argc, char** argv) {
 
       // The scheduler's trade-off curves over the (deduplicated, sorted)
       // candidate set, so the knee the plan picked is visible in CI logs.
-      if (do_bist && plan.candidates.size() >= 2) {
+      if (have_plan && plan.candidates.size() >= 2) {
         bist::Series cov, rom, abits;
         cov.name = "final coverage %";
         rom.name = "topoff ROM patterns";
@@ -1352,21 +1286,17 @@ int run_bench(int argc, char** argv) {
   js << "\n  ],\n  \"c6288_speedup_kernel_over_seed\": "
      << json_num(c6288_speedup) << "\n}\n";
 
-  std::ofstream out(out_path);
-  out << js.str();
-  out.flush();
-  if (!out) {
-    std::cerr << "error: could not write " << out_path << "\n";
+  if (!write_text(cfg.out_path, js.str())) {
+    std::cerr << "error: could not write " << cfg.out_path << "\n";
     return 1;
   }
-  std::cout << "wrote " << out_path << "\n";
+  std::cout << "wrote " << cfg.out_path << "\n";
   if (!all_verified) {
     std::cerr << "error: some top-off pattern failed fault-sim verification\n";
     return 1;
   }
-  if (!wrappers_ok) {
-    std::cerr << "error: a synthesized BIST wrapper failed to reproduce its "
-                 "scheduled point\n";
+  if (any_error) {
+    std::cerr << "error: a job ended in an Error status\n";
     return 1;
   }
   return 0;

@@ -191,9 +191,6 @@ struct CompressedTopoff {
   /// CUT primary-output count (fixes the MISR fold structure, so the area
   /// model can price the injection XORs without the kernel in hand).
   std::size_t cut_outputs = 0;
-  /// Wall clock of the point's GF(2) reseeding solves, MISR fold audit and
-  /// golden-signature simulation.
-  double solve_seconds = 0;
 
   std::uint64_t seed_rom_bits() const { return seeds.size() * degree; }
   std::size_t fallback_rows() const;

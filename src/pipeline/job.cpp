@@ -322,7 +322,6 @@ JobReport run_plan_job(const JobSpec& spec) {
       topt.deadline = (sweep_s >= 0 || spec.cancel) ? &sweep_dl : nullptr;
       const SimKernel kernel(cut);
       rep.sweep = run_mixed_sweep(kernel, spec.sweep_lengths, topt);
-      rep.solve_seconds = rep.sweep.stats.solve_seconds;
       have_sweep = true;
 
       // Publish — full-fidelity results only (see sweep_is_canonical).  A
@@ -368,6 +367,8 @@ JobReport run_plan_job(const JobSpec& spec) {
           BistSynthResult syn =
               synthesize_bist_wrapper(cut, rep.plan, stage_deadline(dl));
           if (!syn.status.ok()) return syn.status;  // mid-stage soft stop
+          rep.synth = {syn.actual, syn.bist_gates, syn.counter_bits,
+                       syn.wrapper.gate_count()};
           wrapper = std::move(syn.wrapper);
           rep.wrapper_bench = write_bench(wrapper);
           have_wrapper = true;

@@ -125,6 +125,15 @@ struct CacheOutcome {
   std::string note;          ///< human-readable cache verdict, "" if none
 };
 
+/// The synth stage's exact accounting of the wrapper it built (the
+/// BistSynthResult fields, without the netlist itself).
+struct SynthAccounting {
+  BistArea actual;                ///< exact GE per block, state bits as FFs
+  std::size_t bist_gates = 0;     ///< emitted BIST logic gates (CUT excluded)
+  std::size_t counter_bits = 0;   ///< cycle-counter width
+  std::size_t wrapper_gates = 0;  ///< whole wrapper, CUT copy included
+};
+
 struct JobReport {
   std::string name;
   /// Overall verdict: Ok when every stage ran clean; DeadlineExceeded /
@@ -140,12 +149,7 @@ struct JobReport {
   MixedSweepResult sweep;   ///< valid once the sweep stage succeeded
   BistPlan plan;            ///< valid once the schedule stage succeeded
   WrapperVerification verification;  ///< valid once the verify stage ran
-  /// Compression solve work inside the sweep stage, over every sweep point:
-  /// GF(2) reseeding solves, the MISR fold audit and the golden signature,
-  /// split out of the sweep stage's wall clock so deadline tuning can see
-  /// what the compressed architecture itself costs.  Zero when the spec runs with tpg.compress = false — and
-  /// zero on a cache hit, which does no solve work.
-  double solve_seconds = 0;
+  SynthAccounting synth;      ///< valid once the synth stage built a wrapper
   std::string wrapper_bench;  ///< write_bench of the wrapper; empty if unbuilt
   double seconds = 0;         ///< whole-job wall clock
   CacheOutcome cache;         ///< store/manifest interaction of this job

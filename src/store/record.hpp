@@ -30,8 +30,9 @@ inline constexpr std::uint32_t kStoreMagic = 0x42535452u;  // "BSTR"
 /// Bump whenever the serialized payload layout changes; old records then
 /// read as BadVersion and are quarantined rather than misdecoded.
 /// v2: StageCode gained the Rejected terminal status (widens the valid
-/// enum range the payload decoder accepts).
-inline constexpr std::uint32_t kStoreFormatVersion = 2;
+/// enum range the payload decoder accepts).  v3: JobReport carries the
+/// synth stage's accounting; the copied solve_seconds fields are gone.
+inline constexpr std::uint32_t kStoreFormatVersion = 3;
 inline constexpr std::size_t kRecordHeaderSize = 40;
 
 enum class RecordCheck : std::uint8_t {

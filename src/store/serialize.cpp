@@ -174,7 +174,6 @@ void walk(Io& io, T& c) {
   walk(io, c.misr);
   io.u64(c.golden);
   io.sz(c.cut_outputs);
-  io.f64(c.solve_seconds);
 }
 
 template <class Io, Is<std::vector<Fault>> T>
@@ -336,7 +335,10 @@ void walk(Io& io, T& rep) {
   walk(io, rep.sweep);
   walk(io, rep.plan);
   walk(io, rep.verification);
-  io.f64(rep.solve_seconds);
+  walk(io, rep.synth.actual);
+  io.sz(rep.synth.bist_gates);
+  io.sz(rep.synth.counter_bits);
+  io.sz(rep.synth.wrapper_gates);
   io.str(rep.wrapper_bench);
   io.f64(rep.seconds);
   io.b(rep.cache.consulted);
@@ -387,7 +389,6 @@ JobReport deserialize_job_report(std::span<const std::uint8_t> bytes) {
 
 void strip_volatile(JobReport& r) {
   r.seconds = 0;
-  r.solve_seconds = 0;
   for (StageReport& s : r.stages) {
     s.seconds = 0;
     s.attempts = 1;
@@ -404,12 +405,10 @@ void strip_volatile(JobReport& r) {
     p.podem_seconds = 0;
     p.compact_seconds = 0;
     p.solve_seconds = 0;
-    p.comp.solve_seconds = 0;
     p.lfsr_result.threads = 0;
     p.lfsr_result.word_width = 0;
     p.lfsr_result.faulty_gate_evals = 0;
   }
-  r.plan.comp.solve_seconds = 0;
 }
 
 }  // namespace bist

@@ -270,7 +270,6 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     }
     c.golden = misr_signature(k, blocks, c.misr, 0);
     solve += seconds_since(s1);
-    c.solve_seconds = solve;
     r.solve_seconds = solve;
   }
   r.compact_seconds += seconds_since(t1);
@@ -302,8 +301,7 @@ void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
       c.misr = choose_misr_fold(fsim, k, blocks, lr.patterns,
                                 lr.first_detected, c.misr);
     c.golden = misr_signature(k, blocks, c.misr, 0);
-    c.solve_seconds = seconds_since(s0);
-    r.solve_seconds = c.solve_seconds;
+    r.solve_seconds = seconds_since(s0);
   }
   r.state = PointState::LfsrOnly;
   r.status = std::move(why);
@@ -317,23 +315,18 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, const MixedTpgOptions& opt) 
 }
 
 MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt,
-                                const FaultSimResult* lfsr_result) {
+                                const MixedTpgOptions& opt) {
   MixedSchemeResult r;
   const std::size_t width = k.inputs().size();
   const Deadline* dl = opt.deadline;
 
   // --- Phase 1: pseudo-random LFSR patterns -------------------------------
   const auto t0 = WallClock::now();
-  if (lfsr_result) {
-    r.lfsr_result = *lfsr_result;
-  } else {
-    FaultSimOptions fo = opt.fsim;
-    if (dl) fo.deadline = dl;  // scheme-level deadline reaches the hot loop
-    Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    r.lfsr_result = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
-    r.lfsr_seconds = seconds_since(t0);
-  }
+  FaultSimOptions fo = opt.fsim;
+  if (dl) fo.deadline = dl;  // scheme-level deadline reaches the hot loop
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  r.lfsr_result = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
+  r.lfsr_seconds = seconds_since(t0);
   r.lfsr_patterns = r.lfsr_result.patterns;
   r.lfsr_coverage = r.lfsr_result.final_coverage();
   r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();

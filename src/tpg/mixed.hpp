@@ -115,10 +115,10 @@ struct MixedSchemeResult {
   /// Full LFSR-phase result (coverage curves for the scheduler).
   FaultSimResult lfsr_result;
   /// Wall-clock phase breakdown: pseudo-random phase (LFSR stream + fault
-  /// simulation; 0 when a precomputed result was supplied), deterministic
-  /// phase (PODEM generation + X-fill + pattern verification), and back end
-  /// (compaction + final tail accounting, plus the MISR fold audit and
-  /// golden signature when compressed).  Sweep points report only the work
+  /// simulation; sweep points share one pass, timed in MixedSweepStats),
+  /// deterministic phase (PODEM generation + X-fill + pattern
+  /// verification), and back end (compaction + final tail accounting, plus
+  /// the MISR fold audit and golden signature when compressed).  Sweep points report only the work
   /// actually done for that point (cache hits cost no PODEM time).
   double lfsr_seconds = 0.0;
   double podem_seconds = 0.0;
@@ -141,12 +141,8 @@ struct MixedSchemeResult {
 MixedSchemeResult run_mixed_tpg(const SimKernel& k,
                                 const MixedTpgOptions& opt = {});
 
-/// Same, reusing a prebuilt FaultSimulator (skips fault re-enumeration) and,
-/// when `lfsr_result` is non-null, a precomputed LFSR-phase result — the
-/// caller vouches that it came from `fsim` with the LFSR stream `opt`
-/// describes.  Used by the bench, which has already run the LFSR phase.
+/// Same, reusing a prebuilt FaultSimulator (skips fault re-enumeration).
 MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt,
-                                const FaultSimResult* lfsr_result = nullptr);
+                                const MixedTpgOptions& opt);
 
 }  // namespace bist

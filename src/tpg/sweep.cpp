@@ -1,7 +1,6 @@
 #include "tpg/sweep.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "tpg/lfsr.hpp"
 #include "tpg/mixed_phases.hpp"
@@ -18,8 +17,7 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k,
 
 MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
                                  std::span<const std::size_t> lengths,
-                                 const MixedTpgOptions& opt,
-                                 const FaultSimResult* full) {
+                                 const MixedTpgOptions& opt) {
   MixedSweepResult sr;
   sr.lengths.assign(lengths.begin(), lengths.end());
   sr.width = k.inputs().size();
@@ -29,19 +27,14 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
 
   // --- One LFSR fault-sim pass amortized over every candidate length ------
   const Deadline* dl = opt.deadline;
-  FaultSimResult own_full;
-  if (full) {
-    if (full->patterns < lmax || full->first_detected.size() != fsim.faults().size())
-      throw std::invalid_argument(
-          "run_mixed_sweep: supplied LFSR result does not cover the sweep");
-  } else {
+  FaultSimResult full;
+  {
     const auto t0 = WallClock::now();
     FaultSimOptions fo = opt.fsim;
     if (dl) fo.deadline = dl;
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    own_full = fsim.run(lfsr.blocks(width, lmax), fo);
+    full = fsim.run(lfsr.blocks(width, lmax), fo);
     sr.stats.lfsr_seconds = seconds_since(t0);
-    full = &own_full;
   }
 
   // Distinct lengths descending: the tail only grows from point to point, so
@@ -68,11 +61,11 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     // degrades to LfsrOnly — its pseudo-random data is bit-identical to an
     // uninterrupted run; a point beyond the truncated pass has no valid data
     // at all and is Skipped.
-    if ((dl && dl->should_stop()) || !full->status.ok()) {
+    if ((dl && dl->should_stop()) || !full.status.ok()) {
       const StageStatus why =
-          dl ? dl->stop_status("mixed_sweep") : full->status;
-      if (len <= full->patterns) {
-        r.lfsr_result = fsim.prefix_result(*full, len);
+          dl ? dl->stop_status("mixed_sweep") : full.status;
+      if (len <= full.patterns) {
+        r.lfsr_result = fsim.prefix_result(full, len);
         r.lfsr_result.status = StageStatus{};  // the prefix itself is exact
         r.lfsr_coverage = r.lfsr_result.final_coverage();
         r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
@@ -85,10 +78,10 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
       continue;
     }
 
-    r.lfsr_result = fsim.prefix_result(*full, len);
+    r.lfsr_result = fsim.prefix_result(full, len);
     r.lfsr_coverage = r.lfsr_result.final_coverage();
     r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
-    const std::vector<std::uint32_t> tail = full->tail_at(len);
+    const std::vector<std::uint32_t> tail = full.tail_at(len);
 
     // PODEM only the faults that just entered the tail; everything else is
     // a cache hit.

@@ -71,10 +71,7 @@ struct MixedSweepResult {
 
 /// Evaluate the mixed scheme at every length in `lengths` (any order,
 /// duplicates allowed; opt.lfsr_patterns is ignored — the lengths drive the
-/// stream).  When `full` is non-null the caller vouches it is a run() result
-/// of `fsim` over the LFSR stream `opt` describes covering at least
-/// max(lengths) patterns, and the shared pass is skipped (stats.lfsr_seconds
-/// stays 0).  Deterministic for a given kernel + options at every thread
+/// stream).  Deterministic for a given kernel + options at every thread
 /// count.
 ///
 /// Anytime contract under opt.deadline: the deadline is polled per sweep
@@ -88,8 +85,7 @@ struct MixedSweepResult {
 /// scheduler can select and a wrapper can prove.
 MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
                                  std::span<const std::size_t> lengths,
-                                 const MixedTpgOptions& opt = {},
-                                 const FaultSimResult* full = nullptr);
+                                 const MixedTpgOptions& opt = {});
 
 /// Convenience overload owning its FaultSimulator.
 MixedSweepResult run_mixed_sweep(const SimKernel& k,

@@ -5,7 +5,8 @@
 // do not depend on thread count or word width, and the batch manifest's
 // kill-and-resume contract — a resumed batch's reports are byte-identical
 // (volatile fields stripped) to a cold run's, and a torn manifest tail
-// replays everything before the tear.
+// replays everything before the tear.  The report's synth accounting equals
+// a direct synthesis of its plan and survives the codec and the manifest.
 
 #include <cstdint>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "bist/synth.hpp"
 #include "circuits/iscas85_family.hpp"
 #include "netlist/bench_io.hpp"
 #include "pipeline/job.hpp"
@@ -59,7 +61,6 @@ std::vector<std::uint8_t> sweep_bytes(MixedSweepResult s) {
   s.stats.compact_seconds = s.stats.solve_seconds = 0;
   for (MixedSchemeResult& p : s.points) {
     p.lfsr_seconds = p.podem_seconds = p.compact_seconds = p.solve_seconds = 0;
-    p.comp.solve_seconds = 0;
   }
   return serialize_sweep(s);
 }
@@ -271,6 +272,54 @@ void test_manifest_resume(ResultStore& store) {
   fs::remove(mp);
 }
 
+// ---------------------------------------------------------------------------
+// The synth accounting in the report is the synth stage's exact result, and
+// every field of it is in the report's walk: a codec round trip and a
+// manifest replay return it unchanged.
+void test_synth_accounting() {
+  const std::string mp = "jobstore_synth_manifest.bin";
+  const auto same = [](const SynthAccounting& a, const SynthAccounting& b) {
+    const BistArea& x = a.actual;
+    const BistArea& y = b.actual;
+    return x.lfsr == y.lfsr && x.rom == y.rom && x.seed_rom == y.seed_rom &&
+           x.controller == y.controller && x.mux == y.mux &&
+           x.misr == y.misr && x.rom_bits == y.rom_bits &&
+           x.seed_rom_bits == y.seed_rom_bits && x.misr_bits == y.misr_bits &&
+           x.state_bits == y.state_bits && a.bist_gates == b.bist_gates &&
+           a.counter_bits == b.counter_bits &&
+           a.wrapper_gates == b.wrapper_gates;
+  };
+  for (const char* name : {"c432s", "c880s"}) {
+    for (const bool compress : {true, false}) {
+      JobSpec spec = make_spec(name);
+      spec.tpg.compress = compress;
+      const JobReport rep = run_plan_job(spec);
+      CHECK(rep.status.ok());
+      CHECK(rep.wrapper_ok);
+
+      const BistSynthResult syn =
+          synthesize_bist_wrapper(read_bench(spec.bench_text, name), rep.plan);
+      const SynthAccounting direct{syn.actual, syn.bist_gates,
+                                   syn.counter_bits, syn.wrapper.gate_count()};
+      CHECK(same(rep.synth, direct));
+      CHECK(rep.synth.bist_gates > 0 && rep.synth.counter_bits > 0);
+      CHECK(rep.wrapper_bench == write_bench(syn.wrapper));
+
+      CHECK(same(deserialize_job_report(serialize_job_report(rep)).synth,
+                 direct));
+
+      fs::remove(mp);
+      const Digest128 key = job_key(spec);
+      CHECK(BatchManifest(mp).append(key, rep));
+      BatchManifest m(mp);
+      CHECK_EQ(m.load(), 1u);
+      const JobReport* replayed = m.find(key);
+      CHECK(replayed && same(replayed->synth, direct));
+    }
+  }
+  fs::remove(mp);
+}
+
 }  // namespace
 
 int main() {
@@ -284,6 +333,7 @@ int main() {
     test_stripped_engine_config_invariance();
     test_manifest_resume(store);
   }
+  test_synth_accounting();
   fs::remove_all(dir);
   return bist_test::summary();
 }

@@ -299,7 +299,6 @@ JobReport synthetic_report() {
     c.misr.fold = {std::uint16_t(u()), std::uint16_t(u())};
     c.golden = u();
     c.cut_outputs = u();
-    c.solve_seconds = f();
     return c;
   };
   const auto fault = [&] {
@@ -399,14 +398,17 @@ JobReport synthetic_report() {
   v.aliasing = {u(), u(), f()};
   v.status = status(StageCode::Cancelled);
 
-  r.solve_seconds = f();
+  r.synth.actual = {f(), f(), f(), f(), f(), f(), u(), u(), u(), u()};
+  r.synth.bist_gates = u();
+  r.synth.counter_bits = u();
+  r.synth.wrapper_gates = u();
   r.wrapper_bench = "INPUT(a)\nOUTPUT(a)\n";
   r.seconds = f();
   r.cache = {true, true, true, true, true, "cache-note"};
   return r;
 }
 
-// The store format, pinned: kStoreFormatVersion 2 as written by the field
+// The store format, pinned: kStoreFormatVersion 3 as written by the field
 // walk in store/serialize.cpp.  A layout change must bump
 // kStoreFormatVersion and re-pin both digests in the same change.
 void test_format_pin() {
@@ -415,10 +417,10 @@ void test_format_pin() {
   const std::vector<std::uint8_t> sw = serialize_sweep(r.sweep);
   const Digest128 rep_digest = Hasher().bytes(rep.data(), rep.size()).digest();
   const Digest128 sw_digest = Hasher().bytes(sw.data(), sw.size()).digest();
-  CHECK_EQ(rep_digest.hex(), std::string("7114258c7d91ad9cf3012a31fef28a3a"));
-  CHECK_EQ(sw_digest.hex(), std::string("c3b4d6648e04648841d59e2fa89e2507"));
-  CHECK_EQ(rep.size(), std::size_t{1236});
-  CHECK_EQ(sw.size(), std::size_t{548});
+  CHECK_EQ(rep_digest.hex(), std::string("3f6c805f049c8ae294c5ffc26782541b"));
+  CHECK_EQ(sw_digest.hex(), std::string("1693df8d62785a45568d61bbba0c8564"));
+  CHECK_EQ(rep.size(), std::size_t{1316});
+  CHECK_EQ(sw.size(), std::size_t{540});
   CHECK(serialize_job_report(deserialize_job_report(rep)) == rep);
   CHECK(serialize_sweep(deserialize_sweep(sw)) == sw);
 }
