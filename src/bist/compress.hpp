@@ -72,6 +72,7 @@ struct MisrSpec {
   unsigned cls(std::size_t o) const {
     return fold.empty() ? static_cast<unsigned>(o % degree) : fold[o];
   }
+  bool operator==(const MisrSpec&) const = default;
 };
 
 /// Signature-register degree for a CUT with `outputs` primary outputs:
@@ -174,6 +175,7 @@ struct SeedEvent {
   std::uint32_t row = 0;
   std::uint32_t offset = 0;
   std::uint64_t seed = 0;
+  bool operator==(const SeedEvent&) const = default;
 };
 
 /// Compressed representation of one scheduled point's top-off set, carried
@@ -196,6 +198,7 @@ struct CompressedTopoff {
   std::size_t fallback_rows() const;
   /// Distinct reseed offsets in use, ascending (one load mux per offset).
   std::vector<std::uint32_t> offsets_used() const;
+  bool operator==(const CompressedTopoff&) const = default;
 };
 
 /// compress_cube() result for one top-off row.

@@ -111,6 +111,7 @@ struct StageReport {
   std::string name;    ///< parse | sweep | schedule | synth | verify
   StageStatus status;  ///< Ok, or why the stage stopped/failed/was not run
   double seconds = 0;  ///< wall clock inside the stage, all attempts
+                       ///< (not persisted: 0 on a manifest replay)
   unsigned attempts = 1;  ///< tries the retry loop spent (1 = first try won)
   std::string note;    ///< cache/quarantine/retry annotations, "" if none
 };
@@ -151,7 +152,7 @@ struct JobReport {
   WrapperVerification verification;  ///< valid once the verify stage ran
   SynthAccounting synth;      ///< valid once the synth stage built a wrapper
   std::string wrapper_bench;  ///< write_bench of the wrapper; empty if unbuilt
-  double seconds = 0;         ///< whole-job wall clock
+  double seconds = 0;         ///< whole-job wall clock (not persisted)
   CacheOutcome cache;         ///< store/manifest interaction of this job
 };
 
@@ -159,7 +160,9 @@ struct JobReport {
 /// result-affecting JobSpec field (name, bench text, sweep lengths, tpg and
 /// schedule knobs, parse limits).  Wall-clock shaping (deadlines, timeouts,
 /// cancel) and engine speed knobs are excluded — only status-Ok jobs are
-/// checkpointed, and for those the result is deadline-independent.
+/// checkpointed, and for those the result is deadline-independent — and so
+/// are schedule.lfsr_degree/lfsr_seed, which run_plan_job overwrites from
+/// the tpg knobs.
 Digest128 job_key(const JobSpec& spec);
 
 /// Run the five-stage pipeline for one circuit.  NEVER throws: every stage

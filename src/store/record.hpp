@@ -32,7 +32,9 @@ inline constexpr std::uint32_t kStoreMagic = 0x42535452u;  // "BSTR"
 /// v2: StageCode gained the Rejected terminal status (widens the valid
 /// enum range the payload decoder accepts).  v3: JobReport carries the
 /// synth stage's accounting; the copied solve_seconds fields are gone.
-inline constexpr std::uint32_t kStoreFormatVersion = 3;
+/// v4: a sweep point no longer carries its LFSR-phase FaultSimResult, and
+/// no wall-clock field or PODEM worker-count echo is persisted.
+inline constexpr std::uint32_t kStoreFormatVersion = 4;
 inline constexpr std::size_t kRecordHeaderSize = 40;
 
 enum class RecordCheck : std::uint8_t {

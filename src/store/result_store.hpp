@@ -41,6 +41,10 @@ Digest128 sweep_cache_key(const Netlist& n,
                           std::span<const std::size_t> lengths,
                           const MixedTpgOptions& opt);
 
+/// Fold the result-affecting MixedTpgOptions fields into `h` — the one list
+/// both sweep_cache_key and job_key hash.
+void hash_tpg_options(Hasher& h, const MixedTpgOptions& opt);
+
 struct StoreOptions {
   std::string dir;         ///< store root; created on first use
   FileOps* ops = nullptr;  ///< nullptr = FileOps::real(); tests inject shims

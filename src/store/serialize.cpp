@@ -185,23 +185,6 @@ void walk(Io& io, T& fs) {
   });
 }
 
-template <class Io, Is<FaultSimResult> T>
-void walk(Io& io, T& f) {
-  io.sz(f.total_faults);
-  io.sz(f.sim_faults);
-  io.sz(f.detected);
-  io.u64(f.detected_weight);
-  io.u64(f.total_weight);
-  io.sz(f.patterns);
-  walk(io, f.status);
-  io.u32(f.threads);
-  io.u32(f.word_width);
-  io.seq(f.first_detected, 8, [&](auto& v) { io.i64(v); });
-  io.seq(f.coverage, 8, [&](auto& v) { io.f64(v); });
-  io.seq(f.coverage_weighted, 8, [&](auto& v) { io.f64(v); });
-  io.u64(f.faulty_gate_evals);
-}
-
 template <class Io, Is<MixedSchemeResult> T>
 void walk(Io& io, T& p) {
   io.sz(p.lfsr_patterns);
@@ -222,11 +205,6 @@ void walk(Io& io, T& p) {
   io.f64(p.final_coverage);
   io.f64(p.final_coverage_weighted);
   io.b(p.all_verified);
-  walk(io, p.lfsr_result);
-  io.f64(p.lfsr_seconds);
-  io.f64(p.podem_seconds);
-  io.f64(p.compact_seconds);
-  io.f64(p.solve_seconds);
   io.code(p.state, PointState::Skipped);
   walk(io, p.status);
 }
@@ -237,11 +215,6 @@ void walk(Io& io, T& s) {
   io.sz(s.width);
   io.sz(s.stats.podem_calls);
   io.sz(s.stats.podem_cache_hits);
-  io.u32(s.stats.podem_threads);
-  io.f64(s.stats.lfsr_seconds);
-  io.f64(s.stats.podem_seconds);
-  io.f64(s.stats.compact_seconds);
-  io.f64(s.stats.solve_seconds);
   walk(io, s.status);
   io.seq(s.points, 1, [&](auto& p) { walk(io, p); });
 }
@@ -328,7 +301,6 @@ void walk(Io& io, T& rep) {
   io.seq(rep.stages, 1, [&](auto& s) {
     io.str(s.name);
     walk(io, s.status);
-    io.f64(s.seconds);
     io.u32(s.attempts);
     io.str(s.note);
   });
@@ -340,7 +312,6 @@ void walk(Io& io, T& rep) {
   io.sz(rep.synth.counter_bits);
   io.sz(rep.synth.wrapper_gates);
   io.str(rep.wrapper_bench);
-  io.f64(rep.seconds);
   io.b(rep.cache.consulted);
   io.b(rep.cache.hit);
   io.b(rep.cache.stored);
@@ -388,27 +359,11 @@ JobReport deserialize_job_report(std::span<const std::uint8_t> bytes) {
 }
 
 void strip_volatile(JobReport& r) {
-  r.seconds = 0;
   for (StageReport& s : r.stages) {
-    s.seconds = 0;
     s.attempts = 1;
     s.note.clear();
   }
   r.cache = {};
-  r.sweep.stats.lfsr_seconds = 0;
-  r.sweep.stats.podem_seconds = 0;
-  r.sweep.stats.compact_seconds = 0;
-  r.sweep.stats.solve_seconds = 0;
-  r.sweep.stats.podem_threads = 0;
-  for (MixedSchemeResult& p : r.sweep.points) {
-    p.lfsr_seconds = 0;
-    p.podem_seconds = 0;
-    p.compact_seconds = 0;
-    p.solve_seconds = 0;
-    p.lfsr_result.threads = 0;
-    p.lfsr_result.word_width = 0;
-    p.lfsr_result.faulty_gate_evals = 0;
-  }
 }
 
 }  // namespace bist

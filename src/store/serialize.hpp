@@ -26,9 +26,14 @@
 // Serialization is deterministic: the same in-memory value always produces
 // the same bytes.  Combined with the pipeline's bit-identical determinism
 // contract this makes serialized equality a usable differential oracle —
-// strip_volatile() zeroes the fields that legitimately vary between runs of
-// the same job, and the kill-and-resume test compares resumed and cold
-// batches byte for byte.
+// strip_volatile() clears the persisted fields that legitimately vary
+// between runs of the same job, and the kill-and-resume test compares
+// resumed and cold batches byte for byte.
+//
+// Only results are persisted.  The in-memory wall-clock fields
+// (MixedSchemeResult and MixedSweepStats *_seconds, StageReport::seconds,
+// JobReport::seconds) and the MixedSweepStats::podem_threads echo are not
+// written, so a decoded sweep or report reads them as their defaults.
 
 #include <cstdint>
 #include <span>
@@ -48,15 +53,13 @@ std::vector<std::uint8_t> serialize_job_report(const JobReport& r);
 /// Throws std::runtime_error on malformed bytes.
 JobReport deserialize_job_report(std::span<const std::uint8_t> bytes);
 
-/// Zero every field that varies between runs of the same job, so two
-/// reports that did the same *work* serialize identically regardless of how
-/// fast they ran, where their data came from, or which engine configuration
-/// computed them: stage/job seconds and solve breakdowns, retry attempt
-/// counts and stage notes, cache outcomes, and the engine-configuration
-/// echoes (sweep.stats.podem_threads and each point's lfsr_result.threads,
-/// .word_width and the width-dependent .faulty_gate_evals).  The sweep
-/// cache key excludes those knobs, so a hit served from another thread
-/// count or word width must still byte-match its cold run.  The
+/// Clear the persisted fields that vary between runs of the same job, so two
+/// reports that did the same *work* serialize identically regardless of
+/// where their data came from: retry attempt counts, stage notes and the
+/// cache outcome.  Wall-clock timings and engine-configuration echoes
+/// (PODEM worker count) are never persisted, so they need no stripping; the
+/// sweep cache key excludes those knobs, and a hit served from another
+/// thread count or word width byte-matches its cold run.  The
 /// kill-and-resume differential and the manifest equality checks compare
 /// serialize_job_report(strip_volatile(...)) bytes.
 void strip_volatile(JobReport& r);

@@ -93,25 +93,10 @@ std::vector<std::uint32_t> compact_reverse(
   return kept;
 }
 
-/// Resolve the point's MISR configuration from the options.
-MisrSpec misr_for(const SimKernel& k, const MixedTpgOptions& opt) {
-  MisrSpec m = opt.misr_degree
-                   ? MisrSpec{opt.misr_degree,
-                              Lfsr::primitive_taps(opt.misr_degree),
-                              {}}
-                   : misr_spec_for(k.outputs().size());
-  if (!opt.misr_fold.empty()) {
-    if (opt.misr_fold.size() != k.outputs().size())
-      throw std::invalid_argument(
-          "mixed tpg: misr_fold size does not match the CUT output count");
-    m.fold = opt.misr_fold;
-  }
-  return m;
-}
-
 }  // namespace
 
 void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
+                   const FaultSimResult& lr,
                    std::span<const std::uint32_t> tail,
                    std::span<const PodemResult* const> verdicts,
                    const MixedTpgOptions& opt, MixedSchemeResult& r) {
@@ -167,12 +152,12 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     }
   }
   r.topoff_before_compaction = r.topoff.size();
-  if (opt.verify_patterns && !r.topoff.empty())
+  if (!r.topoff.empty())
     r.all_verified = verify_batched(k, fsim, r.topoff, target);
   r.podem_seconds += seconds_since(t0);
 
   const auto t1 = WallClock::now();
-  if (opt.compact && !r.topoff.empty()) {
+  if (!r.topoff.empty()) {
     const std::vector<std::uint32_t> kept =
         compact_reverse(k, fsim, r.topoff, target);
     std::vector<BitVec> sel;
@@ -200,8 +185,8 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
       tail_faults.push_back(fsim.faults()[idx]);
       tail_w.push_back(fsim.weights()[idx]);
     }
-    FaultSimulator tailsim(k, std::move(tail_faults),
-                           r.lfsr_result.total_faults, std::move(tail_w));
+    FaultSimulator tailsim(k, std::move(tail_faults), lr.total_faults,
+                           std::move(tail_w));
     // The back end always runs to completion (its work is bounded by the
     // top-off set): a deadline on opt.fsim must not silently truncate the
     // accounting pass, or the point would claim a coverage it cannot prove.
@@ -213,7 +198,6 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     topoff_detected_weight = tr.detected_weight;
     topoff_fd = std::move(tr.first_detected);
   }
-  const FaultSimResult& lr = r.lfsr_result;
   r.final_coverage =
       lr.sim_faults
           ? double(lr.detected + topoff_detected) / double(lr.sim_faults)
@@ -240,7 +224,7 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
         c.seeds.push_back(e);
       }
     }
-    c.misr = misr_for(k, opt);
+    c.misr = misr_spec_for(k.outputs().size());
     c.cut_outputs = k.outputs().size();
 
     // The point's exact applied stream, as one packed block sequence: the
@@ -257,9 +241,9 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     // stream detects — the LFSR phase's faults plus the top-off accounting
     // pass's (which alone sees the random-pattern-resistant faults whose
     // bus-aligned output cones defeat the natural fold).
-    if (c.misr.enabled() && opt.misr_fold.empty() && !applied.empty()) {
+    if (c.misr.enabled() && !applied.empty()) {
       std::vector<std::int64_t> fd(fsim.faults().size(), -1);
-      const std::vector<std::int64_t>& lfd = r.lfsr_result.first_detected;
+      const std::vector<std::int64_t>& lfd = lr.first_detected;
       for (std::size_t f = 0; f < fd.size(); ++f)
         if (lfd[f] >= 0 && lfd[f] < std::int64_t(r.lfsr_patterns))
           fd[f] = lfd[f];
@@ -276,9 +260,8 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
 }
 
 void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
-                      const MixedTpgOptions& opt, MixedSchemeResult& r,
-                      StageStatus why) {
-  const FaultSimResult& lr = r.lfsr_result;
+                      const FaultSimResult& lr, const MixedTpgOptions& opt,
+                      MixedSchemeResult& r, StageStatus why) {
   r.tail_faults = lr.sim_faults - lr.detected;
   r.final_coverage = r.lfsr_coverage;
   r.final_coverage_weighted = r.lfsr_coverage_weighted;
@@ -289,7 +272,7 @@ void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
     CompressedTopoff& c = r.comp;
     c.enabled = true;
     c.degree = opt.lfsr_degree;
-    c.misr = misr_for(k, opt);
+    c.misr = misr_spec_for(k.outputs().size());
     c.cut_outputs = k.outputs().size();
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
     const std::vector<PatternBlock> blocks =
@@ -297,7 +280,7 @@ void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
     // Fold audit over the prefix's detected faults (the audit core skips
     // first_detected entries at or beyond lr.patterns, so the prefix
     // result's kept-later detections are excluded automatically).
-    if (c.misr.enabled() && opt.misr_fold.empty() && lr.patterns > 0)
+    if (c.misr.enabled() && lr.patterns > 0)
       c.misr = choose_misr_fold(fsim, k, blocks, lr.patterns,
                                 lr.first_detected, c.misr);
     c.golden = misr_signature(k, blocks, c.misr, 0);
@@ -325,22 +308,21 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
   FaultSimOptions fo = opt.fsim;
   if (dl) fo.deadline = dl;  // scheme-level deadline reaches the hot loop
   Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-  r.lfsr_result = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
+  const FaultSimResult lr = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
   r.lfsr_seconds = seconds_since(t0);
-  r.lfsr_patterns = r.lfsr_result.patterns;
-  r.lfsr_coverage = r.lfsr_result.final_coverage();
-  r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
-  if (!r.lfsr_result.status.ok()) {
+  r.lfsr_patterns = lr.patterns;
+  r.lfsr_coverage = lr.final_coverage();
+  r.lfsr_coverage_weighted = lr.final_coverage_weighted();
+  if (!lr.status.ok()) {
     // Truncated pseudo-random phase: everything computed so far is the
     // exact prefix run; stop here as a degraded LFSR-only point at the
     // length that actually ran.
-    mixed_phase::finish_lfsr_only(k, fsim, opt, r, r.lfsr_result.status);
+    mixed_phase::finish_lfsr_only(k, fsim, lr, opt, r, lr.status);
     return r;
   }
 
   // LFSR-resistant faults, ascending sim-fault indices.
-  const std::vector<std::uint32_t> tail =
-      r.lfsr_result.tail_at(r.lfsr_result.patterns);
+  const std::vector<std::uint32_t> tail = lr.tail_at(lr.patterns);
 
   // --- Phase 2: PODEM per tail fault --------------------------------------
   const auto t1 = WallClock::now();
@@ -361,7 +343,7 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
     // so the whole top-off phase is withdrawn rather than emitted partially
     // (a partial top-off could not reproduce an independent run anyway).
     mixed_phase::finish_lfsr_only(
-        k, fsim, opt, r,
+        k, fsim, lr, opt, r,
         dl ? dl->stop_status("podem")
            : StageStatus::cancelled("podem: verdicts cancelled"));
     return r;
@@ -373,7 +355,7 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
   // the coverage it claims.
   std::vector<const PodemResult*> vp(verdicts.size());
   for (std::size_t i = 0; i < verdicts.size(); ++i) vp[i] = &verdicts[i];
-  mixed_phase::topoff_phases(k, fsim, tail, vp, opt, r);
+  mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
   return r;
 }
 

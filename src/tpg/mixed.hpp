@@ -10,9 +10,12 @@
 //   verification      every emitted pattern re-checked by the PPSFP
 //                     propagate against its target fault
 //
-// MixedSchemeResult carries the quantities the scheduler and area model
-// trade off: LFSR length vs. deterministic pattern count (ROM bits) and the
-// achieved coverage under both fault-accounting conventions.
+// MixedSchemeResult carries the per-point totals the scheduler and area
+// model trade off: LFSR length vs. deterministic pattern count (ROM bits),
+// the compressed test data, and the achieved coverage under both
+// fault-accounting conventions.  The LFSR phase's per-fault detail (the
+// FaultSimResult) is an intermediate: it feeds the top-off phases and is
+// not kept on the point.
 
 #include <cstdint>
 #include <vector>
@@ -47,21 +50,15 @@ struct MixedTpgOptions {
   /// take the X-fill stream's bits), and a MISR spec + golden signature over
   /// the applied stream is attached to the result.  false selects the legacy
   /// fully decoded ROM path — bit-identical to the pre-compression pipeline.
+  /// The MISR is misr_spec_for(CUT output count); its output-to-stage fold
+  /// is audited per point: once a point's applied stream is final
+  /// (pseudo-random prefix plus kept top-off set), choose_misr_fold() picks
+  /// an assignment with zero empirical aliasing escapes over everything that
+  /// stream detects (the natural o mod K fold when it is already clean).
+  /// The audit must see the top-off patterns: the random-pattern-resistant
+  /// faults they target are exactly the ones a pseudo-random-only audit can
+  /// never check.
   bool compress = true;
-  /// MISR degree override; 0 = misr_degree_for(CUT output count).  Only
-  /// meaningful when `compress` is set.
-  unsigned misr_degree = 0;
-  /// MISR output-to-stage assignment override (size = CUT output count,
-  /// values < degree).  Empty = audited automatic selection, per point:
-  /// once a point's applied stream is final (pseudo-random prefix plus kept
-  /// top-off set), choose_misr_fold() picks an assignment with zero
-  /// empirical aliasing escapes over everything that stream detects (the
-  /// natural o mod K fold when it is already clean).  The audit must see
-  /// the top-off patterns: the random-pattern-resistant faults they target
-  /// are exactly the ones a pseudo-random-only audit can never check.
-  std::vector<std::uint16_t> misr_fold;
-  bool compact = true;           ///< reverse-order compaction of the top-off set
-  bool verify_patterns = true;   ///< fault-sim check of every emitted pattern
   /// Cooperative deadline/cancel for the whole scheme, threaded into the
   /// fault-sim pass (per block group) and PODEM (per decision, per fault).
   /// When it fires, the run degrades instead of failing: see
@@ -109,17 +106,16 @@ struct MixedSchemeResult {
   double lfsr_coverage_weighted = 0.0;
   double final_coverage = 0.0;
   double final_coverage_weighted = 0.0;
-  /// True iff every emitted pattern was confirmed to detect its target fault
-  /// (trivially true when verification is disabled).
+  /// True iff every emitted pattern was confirmed to detect its target fault.
   bool all_verified = true;
-  /// Full LFSR-phase result (coverage curves for the scheduler).
-  FaultSimResult lfsr_result;
   /// Wall-clock phase breakdown: pseudo-random phase (LFSR stream + fault
   /// simulation; sweep points share one pass, timed in MixedSweepStats),
   /// deterministic phase (PODEM generation + X-fill + pattern
   /// verification), and back end (compaction + final tail accounting, plus
-  /// the MISR fold audit and golden signature when compressed).  Sweep points report only the work
-  /// actually done for that point (cache hits cost no PODEM time).
+  /// the MISR fold audit and golden signature when compressed).  Sweep
+  /// points report only the work actually done for that point (cache hits
+  /// cost no PODEM time).  In memory only: the store does not persist the
+  /// timing fields, so a store hit or a manifest replay reads 0.
   double lfsr_seconds = 0.0;
   double podem_seconds = 0.0;
   double compact_seconds = 0.0;

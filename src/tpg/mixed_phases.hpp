@@ -63,19 +63,22 @@ bool verify_batched(const SimKernel& k, FaultSimulator& fsim,
 /// Everything after the PODEM verdicts for one LFSR length: X-fill the
 /// detected cubes (fresh fill stream from opt.fill_seed, tail order),
 /// verification, reverse-order compaction, and the final tail accounting.
+/// `lr` is the LFSR phase's result at this length (an independent run, or
+/// the sweep's prefix_result of its shared pass — the two are identical),
 /// `tail` holds the point's sim-fault indices ascending and `verdicts[i]`
-/// the PODEM outcome for tail[i].  Requires r.lfsr_result (plus the
-/// lfsr_patterns/lfsr_coverage fields) to be filled in already; completes
-/// every remaining field of r and adds the fill+verify wall-clock to
-/// r.podem_seconds and the compaction+accounting wall-clock to
-/// r.compact_seconds.
+/// the PODEM outcome for tail[i].  Requires the lfsr_patterns/lfsr_coverage
+/// fields of r to be filled in already; completes every remaining field of
+/// r and adds the fill+verify wall-clock to r.podem_seconds and the
+/// compaction+accounting wall-clock to r.compact_seconds.
 void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
+                   const FaultSimResult& lr,
                    std::span<const std::uint32_t> tail,
                    std::span<const PodemResult* const> verdicts,
                    const MixedTpgOptions& opt, MixedSchemeResult& r);
 
 /// Downgrade a result whose pseudo-random phase ran (possibly truncated) but
-/// whose top-off did not: requires the lfsr_* fields to be filled in; sets
+/// whose top-off did not: `lr` is the LFSR phase's result for the prefix
+/// that ran, and the lfsr_* fields of r must be filled in from it; sets
 /// tail_faults, copies the LFSR coverage into the final coverage (an empty
 /// top-off adds nothing), and marks the point LfsrOnly with `why` as the
 /// reason.  The result is a valid degraded hardware point — the coverage it
@@ -85,7 +88,7 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
 /// of the prefix stream that ran (no seeds — there is no top-off), so a
 /// degraded wrapper signs off exactly like a complete one.
 void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
-                      const MixedTpgOptions& opt, MixedSchemeResult& r,
-                      StageStatus why);
+                      const FaultSimResult& lr, const MixedTpgOptions& opt,
+                      MixedSchemeResult& r, StageStatus why);
 
 }  // namespace bist::mixed_phase

@@ -65,11 +65,11 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
       const StageStatus why =
           dl ? dl->stop_status("mixed_sweep") : full.status;
       if (len <= full.patterns) {
-        r.lfsr_result = fsim.prefix_result(full, len);
-        r.lfsr_result.status = StageStatus{};  // the prefix itself is exact
-        r.lfsr_coverage = r.lfsr_result.final_coverage();
-        r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
-        mixed_phase::finish_lfsr_only(k, fsim, opt, r, why);
+        FaultSimResult lr = fsim.prefix_result(full, len);
+        lr.status = StageStatus{};  // the prefix itself is exact
+        r.lfsr_coverage = lr.final_coverage();
+        r.lfsr_coverage_weighted = lr.final_coverage_weighted();
+        mixed_phase::finish_lfsr_only(k, fsim, lr, opt, r, why);
       } else {
         r.state = PointState::Skipped;
         r.status = why;
@@ -78,9 +78,9 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
       continue;
     }
 
-    r.lfsr_result = fsim.prefix_result(full, len);
-    r.lfsr_coverage = r.lfsr_result.final_coverage();
-    r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
+    const FaultSimResult lr = fsim.prefix_result(full, len);
+    r.lfsr_coverage = lr.final_coverage();
+    r.lfsr_coverage_weighted = lr.final_coverage_weighted();
     const std::vector<std::uint32_t> tail = full.tail_at(len);
 
     // PODEM only the faults that just entered the tail; everything else is
@@ -113,7 +113,7 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     r.podem_seconds = seconds_since(t1);
     if (cut) {
       mixed_phase::finish_lfsr_only(
-          k, fsim, opt, r,
+          k, fsim, lr, opt, r,
           dl ? dl->stop_status("mixed_sweep")
              : StageStatus::cancelled("mixed_sweep: podem cancelled"));
       by_order.push_back(std::move(r));
@@ -122,7 +122,7 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
 
     std::vector<const PodemResult*> vp(tail.size());
     for (std::size_t i = 0; i < tail.size(); ++i) vp[i] = &cache[tail[i]];
-    mixed_phase::topoff_phases(k, fsim, tail, vp, opt, r);
+    mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
     sr.stats.podem_seconds += r.podem_seconds;
     sr.stats.compact_seconds += r.compact_seconds;
     sr.stats.solve_seconds += r.solve_seconds;
@@ -150,11 +150,11 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     fo.deadline = nullptr;
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
     const auto t0 = WallClock::now();
-    r.lfsr_result = fsim.run(lfsr.blocks(width, lmin), fo);
+    const FaultSimResult lr = fsim.run(lfsr.blocks(width, lmin), fo);
     r.lfsr_seconds = seconds_since(t0);
-    r.lfsr_coverage = r.lfsr_result.final_coverage();
-    r.lfsr_coverage_weighted = r.lfsr_result.final_coverage_weighted();
-    mixed_phase::finish_lfsr_only(k, fsim, opt, r, why);
+    r.lfsr_coverage = lr.final_coverage();
+    r.lfsr_coverage_weighted = lr.final_coverage_weighted();
+    mixed_phase::finish_lfsr_only(k, fsim, lr, opt, r, why);
   }
 
   // Sweep-level verdict: the first non-Complete point's reason (points

@@ -8,10 +8,12 @@
 //   one LFSR pass      the fault simulator runs once, at max(lengths); a
 //                      fault is in the tail at length L iff its
 //                      first_detected index is >= L or it was never
-//                      detected, so every point's tail and coverage prefix
-//                      is derived from that single pass
+//                      detected, so every point's tail and LFSR-phase
+//                      result is derived from that single pass
 //                      (FaultSimResult::tail_at / prefix_result) — the
-//                      pseudo-random phase is never re-simulated
+//                      pseudo-random phase is never re-simulated, and the
+//                      derived prefix is a transient input to the point's
+//                      top-off phases, not part of the point
 //   parallel PODEM     tail faults are partitioned across a persistent
 //                      PodemBatch (per-worker engines, dynamic grain-1
 //                      chunking, fixed-fault-order reduction), so verdicts
@@ -28,10 +30,10 @@
 // on the reused cubes (the fill stream replays per point, so the emitted
 // pattern sets match an independent run exactly).  Every per-point
 // MixedSchemeResult is bit-identical to run_mixed_tpg at that length —
-// tails, cube sets, verdicts, top-off patterns, and both coverage
-// conventions — at every thread count; the differential guarantee is
-// enforced by tests/test_mixed_sweep.cpp and the bench's naive-vs-sweep
-// cross-check.
+// tails, cube sets, verdicts, top-off patterns, compressed test data, and
+// both coverage conventions — at every thread count (timing fields
+// excepted); the differential guarantee is enforced by
+// tests/test_mixed_sweep.cpp and the bench's naive-vs-sweep cross-check.
 
 #include <cstdint>
 #include <span>
@@ -42,7 +44,10 @@
 namespace bist {
 
 /// Sweep-level counters and timings (per-point fields live in each
-/// MixedSchemeResult).
+/// MixedSchemeResult).  Only the two PODEM counters are persisted by the
+/// store; the worker count and the timings are in-memory echoes of the run
+/// that computed the sweep, so a store hit or a manifest replay reads the
+/// defaults.
 struct MixedSweepStats {
   std::size_t podem_calls = 0;       ///< engine invocations (cache misses)
   std::size_t podem_cache_hits = 0;  ///< verdicts served by the cube cache

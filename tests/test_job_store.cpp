@@ -48,21 +48,11 @@ const StageReport* find_stage(const JobReport& r, std::string_view name) {
   return nullptr;
 }
 
-// Serialized job-report bytes with wall-clock/attempt/cache fields zeroed:
-// the differential oracle for "same work, different run".
+// Serialized job-report bytes with attempt/note/cache fields cleared: the
+// differential oracle for "same work, different run".
 std::vector<std::uint8_t> stripped_bytes(JobReport r) {
   strip_volatile(r);
   return serialize_job_report(r);
-}
-
-// Sweep bytes with timings zeroed, for fresh-vs-recomputed comparisons.
-std::vector<std::uint8_t> sweep_bytes(MixedSweepResult s) {
-  s.stats.lfsr_seconds = s.stats.podem_seconds = 0;
-  s.stats.compact_seconds = s.stats.solve_seconds = 0;
-  for (MixedSchemeResult& p : s.points) {
-    p.lfsr_seconds = p.podem_seconds = p.compact_seconds = p.solve_seconds = 0;
-  }
-  return serialize_sweep(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,7 +130,7 @@ void test_quarantine_through_job(ResultStore& store) {
     const StageReport* sr = find_stage(rep, "sweep");
     CHECK(sr && !sr->note.empty());
     // The recomputation matches the baseline, work for work.
-    CHECK(sweep_bytes(rep.sweep) == sweep_bytes(baseline.sweep));
+    CHECK(serialize_sweep(rep.sweep) == serialize_sweep(baseline.sweep));
     CHECK(fs::exists(path));  // healed for the next consumer
   }
 }

@@ -1,11 +1,15 @@
 // Differential check of the incremental mixed-scheme sweep engine: every
 // sweep point must be bit-identical to an independent run_mixed_tpg at that
 // length — tail size, PODEM verdicts and counters, the emitted top-off
-// pattern sets before and after compaction, both coverage conventions, and
-// the derived LFSR-phase prefix (first_detected + coverage-curve doubles) —
-// at every PODEM thread count in {1, 2, 8}, on the full ISCAS85 surrogate
-// family.  Also checks the prefix/tail helpers directly and the parallel
-// PODEM path of run_mixed_tpg itself against its serial reduction.
+// pattern sets before and after compaction, the compressed test data (seed
+// schedules, fallback rows, MISR spec with its audited fold, golden
+// signature) and both coverage conventions — at every PODEM thread count in
+// {1, 2, 8}, on the full ISCAS85 surrogate family.  The sweep derives each
+// point's LFSR-phase result as a prefix of one shared pass; that prefix is
+// checked directly against an independent run at every sweep length (first
+// detection indices and coverage-curve doubles).  Also checks the tail
+// helper and the parallel PODEM path of run_mixed_tpg itself against its
+// serial reduction.
 
 #include <algorithm>
 #include <string>
@@ -53,6 +57,7 @@ bool same_point(const MixedSchemeResult& a, const MixedSchemeResult& b) {
   ok = ok && a.topoff_before_compaction == b.topoff_before_compaction;
   ok = ok && a.topoff_patterns == b.topoff_patterns;
   ok = ok && a.topoff == b.topoff;  // exact emitted pattern bits
+  ok = ok && a.comp == b.comp;
   ok = ok && a.redundant_faults == b.redundant_faults;
   ok = ok && a.aborted_faults == b.aborted_faults;
   ok = ok && a.lfsr_coverage == b.lfsr_coverage;
@@ -60,7 +65,6 @@ bool same_point(const MixedSchemeResult& a, const MixedSchemeResult& b) {
   ok = ok && a.final_coverage == b.final_coverage;
   ok = ok && a.final_coverage_weighted == b.final_coverage_weighted;
   ok = ok && a.all_verified == b.all_verified;
-  ok = ok && same_lfsr_result(a.lfsr_result, b.lfsr_result);
   return ok;
 }
 
@@ -90,22 +94,26 @@ int main() {
     opt.podem.backtrack_limit = 20;
     opt.fsim.threads = 4;  // fsim engine knobs never change detection results
 
-    // Prefix/tail helpers against an independent shorter run.
+    // Prefix/tail helpers against an independent shorter run, at every
+    // sweep length (each a multiple of the 64-pattern block): the sweep
+    // hands exactly these prefixes to each point's top-off phases.
     {
+      const std::size_t lmax = *std::max_element(lengths.begin(), lengths.end());
       Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-      const auto blocks = lfsr.blocks(n.input_count(), 512);
+      const auto blocks = lfsr.blocks(n.input_count(), lmax);
       const FaultSimResult full = fsim.run(blocks, opt.fsim);
-      const FaultSimResult sub =
-          fsim.run(std::span<const PatternBlock>(blocks).first(256 / 64),
-                   opt.fsim);
-      const FaultSimResult pre = fsim.prefix_result(full, 256);
-      CHECK(same_lfsr_result(pre, sub));
-      CHECK_EQ(pre.detected, full.detected_at(256));
-      const auto tail = full.tail_at(256);
-      CHECK_EQ(tail.size(), full.sim_faults - pre.detected);
-      for (const std::uint32_t idx : tail) {
-        const std::int64_t fd = full.first_detected[idx];
-        CHECK(fd < 0 || fd >= 256);
+      for (const std::size_t len : lengths) {
+        const FaultSimResult sub = fsim.run(
+            std::span<const PatternBlock>(blocks).first(len / 64), opt.fsim);
+        const FaultSimResult pre = fsim.prefix_result(full, len);
+        CHECK(same_lfsr_result(pre, sub));
+        CHECK_EQ(pre.detected, full.detected_at(len));
+        const auto tail = full.tail_at(len);
+        CHECK_EQ(tail.size(), full.sim_faults - pre.detected);
+        for (const std::uint32_t idx : tail) {
+          const std::int64_t fd = full.first_detected[idx];
+          CHECK(fd < 0 || fd >= std::int64_t(len));
+        }
       }
       CHECK_EQ(full.tail_at(full.patterns).size(),
                full.sim_faults - full.detected);
