@@ -1237,10 +1237,20 @@ int run_bench(int argc, char** argv) {
     if (plot) {
       bist::Series s;
       s.name = name + " coverage";
-      const std::size_t step = std::max<std::size_t>(1, fr.coverage.size() / 256);
-      for (std::size_t p = 0; p < fr.coverage.size(); p += step) {
+      // Coverage after patterns [0..p]: the running count of first
+      // detections, sampled at up to 256 points.
+      std::vector<std::size_t> hits(fr.patterns, 0);
+      for (const std::int64_t fd : fr.first_detected)
+        if (fd >= 0) ++hits[std::size_t(fd)];
+      const std::size_t step = std::max<std::size_t>(1, fr.patterns / 256);
+      std::size_t running = 0;
+      for (std::size_t p = 0; p < fr.patterns; ++p) {
+        running += hits[p];
+        if (p % step) continue;
         s.x.push_back(double(p + 1));
-        s.y.push_back(100 * fr.coverage[p]);
+        s.y.push_back(100 * (fr.sim_faults ? double(running) /
+                                                 double(fr.sim_faults)
+                                           : 0.0));
       }
       bist::PlotOptions po;
       po.title = name + ": stuck-at coverage vs. LFSR patterns";

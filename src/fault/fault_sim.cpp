@@ -192,13 +192,6 @@ std::vector<std::uint32_t> FaultSimResult::tail_at(std::size_t length) const {
   return tail;
 }
 
-std::size_t FaultSimResult::detected_at(std::size_t length) const {
-  std::size_t n = 0;
-  for (const std::int64_t fd : first_detected)
-    if (fd >= 0 && fd < static_cast<std::int64_t>(length)) ++n;
-  return n;
-}
-
 FaultSimResult FaultSimulator::prefix_result(const FaultSimResult& full,
                                              std::size_t length) const {
   if (full.first_detected.size() != faults_.size())
@@ -228,11 +221,6 @@ FaultSimResult FaultSimulator::prefix_result(const FaultSimResult& full,
       r.detected_weight += weights_[f];
     }
   }
-  // The curves are running sums in pattern order, so the prefix of the full
-  // curve is the shorter run's curve down to the last double bit.
-  r.coverage.assign(full.coverage.begin(), full.coverage.begin() + length);
-  r.coverage_weighted.assign(full.coverage_weighted.begin(),
-                             full.coverage_weighted.begin() + length);
   return r;
 }
 
@@ -460,29 +448,6 @@ void FaultSimulator::output_diff_sweep(
   }
 }
 
-void FaultSimulator::finalize_curves(FaultSimResult& r) const {
-  std::vector<std::uint32_t> hits(r.patterns, 0);
-  std::vector<std::uint64_t> hit_weight(r.patterns, 0);
-  for (std::size_t f = 0; f < r.first_detected.size(); ++f) {
-    const std::int64_t fd = r.first_detected[f];
-    if (fd >= 0) {
-      ++hits[static_cast<std::size_t>(fd)];
-      hit_weight[static_cast<std::size_t>(fd)] += weights_[f];
-    }
-  }
-  r.coverage.assign(r.patterns, 0.0);
-  r.coverage_weighted.assign(r.patterns, 0.0);
-  std::size_t running = 0;
-  std::uint64_t running_w = 0;
-  for (std::size_t p = 0; p < r.patterns; ++p) {
-    running += hits[p];
-    running_w += hit_weight[p];
-    r.coverage[p] = r.sim_faults ? double(running) / double(r.sim_faults) : 0.0;
-    r.coverage_weighted[p] =
-        r.total_weight ? double(running_w) / double(r.total_weight) : 0.0;
-  }
-}
-
 FaultSimResult FaultSimulator::run(std::span<const PatternBlock> blocks,
                                    const FaultSimOptions& opt) {
   if (!opt.ffr) return run_legacy(blocks, opt);
@@ -515,13 +480,6 @@ FaultSimResult FaultSimulator::run_legacy(std::span<const PatternBlock> blocks,
     const std::uint64_t* gv = good.values().data();
     for (std::size_t i = 0; i < live.size();) {
       const std::uint32_t fidx = live[i];
-      if (r.first_detected[fidx] >= 0) {
-        // Already detected; with drop_detected off the fault stays in the
-        // live list (stable indices) but propagating it again can yield no
-        // new detection, so skip the work.
-        ++i;
-        continue;
-      }
       const std::uint64_t det =
           propagate_fault(faults_[fidx], gv, lanes, &r.faulty_gate_evals);
       if (det) {
@@ -529,18 +487,15 @@ FaultSimResult FaultSimulator::run_legacy(std::span<const PatternBlock> blocks,
             static_cast<std::int64_t>(base) + std::countr_zero(det);
         ++r.detected;
         r.detected_weight += weights_[fidx];
-        if (opt.drop_detected) {
-          live[i] = live.back();
-          live.pop_back();
-          continue;
-        }
+        live[i] = live.back();
+        live.pop_back();
+        continue;
       }
       ++i;
     }
     base += blk.count;
   }
   r.patterns = base;
-  finalize_curves(r);
   return r;
 }
 
@@ -623,13 +578,8 @@ FaultSimResult FaultSimulator::run_ffr(std::span<const PatternBlock> blocks,
         if (lf.empty()) continue;
         Word acc = w_zero<Word>();
         for (std::size_t i = 0; i < lf.size(); ++i) {
-          const std::uint32_t fidx = lf[i];
-          if (r.first_detected[fidx] >= 0) {  // kept live with dropping off
-            s.stem_words[i] = w_zero<Word>();
-            continue;
-          }
           const Word sw =
-              local_stem_word<W>(*k_, faults_[fidx], gv, lanes, &ev);
+              local_stem_word<W>(*k_, faults_[lf[i]], gv, lanes, &ev);
           s.stem_words[i] = sw;
           acc |= sw;
         }
@@ -644,24 +594,22 @@ FaultSimResult FaultSimulator::run_ffr(std::span<const PatternBlock> blocks,
     });
 
     // Serial reduction: per-fault results are independent, so visiting them
-    // in any fixed order yields identical counts/curves for every worker
-    // count and work assignment.
+    // in any fixed order yields identical counts for every worker count and
+    // work assignment.
     for (std::size_t g = 0; g < ngroups; ++g) {
       auto& lf = live[g];
       for (std::size_t i = 0; i < lf.size();) {
         const std::uint32_t fidx = lf[i];
         const Word d = det[fidx];
         det[fidx] = w_zero<Word>();
-        if (w_any(d) && r.first_detected[fidx] < 0) {
+        if (w_any(d)) {
           r.first_detected[fidx] =
               static_cast<std::int64_t>(base) + w_first_lane(d);
           ++r.detected;
           r.detected_weight += weights_[fidx];
-          if (opt.drop_detected) {
-            lf[i] = lf.back();
-            lf.pop_back();
-            continue;
-          }
+          lf[i] = lf.back();
+          lf.pop_back();
+          continue;
         }
         ++i;
       }
@@ -671,7 +619,6 @@ FaultSimResult FaultSimulator::run_ffr(std::span<const PatternBlock> blocks,
   }
   r.patterns = base;
   for (const FfrScratch<W>& s : scratch) r.faulty_gate_evals += s.evals;
-  finalize_curves(r);
   return r;
 }
 

@@ -24,7 +24,7 @@
 // stem groups off an atomic cursor, each with its own propagation scratch,
 // sharing the read-only good-machine values.  Per-fault results land in
 // disjoint slots and are reduced serially in fixed fault order afterwards,
-// so first-detection indices, coverage curves, and eval counters are
+// so first-detection indices, detected counts, and eval counters are
 // bit-identical for every thread count.
 //
 // Pattern words are SimWord<W> (W x 64 lanes, W = 1 or 4): the engine
@@ -52,7 +52,6 @@ namespace bist {
 class WorkerPool;
 
 struct FaultSimOptions {
-  bool drop_detected = true;  ///< stop simulating a fault once detected
   /// Worker count for the stem-group partition; 0 = hardware_concurrency.
   unsigned threads = 1;
   /// Pattern word width in 64-lane units (1 or kMaxWordWidth); unsupported
@@ -86,29 +85,29 @@ struct FaultSimResult {
   unsigned threads = 1;     ///< resolved worker count the run used
   unsigned word_width = 1;  ///< resolved pattern word width (64-lane units)
   /// Per simulated fault: index of the first detecting pattern, -1 undetected.
+  /// The coverage curve over the run is the running count of these.
   std::vector<std::int64_t> first_detected;
-  /// Per pattern: fraction of simulated faults detected by patterns [0..p].
-  /// Monotone non-decreasing by construction.
-  std::vector<double> coverage;
-  /// Same curve weighted by equivalence-class size over total_weight — the
-  /// total-enumerated-fault convention.
-  std::vector<double> coverage_weighted;
   /// Faulty-machine gate evaluations performed (cone-limited work measure).
   /// Deterministic per (engine, word_width); independent of thread count.
   std::uint64_t faulty_gate_evals = 0;
 
-  double final_coverage() const { return coverage.empty() ? 0.0 : coverage.back(); }
+  /// Fraction of simulated faults detected (collapsed convention).
+  double final_coverage() const {
+    return sim_faults ? double(detected) / double(sim_faults) : 0.0;
+  }
+  /// Class-size-weighted fraction over total_weight (total-enumerated-fault
+  /// convention).
   double final_coverage_weighted() const {
-    return coverage_weighted.empty() ? 0.0 : coverage_weighted.back();
+    return total_weight ? double(detected_weight) / double(total_weight) : 0.0;
   }
 
   // --- Prefix views (the mixed-scheme sweep substrate) ---------------------
-  // first_detected is invariant under drop_detected and records the *first*
-  // detecting pattern, so a run over the first L patterns of the same stream
-  // is fully determined by this result: detected-within-L iff
-  // 0 <= first_detected < L.  These helpers read that prefix directly,
-  // letting one max-length pass answer every shorter candidate length
-  // without re-simulating.
+  // first_detected records the *first* detecting pattern, so a run over the
+  // first L patterns of the same stream is fully determined by this result:
+  // detected-within-L iff 0 <= first_detected < L.  tail_at() and
+  // FaultSimulator::prefix_result() read that prefix directly, letting one
+  // max-length pass answer every shorter candidate length without
+  // re-simulating.
 
   /// Sim-fault indices NOT detected within the first `length` patterns
   /// (first_detected >= length or undetected), ascending — exactly the
@@ -117,9 +116,6 @@ struct FaultSimResult {
   /// length: 0 yields every simulated fault, anything >= patterns yields the
   /// run's final undetected set.
   std::vector<std::uint32_t> tail_at(std::size_t length) const;
-  /// Number of simulated faults detected within the first `length` patterns
-  /// (0 at length 0; the run's detected count at any length >= patterns).
-  std::size_t detected_at(std::size_t length) const;
 };
 
 class FaultSimulator {
@@ -140,17 +136,16 @@ class FaultSimulator {
   std::span<const Fault> faults() const { return faults_; }
   std::span<const std::uint32_t> weights() const { return weights_; }
 
-  /// Run over the pattern blocks with fault dropping; fills the coverage
-  /// curves.  Repeatable: each call starts from the full fault list.
-  /// Detection results (first_detected, curves, weights) are bit-identical
-  /// across every (threads, word_width, ffr) combination.
+  /// Run over the pattern blocks with fault dropping.  Repeatable: each
+  /// call starts from the full fault list.  Detection results
+  /// (first_detected, counts, weights) are bit-identical across every
+  /// (threads, word_width, ffr) combination.
   FaultSimResult run(std::span<const PatternBlock> blocks,
                      const FaultSimOptions& opt = {});
 
   /// Restriction of `full` (a result of run() on this simulator) to its
-  /// first `length` patterns: bit-identical — including the coverage-curve
-  /// doubles, which are running sums in pattern order — to what run() over
-  /// only those patterns would have produced, derived without re-simulating.
+  /// first `length` patterns: bit-identical to what run() over only those
+  /// patterns would have produced, derived without re-simulating.
   /// Exception: faulty_gate_evals is carried over unchanged from `full`
   /// (the work measure of the pass actually executed, not of a hypothetical
   /// shorter one).  Requires a `full` whose fault list matches this
@@ -218,7 +213,6 @@ class FaultSimulator {
   template <unsigned W>
   FaultSimResult run_ffr(std::span<const PatternBlock> blocks,
                          const FaultSimOptions& opt);
-  void finalize_curves(FaultSimResult& r) const;
 
   const SimKernel* k_;
   std::vector<Fault> faults_;

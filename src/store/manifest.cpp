@@ -32,6 +32,12 @@ std::size_t BatchManifest::load() {
     if (!replaced) entries_.emplace_back(rec.key, std::move(rep));
     rest = rest.subspan(rec.frame_size);
   }
+  // Cut the bad frame and everything after it: appends go to the end of
+  // the file, and the next load() stops at the same frame, so a resumed run
+  // would otherwise journal behind a frame that hides its own entries.
+  if (!rest.empty())
+    atomic_write_file(*ops_, path_,
+                      std::span(bytes).first(bytes.size() - rest.size()));
   return entries_.size();
 }
 

@@ -7,8 +7,11 @@
 // single fsync'd append each — appends are whole frames, so a crash can
 // only truncate the TAIL.  load() is therefore tolerant by design: it walks
 // records front to back and stops at the first bad frame (a torn tail is
-// expected after SIGKILL, not corruption worth quarantining); everything
-// before the tear replays.  Duplicate keys keep the last occurrence.
+// expected after SIGKILL, not corruption worth quarantining; a frame of an
+// older format version ends the replay the same way); everything before the
+// bad frame replays, and load() rewrites the file to that good prefix so
+// the appends that follow are replayed by the next load().  Duplicate keys
+// keep the last occurrence.
 //
 // Thread safety: append() serializes under a mutex (many worker threads
 // finish jobs concurrently); load()/find() are for the single-threaded
@@ -30,7 +33,8 @@ class BatchManifest {
   explicit BatchManifest(std::string path, FileOps* ops = nullptr);
 
   /// Replay the journal; returns the number of reports recovered (torn or
-  /// corrupt tails are silently dropped — see header notes).  Never throws.
+  /// corrupt tails are dropped from the file too — see header notes; a
+  /// failed rewrite is ignored).  Never throws.
   std::size_t load();
 
   /// Report recovered for `key`, or nullptr.  Valid until the next load().

@@ -51,46 +51,52 @@ bool verify_batched(const SimKernel& k, FaultSimulator& fsim,
 
 namespace {
 
-// Reverse-order compaction: simulate the top-off set backwards; a pattern
-// survives only if it detects a target fault not covered by a later
-// (already kept) pattern.  Runs 64 patterns per pass through the PPSFP
-// propagate.  Returns the surviving row indices in application order, so
-// the caller can select any per-row payload (patterns, seed schedules)
-// alongside the patterns themselves.
-std::vector<std::uint32_t> compact_reverse(
-    const SimKernel& k, FaultSimulator& fsim,
-    std::span<const BitVec> topoff, std::span<const std::uint32_t> target) {
-  const std::size_t width = k.inputs().size();
-  std::vector<BitVec> rev(topoff.rbegin(), topoff.rend());
-  std::vector<char> covered(target.size(), 0);
-  std::vector<char> keep(rev.size(), 0);
-  KernelSim good(k);
-  std::size_t remaining = target.size();
-  std::vector<std::uint64_t> det(target.size(), 0);
-  for (std::size_t base = 0; base < rev.size() && remaining; base += 64) {
-    const std::size_t cnt = std::min<std::size_t>(64, rev.size() - base);
-    const PatternBlock blk = pack_patterns({rev.data() + base, cnt}, width);
-    good.simulate(blk);
-    for (std::size_t t = 0; t < target.size(); ++t)
-      det[t] = covered[t] ? 0
-                          : fsim.detect_lanes(fsim.faults()[target[t]],
-                                              good.values(), blk.lane_mask());
-    for (std::size_t lane = 0; lane < cnt; ++lane) {
-      bool newly = false;
-      for (std::size_t t = 0; t < target.size(); ++t)
-        if (!covered[t] && ((det[t] >> lane) & 1)) {
-          covered[t] = 1;
-          --remaining;
-          newly = true;
-        }
-      if (newly) keep[base + lane] = 1;
+// The LFSR-phase fields of a point, from the phase's result at its length.
+void take_lfsr_phase(const FaultSimResult& lr, MixedSchemeResult& r) {
+  r.lfsr_patterns = lr.patterns;
+  r.lfsr_coverage = lr.final_coverage();
+  r.lfsr_coverage_weighted = lr.final_coverage_weighted();
+}
+
+// MISR sign-off of a point's exact applied stream: the first
+// `lfsr_patterns` LFSR patterns, then `topoff` in application order.  Seed
+// schedules are renumbered to `topoff`'s rows (`rows` aligned with it, empty
+// for an LFSR-only point), the output fold is audited over everything the
+// stream detects (`first_detected` in applied-stream indices — it must see
+// the top-off patterns, which alone detect the random-pattern-resistant
+// faults whose bus-aligned output cones defeat the natural fold), and the
+// golden signature is taken under the chosen fold.
+CompressedTopoff sign_off(const SimKernel& k, FaultSimulator& fsim,
+                          const MixedTpgOptions& opt,
+                          std::size_t lfsr_patterns,
+                          std::span<const BitVec> topoff,
+                          std::span<const RowCompression> rows,
+                          std::span<const std::int64_t> first_detected) {
+  CompressedTopoff c;
+  c.enabled = true;
+  c.degree = opt.lfsr_degree;
+  c.fallback.assign(topoff.size(), 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    c.fallback[i] = rows[i].fallback;
+    for (SeedEvent e : rows[i].seeds) {
+      e.row = static_cast<std::uint32_t>(i);
+      c.seeds.push_back(e);
     }
   }
-  std::vector<std::uint32_t> kept;
-  for (std::size_t i = rev.size(); i-- > 0;)  // back to application order
-    if (keep[i])
-      kept.push_back(static_cast<std::uint32_t>(rev.size() - 1 - i));
-  return kept;
+  c.cut_outputs = k.outputs().size();
+
+  const std::size_t width = k.inputs().size();
+  std::vector<BitVec> applied;
+  applied.reserve(lfsr_patterns + topoff.size());
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  for (std::size_t t = 0; t < lfsr_patterns; ++t)
+    applied.push_back(lfsr.next_pattern(width));
+  applied.insert(applied.end(), topoff.begin(), topoff.end());
+  const std::vector<PatternBlock> blocks = pack_all(applied, width);
+  c.misr = choose_misr_fold(fsim, k, blocks, applied.size(), first_detected,
+                            misr_spec_for(c.cut_outputs));
+  c.golden = misr_signature(k, blocks, c.misr, 0);
+  return c;
 }
 
 }  // namespace
@@ -101,6 +107,7 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
                    std::span<const PodemResult* const> verdicts,
                    const MixedTpgOptions& opt, MixedSchemeResult& r) {
   const auto t0 = WallClock::now();
+  take_lfsr_phase(lr, r);
   r.tail_faults = tail.size();
   const std::size_t width = k.inputs().size();
   const std::uint64_t taps = Lfsr::primitive_taps(opt.lfsr_degree);
@@ -156,28 +163,12 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     r.all_verified = verify_batched(k, fsim, r.topoff, target);
   r.podem_seconds += seconds_since(t0);
 
+  // Compaction and final accounting on one fault simulator over the tail.
+  // The back end always runs to completion (its work is bounded by the
+  // top-off set): a deadline on opt.fsim must not silently truncate either
+  // pass, or the point would claim a coverage it cannot prove.
   const auto t1 = WallClock::now();
-  if (!r.topoff.empty()) {
-    const std::vector<std::uint32_t> kept =
-        compact_reverse(k, fsim, r.topoff, target);
-    std::vector<BitVec> sel;
-    sel.reserve(kept.size());
-    std::vector<RowCompression> sel_rows;
-    sel_rows.reserve(opt.compress ? kept.size() : 0);
-    for (const std::uint32_t i : kept) {
-      sel.push_back(std::move(r.topoff[i]));
-      if (opt.compress) sel_rows.push_back(std::move(rows[i]));
-    }
-    r.topoff = std::move(sel);
-    rows = std::move(sel_rows);
-  }
-  r.topoff_patterns = r.topoff.size();
-
-  // Final accounting: fault-sim the emitted set against the whole tail, so
-  // incidental detections (random fill catching aborted faults) count.
-  std::size_t topoff_detected = 0;
-  std::uint64_t topoff_detected_weight = 0;
-  std::vector<std::int64_t> topoff_fd;  // per tail fault, over r.topoff
+  FaultSimResult tr;  // the kept set against the tail
   if (!r.topoff.empty()) {
     std::vector<Fault> tail_faults;
     std::vector<std::uint32_t> tail_w;
@@ -187,72 +178,55 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
     }
     FaultSimulator tailsim(k, std::move(tail_faults), lr.total_faults,
                            std::move(tail_w));
-    // The back end always runs to completion (its work is bounded by the
-    // top-off set): a deadline on opt.fsim must not silently truncate the
-    // accounting pass, or the point would claim a coverage it cannot prove.
-    FaultSimOptions acct = opt.fsim;
-    acct.deadline = nullptr;
-    FaultSimResult tr =
-        tailsim.run(pack_all(r.topoff, k.inputs().size()), acct);
-    topoff_detected = tr.detected;
-    topoff_detected_weight = tr.detected_weight;
-    topoff_fd = std::move(tr.first_detected);
+    FaultSimOptions fo = opt.fsim;
+    fo.deadline = nullptr;
+
+    // Reverse-order compaction: simulated backwards, the first pattern to
+    // detect a target is the last one in application order that covers it,
+    // so keeping exactly the targets' first detections keeps a pattern iff
+    // it detects a target no later kept pattern covers.
+    const std::size_t n = r.topoff.size();
+    const std::vector<BitVec> rev(r.topoff.rbegin(), r.topoff.rend());
+    const FaultSimResult cr = tailsim.run(pack_all(rev, width), fo);
+    std::vector<char> keep(n, 0);
+    for (std::size_t j = 0; j < tail.size(); ++j)
+      if (verdicts[j]->status == PodemStatus::Detected &&
+          cr.first_detected[j] >= 0)
+        keep[n - 1 - std::size_t(cr.first_detected[j])] = 1;
+    std::vector<BitVec> sel;
+    std::vector<RowCompression> sel_rows;
+    for (std::size_t i = 0; i < n; ++i)
+      if (keep[i]) {
+        sel.push_back(std::move(r.topoff[i]));
+        if (opt.compress) sel_rows.push_back(std::move(rows[i]));
+      }
+    r.topoff = std::move(sel);
+    rows = std::move(sel_rows);
+
+    // Final accounting: the emitted set against the whole tail, so
+    // incidental detections (random fill catching aborted faults) count.
+    tr = tailsim.run(pack_all(r.topoff, width), fo);
   }
+  r.topoff_patterns = r.topoff.size();
   r.final_coverage =
       lr.sim_faults
-          ? double(lr.detected + topoff_detected) / double(lr.sim_faults)
+          ? double(lr.detected + tr.detected) / double(lr.sim_faults)
           : 0.0;
   r.final_coverage_weighted =
       lr.total_weight
-          ? double(lr.detected_weight + topoff_detected_weight) /
+          ? double(lr.detected_weight + tr.detected_weight) /
                 double(lr.total_weight)
           : 0.0;
 
-  // Compression artifacts: seed schedules renumbered to the kept rows, MISR
-  // spec, and the golden signature over the exact applied stream (the LFSR
-  // phase the point claims, then the kept top-off set in application order).
   if (opt.compress) {
     const auto s1 = WallClock::now();
-    CompressedTopoff& c = r.comp;
-    c.enabled = true;
-    c.degree = opt.lfsr_degree;
-    c.fallback.assign(r.topoff.size(), 0);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      c.fallback[i] = rows[i].fallback;
-      for (SeedEvent e : rows[i].seeds) {
-        e.row = static_cast<std::uint32_t>(i);
-        c.seeds.push_back(e);
-      }
-    }
-    c.misr = misr_spec_for(k.outputs().size());
-    c.cut_outputs = k.outputs().size();
-
-    // The point's exact applied stream, as one packed block sequence: the
-    // fold audit and the golden signature both walk it.
-    std::vector<BitVec> applied;
-    applied.reserve(r.lfsr_patterns + r.topoff.size());
-    Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    for (std::size_t t = 0; t < r.lfsr_patterns; ++t)
-      applied.push_back(lfsr.next_pattern(width));
-    applied.insert(applied.end(), r.topoff.begin(), r.topoff.end());
-    const std::vector<PatternBlock> blocks = pack_all(applied, width);
-
-    // Audited fold selection, per point, over everything this point's
-    // stream detects — the LFSR phase's faults plus the top-off accounting
-    // pass's (which alone sees the random-pattern-resistant faults whose
-    // bus-aligned output cones defeat the natural fold).
-    if (c.misr.enabled() && !applied.empty()) {
-      std::vector<std::int64_t> fd(fsim.faults().size(), -1);
-      const std::vector<std::int64_t>& lfd = lr.first_detected;
-      for (std::size_t f = 0; f < fd.size(); ++f)
-        if (lfd[f] >= 0 && lfd[f] < std::int64_t(r.lfsr_patterns))
-          fd[f] = lfd[f];
-      for (std::size_t j = 0; j < topoff_fd.size(); ++j)
-        if (fd[tail[j]] < 0 && topoff_fd[j] >= 0)
-          fd[tail[j]] = std::int64_t(r.lfsr_patterns) + topoff_fd[j];
-      c.misr = choose_misr_fold(fsim, k, blocks, applied.size(), fd, c.misr);
-    }
-    c.golden = misr_signature(k, blocks, c.misr, 0);
+    // Tail faults are undetected in lr; the top-off detects them after the
+    // LFSR phase in the applied stream.
+    std::vector<std::int64_t> fd = lr.first_detected;
+    for (std::size_t j = 0; j < tr.first_detected.size(); ++j)
+      if (tr.first_detected[j] >= 0)
+        fd[tail[j]] = std::int64_t(r.lfsr_patterns) + tr.first_detected[j];
+    r.comp = sign_off(k, fsim, opt, r.lfsr_patterns, r.topoff, rows, fd);
     solve += seconds_since(s1);
     r.solve_seconds = solve;
   }
@@ -262,6 +236,7 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
 void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
                       const FaultSimResult& lr, const MixedTpgOptions& opt,
                       MixedSchemeResult& r, StageStatus why) {
+  take_lfsr_phase(lr, r);
   r.tail_faults = lr.sim_faults - lr.detected;
   r.final_coverage = r.lfsr_coverage;
   r.final_coverage_weighted = r.lfsr_coverage_weighted;
@@ -269,21 +244,7 @@ void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
     // The degraded point still signs off: MISR over the exact prefix that
     // ran, no seeds (there is no top-off to compress).
     const auto s0 = WallClock::now();
-    CompressedTopoff& c = r.comp;
-    c.enabled = true;
-    c.degree = opt.lfsr_degree;
-    c.misr = misr_spec_for(k.outputs().size());
-    c.cut_outputs = k.outputs().size();
-    Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    const std::vector<PatternBlock> blocks =
-        lfsr.blocks(k.inputs().size(), lr.patterns);
-    // Fold audit over the prefix's detected faults (the audit core skips
-    // first_detected entries at or beyond lr.patterns, so the prefix
-    // result's kept-later detections are excluded automatically).
-    if (c.misr.enabled() && lr.patterns > 0)
-      c.misr = choose_misr_fold(fsim, k, blocks, lr.patterns,
-                                lr.first_detected, c.misr);
-    c.golden = misr_signature(k, blocks, c.misr, 0);
+    r.comp = sign_off(k, fsim, opt, lr.patterns, {}, {}, lr.first_detected);
     r.solve_seconds = seconds_since(s0);
   }
   r.state = PointState::LfsrOnly;
@@ -310,9 +271,6 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
   Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
   const FaultSimResult lr = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
   r.lfsr_seconds = seconds_since(t0);
-  r.lfsr_patterns = lr.patterns;
-  r.lfsr_coverage = lr.final_coverage();
-  r.lfsr_coverage_weighted = lr.final_coverage_weighted();
   if (!lr.status.ok()) {
     // Truncated pseudo-random phase: everything computed so far is the
     // exact prefix run; stop here as a degraded LFSR-only point at the

@@ -2,13 +2,19 @@
 // The paper's mixed test scheme, end to end for one circuit:
 //
 //   LFSR phase        maximal-length LFSR patterns through the PPSFP fault
-//                     simulator -> coverage curve + undetected tail
+//                     simulator -> first detections + undetected tail
 //   top-off phase     PODEM test cube per tail fault (redundant and aborted
 //                     faults classified separately), X bits random-filled
-//   compaction        reverse-order fault simulation drops patterns whose
-//                     targets are covered by later patterns
-//   verification      every emitted pattern re-checked by the PPSFP
+//   verification      every filled pattern re-checked by the PPSFP
 //                     propagate against its target fault
+//   compaction        the top-off set fault-simulated in reverse over the
+//                     tail; a pattern is kept iff it is some target's first
+//                     detection, i.e. covers a target no later kept pattern
+//                     does.  The same tail simulator then accounts the kept
+//                     set's coverage
+//   sign-off          (compressed) seed schedules, audited MISR fold and
+//                     golden signature over the applied stream — the same
+//                     code for complete and LFSR-only points
 //
 // MixedSchemeResult carries the per-point totals the scheduler and area
 // model trade off: LFSR length vs. deterministic pattern count (ROM bits),
@@ -35,8 +41,8 @@ struct MixedTpgOptions {
   unsigned lfsr_degree = 32;
   std::uint64_t lfsr_seed = 0xBADC0FFEu;
   /// Fault-simulation engine knobs (threads, word width) for the LFSR phase
-  /// and the final tail accounting; detection results are engine-invariant,
-  /// so these only change speed.
+  /// and the tail simulator's compaction and accounting passes; detection
+  /// results are engine-invariant, so these only change speed.
   FaultSimOptions fsim;
   PodemOptions podem;
   /// Worker count for the PODEM top-off phase (resolve_threads semantics:

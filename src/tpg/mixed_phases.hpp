@@ -66,10 +66,16 @@ bool verify_batched(const SimKernel& k, FaultSimulator& fsim,
 /// `lr` is the LFSR phase's result at this length (an independent run, or
 /// the sweep's prefix_result of its shared pass — the two are identical),
 /// `tail` holds the point's sim-fault indices ascending and `verdicts[i]`
-/// the PODEM outcome for tail[i].  Requires the lfsr_patterns/lfsr_coverage
-/// fields of r to be filled in already; completes every remaining field of
-/// r and adds the fill+verify wall-clock to r.podem_seconds and the
-/// compaction+accounting wall-clock to r.compact_seconds.
+/// the PODEM outcome for tail[i].  Fills every field of r from these,
+/// lfsr_patterns and lfsr_coverage[_weighted] included.  Compaction and
+/// accounting run on one FaultSimulator over the tail (opt.fsim's engine,
+/// no deadline): compaction simulates the top-off set in reverse and keeps
+/// each target's first detecting pattern, and the accounting pass
+/// simulates the kept set.  Under opt.compress the point is signed off:
+/// seed schedules, audited MISR fold and golden signature over the LFSR
+/// prefix plus the kept set.  Adds the fill+verify wall-clock to
+/// r.podem_seconds and the compaction+accounting+sign-off wall-clock to
+/// r.compact_seconds.
 void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
                    const FaultSimResult& lr,
                    std::span<const std::uint32_t> tail,
@@ -78,15 +84,15 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
 
 /// Downgrade a result whose pseudo-random phase ran (possibly truncated) but
 /// whose top-off did not: `lr` is the LFSR phase's result for the prefix
-/// that ran, and the lfsr_* fields of r must be filled in from it; sets
-/// tail_faults, copies the LFSR coverage into the final coverage (an empty
-/// top-off adds nothing), and marks the point LfsrOnly with `why` as the
-/// reason.  The result is a valid degraded hardware point — the coverage it
-/// claims is exactly what the pseudo-random phase proved.  Under
-/// opt.compress the point still gets its MISR spec (fold audited against the
-/// prefix's detected faults, like a complete point) and the golden signature
-/// of the prefix stream that ran (no seeds — there is no top-off), so a
-/// degraded wrapper signs off exactly like a complete one.
+/// that ran.  Fills the lfsr_* fields and tail_faults from it, copies the
+/// LFSR coverage into the final coverage (an empty top-off adds nothing),
+/// and marks the point LfsrOnly with `why` as the reason.  The result is a
+/// valid degraded hardware point — the coverage it claims is exactly what
+/// the pseudo-random phase proved.  Under opt.compress the point is signed
+/// off by the same code as a complete point, over the prefix stream that
+/// ran (fold audited against the prefix's detected faults, no seeds — there
+/// is no top-off), so a degraded wrapper signs off exactly like a complete
+/// one.
 void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
                       const FaultSimResult& lr, const MixedTpgOptions& opt,
                       MixedSchemeResult& r, StageStatus why);

@@ -54,7 +54,6 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
   by_order.reserve(order.size());
   for (const std::size_t len : order) {
     MixedSchemeResult r;
-    r.lfsr_patterns = len;
 
     // Anytime check, once per sweep point.  A point whose exact LFSR prefix
     // exists (len within the patterns the shared pass actually simulated)
@@ -65,12 +64,10 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
       const StageStatus why =
           dl ? dl->stop_status("mixed_sweep") : full.status;
       if (len <= full.patterns) {
-        FaultSimResult lr = fsim.prefix_result(full, len);
-        lr.status = StageStatus{};  // the prefix itself is exact
-        r.lfsr_coverage = lr.final_coverage();
-        r.lfsr_coverage_weighted = lr.final_coverage_weighted();
-        mixed_phase::finish_lfsr_only(k, fsim, lr, opt, r, why);
+        mixed_phase::finish_lfsr_only(k, fsim, fsim.prefix_result(full, len),
+                                      opt, r, why);
       } else {
+        r.lfsr_patterns = len;
         r.state = PointState::Skipped;
         r.status = why;
       }
@@ -79,8 +76,6 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     }
 
     const FaultSimResult lr = fsim.prefix_result(full, len);
-    r.lfsr_coverage = lr.final_coverage();
-    r.lfsr_coverage_weighted = lr.final_coverage_weighted();
     const std::vector<std::uint32_t> tail = full.tail_at(len);
 
     // PODEM only the faults that just entered the tail; everything else is
@@ -145,15 +140,12 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     MixedSchemeResult& r = by_order.back();
     const StageStatus why = r.status;
     r = MixedSchemeResult{};
-    r.lfsr_patterns = lmin;
     FaultSimOptions fo = opt.fsim;
     fo.deadline = nullptr;
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
     const auto t0 = WallClock::now();
     const FaultSimResult lr = fsim.run(lfsr.blocks(width, lmin), fo);
     r.lfsr_seconds = seconds_since(t0);
-    r.lfsr_coverage = lr.final_coverage();
-    r.lfsr_coverage_weighted = lr.final_coverage_weighted();
     mixed_phase::finish_lfsr_only(k, fsim, lr, opt, r, why);
   }
 

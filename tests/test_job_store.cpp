@@ -20,6 +20,7 @@
 #include "netlist/bench_io.hpp"
 #include "pipeline/job.hpp"
 #include "store/manifest.hpp"
+#include "store/record.hpp"
 #include "store/result_store.hpp"
 #include "store/serialize.hpp"
 #include "test_util.hpp"
@@ -263,6 +264,38 @@ void test_manifest_resume(ResultStore& store) {
 }
 
 // ---------------------------------------------------------------------------
+// A resumed journal replays its own appends: load() stops at a bad frame (a
+// torn half-frame, or a frame of an older format version) and cuts it off
+// the file, so entries appended after the resume are not hidden behind it.
+void test_manifest_cuts_bad_frame() {
+  const std::string mp = "jobstore_cut_manifest.bin";
+  const JobReport rep = run_plan_job(make_spec("c17"));
+  const Digest128 k1{1, 1};
+  const Digest128 k2{2, 2};
+  const std::vector<std::uint8_t> good =
+      frame_record(k1, serialize_job_report(rep));
+  std::vector<std::uint8_t> torn = frame_record(k2, serialize_job_report(rep));
+  torn.resize(torn.size() / 2);
+  std::vector<std::uint8_t> old = frame_record(k2, serialize_job_report(rep));
+  old[4] = 3;  // header version, little-endian u32 at offset 4
+  CHECK(parse_record(old).check == RecordCheck::BadVersion);
+  for (const std::vector<std::uint8_t>& bad : {torn, old}) {
+    fs::remove(mp);
+    CHECK(FileOps::real().append_file(mp, good));
+    CHECK(FileOps::real().append_file(mp, bad));
+    BatchManifest resumed(mp);
+    CHECK_EQ(resumed.load(), 1u);
+    CHECK_EQ(fs::file_size(mp), good.size());  // bad frame cut off
+    CHECK(resumed.append(k2, rep));
+    BatchManifest next(mp);
+    CHECK_EQ(next.load(), 2u);
+    CHECK(next.find(k1) != nullptr);
+    CHECK(next.find(k2) != nullptr);
+  }
+  fs::remove(mp);
+}
+
+// ---------------------------------------------------------------------------
 // The synth accounting in the report is the synth stage's exact result, and
 // every field of it is in the report's walk: a codec round trip and a
 // manifest replay return it unchanged.
@@ -323,6 +356,7 @@ int main() {
     test_stripped_engine_config_invariance();
     test_manifest_resume(store);
   }
+  test_manifest_cuts_bad_frame();
   test_synth_accounting();
   fs::remove_all(dir);
   return bist_test::summary();

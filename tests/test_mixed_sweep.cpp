@@ -40,8 +40,6 @@ bool same_lfsr_result(const FaultSimResult& a, const FaultSimResult& b) {
   ok = ok && a.threads == b.threads;
   ok = ok && a.word_width == b.word_width;
   ok = ok && a.first_detected == b.first_detected;
-  ok = ok && a.coverage == b.coverage;
-  ok = ok && a.coverage_weighted == b.coverage_weighted;
   return ok;
 }
 
@@ -107,7 +105,6 @@ int main() {
             std::span<const PatternBlock>(blocks).first(len / 64), opt.fsim);
         const FaultSimResult pre = fsim.prefix_result(full, len);
         CHECK(same_lfsr_result(pre, sub));
-        CHECK_EQ(pre.detected, full.detected_at(len));
         const auto tail = full.tail_at(len);
         CHECK_EQ(tail.size(), full.sim_faults - pre.detected);
         for (const std::uint32_t idx : tail) {

@@ -1,19 +1,75 @@
 // Mixed-scheme pipeline: on every ISCAS85 surrogate the LFSR phase plus the
 // PODEM top-off must cover 100% of the detectable (non-redundant,
 // non-aborted) collapsed faults, every emitted pattern is fault-sim-verified
-// against its target, and compaction never grows the set or loses coverage.
+// against its target, and compaction keeps exactly what reverse-order
+// compaction keeps.
 
+#include <algorithm>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "circuits/iscas85_family.hpp"
 #include "fault/fault.hpp"
 #include "fault/fault_sim.hpp"
+#include "sim/bitpar_sim.hpp"
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
+#include "tpg/lfsr.hpp"
 #include "tpg/mixed.hpp"
 
 using namespace bist;
+
+namespace {
+
+// The compaction rule, checked per pattern against the full-cone oracle:
+// the kept set detects every PODEM-detected tail fault, and every kept
+// pattern detects one of them that no later kept pattern detects.
+void check_compaction(const SimKernel& k, FaultSimulator& fsim,
+                      const MixedTpgOptions& opt, const MixedSchemeResult& r) {
+  const std::size_t width = k.inputs().size();
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  const FaultSimResult lr =
+      fsim.run(lfsr.blocks(width, opt.lfsr_patterns), opt.fsim);
+  const auto listed = [](const std::vector<Fault>& v, const Fault& f) {
+    return std::find(v.begin(), v.end(), f) != v.end();
+  };
+  std::vector<Fault> targets;
+  for (const std::uint32_t idx : lr.tail_at(lr.patterns)) {
+    const Fault& f = fsim.faults()[idx];
+    if (!listed(r.redundant_faults, f) && !listed(r.aborted_faults, f))
+      targets.push_back(f);
+  }
+  CHECK_EQ(targets.size(), r.podem_detected);
+
+  // det[p][t]: kept pattern p detects target t.
+  std::vector<std::vector<char>> det(r.topoff.size(),
+                                     std::vector<char>(targets.size(), 0));
+  const std::vector<PatternBlock> blocks = pack_all(r.topoff, width);
+  KernelSim sim(k);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    sim.simulate(blocks[b]);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      const std::uint64_t lanes =
+          fsim.detect_lanes(targets[t], sim.values(), blocks[b].lane_mask());
+      for (std::size_t lane = 0; lane < blocks[b].count; ++lane)
+        det[b * 64 + lane][t] = (lanes >> lane) & 1;
+    }
+  }
+  std::vector<char> covered(targets.size(), 0);
+  bool each_needed = true;
+  for (std::size_t p = r.topoff.size(); p-- > 0;) {
+    bool fresh = false;
+    for (std::size_t t = 0; t < targets.size(); ++t)
+      if (det[p][t] && !covered[t]) covered[t] = fresh = true;
+    each_needed = each_needed && fresh;
+  }
+  CHECK(each_needed);
+  CHECK(std::all_of(covered.begin(), covered.end(),
+                    [](char c) { return c != 0; }));
+}
+
+}  // namespace
 
 int main() {
   // --- C17: tiny LFSR budget forces a top-off phase; everything testable --
@@ -70,6 +126,7 @@ int main() {
     }
     CHECK(r.topoff_patterns <= r.topoff_before_compaction);
     CHECK_EQ(r.topoff.size(), r.topoff_patterns);
+    check_compaction(k, fsim, opt, r);
 
     // Weighted accounting stays glued to the enumerated-fault convention.
     CHECK_EQ(total_weight, enumerate_faults(n).size());

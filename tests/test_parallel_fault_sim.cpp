@@ -68,8 +68,6 @@ bool same_detection(const FaultSimResult& a, const FaultSimResult& b) {
   ok = ok && a.total_weight == b.total_weight;
   ok = ok && a.patterns == b.patterns;
   ok = ok && a.first_detected == b.first_detected;
-  ok = ok && a.coverage == b.coverage;
-  ok = ok && a.coverage_weighted == b.coverage_weighted;
   return ok;
 }
 
@@ -111,13 +109,6 @@ int main() {
         CHECK_EQ(r.faulty_gate_evals, evals_by_width[wslot]);
       }
     }
-
-    // drop_detected=false must agree with the dropping run too.
-    FaultSimOptions keep;
-    keep.drop_detected = false;
-    keep.threads = 2;
-    const FaultSimResult rk = fsim.run(blocks, keep);
-    CHECK(same_detection(ref, rk));
   }
 
   // The FFR engine must also agree with legacy on an explicit sub-list with

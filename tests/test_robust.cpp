@@ -243,7 +243,7 @@ static void test_fault_sim_deadline_prefix() {
   }
 
   // A mid-flight stop (poll-count trigger) returns an exact prefix of the
-  // uninterrupted run: same detection indices, same curve, for the patterns
+  // uninterrupted run: same detection indices and counts, for the patterns
   // that actually ran.
   {
     FaultSimOptions o;
@@ -258,8 +258,8 @@ static void test_fault_sim_deadline_prefix() {
     CHECK_EQ(r.detected, want.detected);
     CHECK_EQ(r.detected_weight, want.detected_weight);
     CHECK(r.first_detected == want.first_detected);
-    CHECK(r.coverage == want.coverage);
-    CHECK(r.coverage_weighted == want.coverage_weighted);
+    CHECK_EQ(r.final_coverage(), want.final_coverage());
+    CHECK_EQ(r.final_coverage_weighted(), want.final_coverage_weighted());
   }
 
   // Cancellation reports Cancelled, not DeadlineExceeded.
