@@ -70,12 +70,6 @@ std::uint64_t misr_signature(const SimKernel& cut,
   return state;
 }
 
-std::uint64_t misr_signature(const SimKernel& cut,
-                             std::span<const BitVec> applied,
-                             const MisrSpec& m) {
-  return misr_signature(cut, pack_all(applied, cut.inputs().size()), m, 0);
-}
-
 std::vector<Gf2Matrix> misr_stage_operators(unsigned degree,
                                             std::uint64_t taps) {
   // One step moves e_c to e_{c+1} ^ taps_c * e_0 (c < degree-1), so
@@ -91,91 +85,94 @@ std::vector<Gf2Matrix> misr_stage_operators(unsigned degree,
   return R;
 }
 
-namespace {
+MisrAudit::MisrAudit(const FaultSimulator& fsim, const SimKernel& cut,
+                     unsigned K, std::uint64_t taps, std::size_t horizon)
+    : fsim_(&fsim),
+      outs_(cut.outputs().size()),
+      stage_(misr_stage_operators(K, taps)),
+      e0_at_(horizon),
+      q_(fsim.faults().size() * outs_, 0) {
+  const Gf2Matrix M = lfsr_transition(K, taps);
+  std::uint64_t v = 1;
+  for (std::size_t t = horizon; t-- > 0; v = M.apply(v)) e0_at_[t] = v;
+}
 
-/// Audit core shared by misr_aliasing_check and choose_misr_fold: ONE pass
-/// over the stream serves every candidate output-to-stage assignment.
-///
-/// A detected fault's signature difference after n cycles is
-///   sum_t M^(n-1-t) * sum_o d_o,t * e_m(o)  =  sum_o R_m(o) * q_o,
-///   q_o = sum_t d_o,t * M^(n-1-t) * e_0,
-/// because e_c = R_c * e_0 and R_c commutes with M.  The pass accumulates
-/// the map-independent q_o per (fault, output); escapes() then scores any
-/// map m exactly as the faults whose sum_o R_m(o) * q_o is zero.
-class FoldAudit {
- public:
-  FoldAudit(const FaultSimulator& fsim, const SimKernel& cut,
-            std::span<const PatternBlock> blocks, std::size_t patterns,
-            unsigned K, std::uint64_t taps,
-            std::span<const std::int64_t> first_detected)
-      : outs_(cut.outputs().size()),
-        stage_(misr_stage_operators(K, taps)) {
-    // Backward transition powers of stage 0: e0_at[t] = M^(patterns-1-t) *
-    // e_0, the stage-0 contribution of a difference bit at cycle t.
-    const Gf2Matrix M = lfsr_transition(K, taps);
-    std::vector<std::uint64_t> e0_at(patterns);
-    std::uint64_t v = 1;
-    for (std::size_t t = patterns; t-- > 0; v = M.apply(v)) e0_at[t] = v;
-
-    std::vector<std::uint32_t> row(first_detected.size(), 0);
-    for (std::size_t f = 0; f < first_detected.size(); ++f)
-      if (first_detected[f] >= 0 &&
-          first_detected[f] < std::int64_t(patterns))
-        row[f] = static_cast<std::uint32_t>(checked_++);
-    q_.assign(checked_ * outs_, 0);
-
-    // A 64-lane diff word's contribution is the XOR of e0_at over its set
-    // lanes: eight byte-indexed tables per block, rebuilt as the sweep
-    // (ascending block order) moves on — table[j*256 + x] = XOR of
-    // e0_at[b*64 + 8j + i] over the set bits i of x.
-    std::vector<std::uint64_t> table(8 * 256);
-    std::size_t table_block = SIZE_MAX;
-    fsim.output_diff_sweep(
-        blocks, patterns, first_detected,
-        [&](std::size_t b, std::uint32_t f,
-            std::span<const FaultSimulator::OutputDiff> diffs) {
-          if (b != table_block) {
-            table_block = b;
-            for (std::size_t j = 0; j < 8; ++j) {
-              std::uint64_t* tj = table.data() + j * 256;
-              for (unsigned x = 1; x < 256; ++x) {
-                const std::size_t t = b * 64 + j * 8 + std::countr_zero(x);
-                tj[x] = tj[x & (x - 1)] ^ (t < patterns ? e0_at[t] : 0);
-              }
+void MisrAudit::add(std::span<const PatternBlock> blocks, std::size_t patterns,
+                    std::size_t at,
+                    std::span<const std::int64_t> first_detected,
+                    Deltas* out) {
+  if (at + patterns > e0_at_.size())
+    throw std::invalid_argument("MisrAudit::add: piece beyond the horizon");
+  if (patterns == 0) return;
+  // First detections relative to the piece, as output_diff_sweep takes them.
+  std::vector<std::int64_t> fd(first_detected.size(), -1);
+  const std::int64_t begin = std::int64_t(at);
+  const std::int64_t end = begin + std::int64_t(patterns);
+  for (std::size_t f = 0; f < fd.size(); ++f)
+    if (const std::int64_t d = first_detected[f]; d >= 0 && d < end)
+      fd[f] = std::max<std::int64_t>(d - begin, 0);
+  // A 64-lane diff word's contribution is the XOR of e0_at over its set
+  // lanes: eight byte-indexed tables per block, rebuilt as the sweep
+  // (ascending block order) moves on — table[j*256 + x] = XOR of
+  // e0_at[at + b*64 + 8j + i] over the set bits i of x.
+  std::vector<std::uint64_t> table(8 * 256);
+  std::size_t table_block = SIZE_MAX;
+  fsim_->output_diff_sweep(
+      blocks, patterns, fd,
+      [&](std::size_t b, std::uint32_t f,
+          std::span<const FaultSimulator::OutputDiff> diffs) {
+        if (b != table_block) {
+          table_block = b;
+          for (std::size_t j = 0; j < 8; ++j) {
+            std::uint64_t* tj = table.data() + j * 256;
+            for (unsigned x = 1; x < 256; ++x) {
+              const std::size_t t = b * 64 + j * 8 + std::countr_zero(x);
+              tj[x] = tj[x & (x - 1)] ^ (t < patterns ? e0_at_[at + t] : 0);
             }
           }
-          std::uint64_t* qf = q_.data() + std::size_t{row[f]} * outs_;
-          for (const FaultSimulator::OutputDiff& d : diffs) {
-            std::uint64_t delta = 0;
-            for (std::size_t j = 0; j < 8; ++j)
-              delta ^= table[j * 256 + ((d.lanes >> (8 * j)) & 255)];
-            qf[d.output] ^= delta;
-          }
-        });
+        }
+        const std::size_t row = std::size_t{f} * outs_;
+        for (const FaultSimulator::OutputDiff& d : diffs) {
+          std::uint64_t delta = 0;
+          for (std::size_t j = 0; j < 8; ++j)
+            delta ^= table[j * 256 + ((d.lanes >> (8 * j)) & 255)];
+          if (out)
+            out->emplace_back(row + d.output, delta);
+          else
+            q_[row + d.output] ^= delta;
+        }
+      });
+}
+
+void MisrAudit::toggle(const Deltas& d) {
+  for (const auto& [slot, delta] : d) q_[slot] ^= delta;
+}
+
+std::size_t MisrAudit::escapes(std::span<const std::uint16_t> map,
+                               std::span<const std::uint32_t> faults) const {
+  std::size_t n = 0;
+  for (const std::uint32_t f : faults) {
+    const std::uint64_t* qf = q_.data() + std::size_t{f} * outs_;
+    std::uint64_t sig = 0;
+    for (std::size_t o = 0; o < outs_; ++o)
+      if (qf[o]) sig ^= stage_[map[o]].apply(qf[o]);
+    n += sig == 0;
   }
+  return n;
+}
 
-  /// Detected faults audited.
-  std::size_t checked() const { return checked_; }
+namespace {
 
-  /// Faults whose signature difference cancels under fold map `map`.
-  std::size_t escapes(std::span<const std::uint16_t> map) const {
-    std::size_t n = 0;
-    for (std::size_t f = 0; f < checked_; ++f) {
-      const std::uint64_t* qf = q_.data() + f * outs_;
-      std::uint64_t sig = 0;
-      for (std::size_t o = 0; o < outs_; ++o)
-        if (qf[o]) sig ^= stage_[map[o]].apply(qf[o]);
-      n += sig == 0;
-    }
-    return n;
-  }
-
- private:
-  std::size_t outs_;
-  std::vector<Gf2Matrix> stage_;  ///< R_c per stage
-  std::size_t checked_ = 0;
-  std::vector<std::uint64_t> q_;  ///< checked faults x outputs
-};
+/// Sim faults a stream of `patterns` patterns detects (0 <= first_detected
+/// < patterns), ascending.
+std::vector<std::uint32_t> detected_within(
+    std::span<const std::int64_t> first_detected, std::size_t patterns) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t f = 0; f < first_detected.size(); ++f)
+    if (first_detected[f] >= 0 && first_detected[f] < std::int64_t(patterns))
+      out.push_back(static_cast<std::uint32_t>(f));
+  return out;
+}
 
 }  // namespace
 
@@ -193,10 +190,12 @@ AliasingReport misr_aliasing_check(FaultSimulator& fsim, const SimKernel& cut,
   AliasingReport rep;
   rep.bound = std::ldexp(1.0, -int(m.degree));
   if (!m.enabled() || patterns == 0) return rep;
-  const FoldAudit audit(fsim, cut, blocks, patterns, m.degree, m.taps,
-                        first_detected);
-  rep.detected_checked = audit.checked();
-  rep.escapes = audit.escapes(fold_map(m, cut.outputs().size()));
+  MisrAudit audit(fsim, cut, m.degree, m.taps, patterns);
+  audit.add(blocks, patterns, 0, first_detected);
+  const std::vector<std::uint32_t> checked =
+      detected_within(first_detected, patterns);
+  rep.detected_checked = checked.size();
+  rep.escapes = audit.escapes(fold_map(m, cut.outputs().size()), checked);
   return rep;
 }
 
@@ -229,6 +228,23 @@ std::vector<std::vector<std::uint16_t>> misr_fold_candidates(
   return maps;
 }
 
+MisrSpec pick_misr_fold(
+    MisrSpec base, std::size_t outputs,
+    const std::function<std::size_t(std::span<const std::uint16_t>)>& escapes) {
+  std::vector<std::vector<std::uint16_t>> maps =
+      misr_fold_candidates(base.degree, outputs);
+  std::size_t best = 0;
+  std::size_t best_esc = escapes(maps[0]);
+  for (std::size_t mi = 1; mi < maps.size() && best_esc != 0; ++mi)
+    if (const std::size_t e = escapes(maps[mi]); e < best_esc) {
+      best = mi;
+      best_esc = e;
+    }
+  if (best == 0) return base;  // natural fold clean (or nothing better)
+  base.fold = std::move(maps[best]);
+  return base;
+}
+
 MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
                           std::span<const PatternBlock> blocks,
                           std::size_t patterns,
@@ -236,23 +252,13 @@ MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
                           MisrSpec base) {
   const std::size_t outs = cut.outputs().size();
   if (!base.enabled() || patterns == 0 || outs == 0) return base;
-  const FoldAudit audit(fsim, cut, blocks, patterns, base.degree, base.taps,
-                        first_detected);
-  // Natural fold first; the rest of the family is scored only while no
-  // clean map has been found (first clean map wins, else fewest escapes,
-  // earliest on a tie).
-  std::vector<std::vector<std::uint16_t>> maps =
-      misr_fold_candidates(base.degree, outs);
-  std::size_t best = 0;
-  std::size_t best_esc = audit.escapes(maps[0]);
-  for (std::size_t mi = 1; mi < maps.size() && best_esc != 0; ++mi)
-    if (const std::size_t e = audit.escapes(maps[mi]); e < best_esc) {
-      best = mi;
-      best_esc = e;
-    }
-  if (best == 0) return base;  // natural fold clean (or nothing better)
-  base.fold = std::move(maps[best]);
-  return base;
+  MisrAudit audit(fsim, cut, base.degree, base.taps, patterns);
+  audit.add(blocks, patterns, 0, first_detected);
+  const std::vector<std::uint32_t> checked =
+      detected_within(first_detected, patterns);
+  return pick_misr_fold(std::move(base), outs, [&](auto map) {
+    return audit.escapes(map, checked);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_sim.hpp"
@@ -114,11 +115,6 @@ std::uint64_t misr_signature(const SimKernel& cut,
                              std::span<const PatternBlock> blocks,
                              const MisrSpec& m, std::uint64_t state = 0);
 
-/// Convenience overload over unpacked patterns, starting from state 0.
-std::uint64_t misr_signature(const SimKernel& cut,
-                             std::span<const BitVec> applied,
-                             const MisrSpec& m);
-
 /// Empirical aliasing audit over an applied pattern set.
 struct AliasingReport {
   std::size_t detected_checked = 0;  ///< faults with first_detected >= 0
@@ -146,17 +142,69 @@ AliasingReport misr_aliasing_check(FaultSimulator& fsim, const SimKernel& cut,
 std::vector<std::vector<std::uint16_t>> misr_fold_candidates(
     unsigned K, std::size_t outputs);
 
-/// Audited fold selection over misr_fold_candidates(): return `base` with
-/// the first assignment whose empirical escape count on the given stream is
-/// zero (preferring the natural fold, so clean CUTs keep the canonical
-/// wiring).  When no candidate is clean the one with the fewest escapes
-/// wins, the earliest on a tie; verify_wrapper/bench report the residue
-/// honestly.  ONE fault-propagation pass serves every candidate: it
-/// accumulates each detected fault's per-output signature contribution, and
-/// a map is scored from those alone — the natural fold first, the rest only
-/// when it has escapes.  Callers audit the exact applied stream of the
-/// point being signed off — in particular including the top-off patterns,
-/// since the structural escapers are random-pattern-resistant faults the
+/// Running fold-audit accumulator: per (sim fault, output) the map-free
+/// stage-0 signature contribution
+///   q_o = sum_t d_o,t * M^(horizon-1-t) * e_0
+/// of the output-difference bits fed so far, every cycle t weighed against
+/// one fixed reference cycle horizon-1.  A fault's signature difference
+/// under fold map m after a stream of n <= horizon cycles is
+/// M^(n-horizon) * sum_o R_m(o) * q_o (e_c = R_c * e_0, R_c commutes with
+/// M), and M is invertible, so escapes() scores any map at any stream end
+/// without re-weighing.  The stream may be fed in pieces at any cycle
+/// offsets, which lets one accumulator serve a prefix that grows from
+/// point to point while each point's own suffix is toggled in and out.
+class MisrAudit {
+ public:
+  /// Output differences of one fed piece: (accumulator slot, delta) pairs.
+  using Deltas = std::vector<std::pair<std::size_t, std::uint64_t>>;
+
+  /// Degree-`K` MISR with feedback `taps` over streams of at most `horizon`
+  /// cycles; `fsim` must outlive the audit.
+  MisrAudit(const FaultSimulator& fsim, const SimKernel& cut, unsigned K,
+            std::uint64_t taps, std::size_t horizon);
+
+  /// Feed the first `patterns` patterns of `blocks`, which sit at stream
+  /// cycles [at, at + patterns).  `first_detected` is per sim fault in
+  /// whole-stream cycles (-1 = never): a fault detected before the piece
+  /// joins at its first block, one the piece first detects at that
+  /// pattern's block, a later or undetected one not at all.  Accumulated in
+  /// place, or only appended to `*out` when it is given (see toggle()).
+  void add(std::span<const PatternBlock> blocks, std::size_t patterns,
+           std::size_t at, std::span<const std::int64_t> first_detected,
+           Deltas* out = nullptr);
+
+  /// XOR a fed piece's deltas into the accumulator; toggling twice removes
+  /// them again.
+  void toggle(const Deltas& d);
+
+  /// Faults among `faults` (sim-fault indices) whose signature difference
+  /// cancels under fold map `map`.
+  std::size_t escapes(std::span<const std::uint16_t> map,
+                      std::span<const std::uint32_t> faults) const;
+
+ private:
+  const FaultSimulator* fsim_;
+  std::size_t outs_;
+  std::vector<Gf2Matrix> stage_;     ///< R_c per stage
+  std::vector<std::uint64_t> e0_at_; ///< M^(horizon-1-t) * e_0 per cycle t
+  std::vector<std::uint64_t> q_;     ///< sim faults x outputs
+};
+
+/// The fold selection rule over misr_fold_candidates(): return `base` with
+/// the first assignment whose escape count (`escapes(map)`) is zero,
+/// scoring the natural fold first so clean CUTs keep the canonical wiring
+/// and the rest only while no clean map has been found.  When no candidate
+/// is clean the one with the fewest escapes wins, the earliest on a tie;
+/// verify_wrapper/bench report the residue honestly.
+MisrSpec pick_misr_fold(
+    MisrSpec base, std::size_t outputs,
+    const std::function<std::size_t(std::span<const std::uint16_t>)>& escapes);
+
+/// Audited fold selection over one applied stream: pick_misr_fold() scored
+/// by a MisrAudit fed the whole stream — ONE fault-propagation pass serves
+/// every candidate.  Callers audit the exact applied stream of the point
+/// being signed off — in particular including the top-off patterns, since
+/// the structural escapers are random-pattern-resistant faults the
 /// pseudo-random phase never detects (and so never audits).
 MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
                           std::span<const PatternBlock> blocks,

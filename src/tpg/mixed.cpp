@@ -58,54 +58,13 @@ void take_lfsr_phase(const FaultSimResult& lr, MixedSchemeResult& r) {
   r.lfsr_coverage_weighted = lr.final_coverage_weighted();
 }
 
-// MISR sign-off of a point's exact applied stream: the first
-// `lfsr_patterns` LFSR patterns, then `topoff` in application order.  Seed
-// schedules are renumbered to `topoff`'s rows (`rows` aligned with it, empty
-// for an LFSR-only point), the output fold is audited over everything the
-// stream detects (`first_detected` in applied-stream indices — it must see
-// the top-off patterns, which alone detect the random-pattern-resistant
-// faults whose bus-aligned output cones defeat the natural fold), and the
-// golden signature is taken under the chosen fold.
-CompressedTopoff sign_off(const SimKernel& k, FaultSimulator& fsim,
-                          const MixedTpgOptions& opt,
-                          std::size_t lfsr_patterns,
-                          std::span<const BitVec> topoff,
-                          std::span<const RowCompression> rows,
-                          std::span<const std::int64_t> first_detected) {
-  CompressedTopoff c;
-  c.enabled = true;
-  c.degree = opt.lfsr_degree;
-  c.fallback.assign(topoff.size(), 0);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    c.fallback[i] = rows[i].fallback;
-    for (SeedEvent e : rows[i].seeds) {
-      e.row = static_cast<std::uint32_t>(i);
-      c.seeds.push_back(e);
-    }
-  }
-  c.cut_outputs = k.outputs().size();
-
-  const std::size_t width = k.inputs().size();
-  std::vector<BitVec> applied;
-  applied.reserve(lfsr_patterns + topoff.size());
-  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-  for (std::size_t t = 0; t < lfsr_patterns; ++t)
-    applied.push_back(lfsr.next_pattern(width));
-  applied.insert(applied.end(), topoff.begin(), topoff.end());
-  const std::vector<PatternBlock> blocks = pack_all(applied, width);
-  c.misr = choose_misr_fold(fsim, k, blocks, applied.size(), first_detected,
-                            misr_spec_for(c.cut_outputs));
-  c.golden = misr_signature(k, blocks, c.misr, 0);
-  return c;
-}
-
 }  // namespace
 
-void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
-                   const FaultSimResult& lr,
-                   std::span<const std::uint32_t> tail,
-                   std::span<const PodemResult* const> verdicts,
-                   const MixedTpgOptions& opt, MixedSchemeResult& r) {
+std::vector<TopoffHit> topoff_phases(
+    const SimKernel& k, FaultSimulator& fsim, const FaultSimResult& lr,
+    std::span<const std::uint32_t> tail,
+    std::span<const PodemResult* const> verdicts, const MixedTpgOptions& opt,
+    MixedSchemeResult& r) {
   const auto t0 = WallClock::now();
   take_lfsr_phase(lr, r);
   r.tail_faults = tail.size();
@@ -217,38 +176,107 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
           ? double(lr.detected_weight + tr.detected_weight) /
                 double(lr.total_weight)
           : 0.0;
-
-  if (opt.compress) {
-    const auto s1 = WallClock::now();
-    // Tail faults are undetected in lr; the top-off detects them after the
-    // LFSR phase in the applied stream.
-    std::vector<std::int64_t> fd = lr.first_detected;
-    for (std::size_t j = 0; j < tr.first_detected.size(); ++j)
-      if (tr.first_detected[j] >= 0)
-        fd[tail[j]] = std::int64_t(r.lfsr_patterns) + tr.first_detected[j];
-    r.comp = sign_off(k, fsim, opt, r.lfsr_patterns, r.topoff, rows, fd);
-    solve += seconds_since(s1);
-    r.solve_seconds = solve;
-  }
   r.compact_seconds += seconds_since(t1);
+  r.solve_seconds = solve;
+
+  // Seed schedules renumbered to the kept rows; the MISR half of comp is
+  // sign_off()'s.
+  if (opt.compress) {
+    r.comp.fallback.assign(rows.size(), 0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      r.comp.fallback[i] = rows[i].fallback;
+      for (SeedEvent e : rows[i].seeds) {
+        e.row = static_cast<std::uint32_t>(i);
+        r.comp.seeds.push_back(e);
+      }
+    }
+  }
+  std::vector<TopoffHit> hits;
+  for (std::size_t j = 0; j < tr.first_detected.size(); ++j)
+    if (tr.first_detected[j] >= 0)
+      hits.push_back(
+          {tail[j], static_cast<std::uint32_t>(tr.first_detected[j])});
+  return hits;
 }
 
-void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
-                      const FaultSimResult& lr, const MixedTpgOptions& opt,
-                      MixedSchemeResult& r, StageStatus why) {
+void finish_lfsr_only(const FaultSimResult& lr, MixedSchemeResult& r,
+                      StageStatus why) {
   take_lfsr_phase(lr, r);
   r.tail_faults = lr.sim_faults - lr.detected;
   r.final_coverage = r.lfsr_coverage;
   r.final_coverage_weighted = r.lfsr_coverage_weighted;
-  if (opt.compress) {
-    // The degraded point still signs off: MISR over the exact prefix that
-    // ran, no seeds (there is no top-off to compress).
-    const auto s0 = WallClock::now();
-    r.comp = sign_off(k, fsim, opt, lr.patterns, {}, {}, lr.first_detected);
-    r.solve_seconds = seconds_since(s0);
-  }
   r.state = PointState::LfsrOnly;
   r.status = std::move(why);
+}
+
+void sign_off(const SimKernel& k, const FaultSimulator& fsim,
+              const MixedTpgOptions& opt,
+              std::span<const std::int64_t> first_detected,
+              std::span<SignOffPoint> points) {
+  std::vector<SignOffPoint*> order;
+  std::size_t horizon = 0;
+  for (SignOffPoint& p : points) {
+    order.push_back(&p);
+    horizon = std::max(horizon, p.r->lfsr_patterns + p.r->topoff.size());
+  }
+  std::sort(order.begin(), order.end(),
+            [](const SignOffPoint* a, const SignOffPoint* b) {
+              return a->r->lfsr_patterns < b->r->lfsr_patterns;
+            });
+  const std::size_t width = k.inputs().size();
+  const std::size_t outs = k.outputs().size();
+  const MisrSpec base = misr_spec_for(outs);
+  MisrAudit audit(fsim, k, base.degree, base.taps, horizon);
+
+  // The LFSR stream so far, one segment per point: each segment starts at
+  // lane 0, so no block straddles a point's length and the golden
+  // signatures chain over the kept blocks.
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  std::vector<PatternBlock> stream;
+  std::vector<std::int64_t> applied_fd(first_detected.size());
+  MisrAudit::Deltas topoff_deltas;
+  std::size_t at = 0;  // stream patterns so far
+  for (SignOffPoint* p : order) {
+    const auto t0 = WallClock::now();
+    MixedSchemeResult& r = *p->r;
+    const std::size_t len = r.lfsr_patterns;
+
+    // Segment [at, len) into the running accumulator, once.
+    const std::size_t first = stream.size();
+    for (PatternBlock& b : lfsr.blocks(width, len - at))
+      stream.push_back(std::move(b));
+    audit.add(std::span(stream).subspan(first), len - at, at, first_detected);
+    at = len;
+
+    // The point's top-off, toggled in for scoring only, audited over
+    // everything the point's applied stream detects.
+    std::vector<std::uint32_t> checked;
+    for (std::size_t f = 0; f < applied_fd.size(); ++f) {
+      const std::int64_t d = first_detected[f];
+      applied_fd[f] = d >= 0 && d < std::int64_t(len) ? d : -1;
+      if (applied_fd[f] >= 0) checked.push_back(static_cast<std::uint32_t>(f));
+    }
+    for (const TopoffHit& h : p->hits) {
+      applied_fd[h.fault] = std::int64_t(len + h.pattern);
+      checked.push_back(h.fault);
+    }
+    const std::vector<PatternBlock> tblocks = pack_all(r.topoff, width);
+    topoff_deltas.clear();
+    audit.add(tblocks, r.topoff.size(), len, applied_fd, &topoff_deltas);
+    audit.toggle(topoff_deltas);
+    const MisrSpec m = pick_misr_fold(base, outs, [&](auto map) {
+      return audit.escapes(map, checked);
+    });
+    audit.toggle(topoff_deltas);
+
+    CompressedTopoff& c = r.comp;
+    c.enabled = true;
+    c.degree = opt.lfsr_degree;
+    c.cut_outputs = outs;
+    c.misr = m;
+    c.golden = misr_signature(k, tblocks, m, misr_signature(k, stream, m, 0));
+    r.solve_seconds += seconds_since(t0);
+  }
 }
 
 }  // namespace mixed_phase
@@ -258,27 +286,17 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, const MixedTpgOptions& opt) 
   return run_mixed_tpg(k, fsim, opt);
 }
 
-MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt) {
-  MixedSchemeResult r;
-  const std::size_t width = k.inputs().size();
+namespace {
+
+// Phases 2+ of run_mixed_tpg after a complete LFSR phase `lr`: PODEM per
+// tail fault, then the top-off back end.  Returns what the kept top-off set
+// detects (empty when the point degrades).
+std::vector<mixed_phase::TopoffHit> run_topoff(const SimKernel& k,
+                                               FaultSimulator& fsim,
+                                               const FaultSimResult& lr,
+                                               const MixedTpgOptions& opt,
+                                               MixedSchemeResult& r) {
   const Deadline* dl = opt.deadline;
-
-  // --- Phase 1: pseudo-random LFSR patterns -------------------------------
-  const auto t0 = WallClock::now();
-  FaultSimOptions fo = opt.fsim;
-  if (dl) fo.deadline = dl;  // scheme-level deadline reaches the hot loop
-  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-  const FaultSimResult lr = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
-  r.lfsr_seconds = seconds_since(t0);
-  if (!lr.status.ok()) {
-    // Truncated pseudo-random phase: everything computed so far is the
-    // exact prefix run; stop here as a degraded LFSR-only point at the
-    // length that actually ran.
-    mixed_phase::finish_lfsr_only(k, fsim, lr, opt, r, lr.status);
-    return r;
-  }
-
   // LFSR-resistant faults, ascending sim-fault indices.
   const std::vector<std::uint32_t> tail = lr.tail_at(lr.patterns);
 
@@ -301,10 +319,10 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
     // so the whole top-off phase is withdrawn rather than emitted partially
     // (a partial top-off could not reproduce an independent run anyway).
     mixed_phase::finish_lfsr_only(
-        k, fsim, lr, opt, r,
+        lr, r,
         dl ? dl->stop_status("podem")
            : StageStatus::cancelled("podem: verdicts cancelled"));
-    return r;
+    return {};
   }
 
   // --- Phases 3+: fill, verify, compact, account --------------------------
@@ -313,7 +331,36 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
   // the coverage it claims.
   std::vector<const PodemResult*> vp(verdicts.size());
   for (std::size_t i = 0; i < verdicts.size(); ++i) vp[i] = &verdicts[i];
-  mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
+  return mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
+}
+
+}  // namespace
+
+MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
+                                const MixedTpgOptions& opt) {
+  MixedSchemeResult r;
+  const std::size_t width = k.inputs().size();
+
+  // --- Phase 1: pseudo-random LFSR patterns -------------------------------
+  const auto t0 = WallClock::now();
+  FaultSimOptions fo = opt.fsim;
+  if (opt.deadline) fo.deadline = opt.deadline;  // reaches the hot loop
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  const FaultSimResult lr = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
+  r.lfsr_seconds = seconds_since(t0);
+
+  mixed_phase::SignOffPoint point{&r, {}};
+  if (lr.status.ok()) {
+    point.hits = run_topoff(k, fsim, lr, opt, r);
+  } else {
+    // Truncated pseudo-random phase: everything computed so far is the
+    // exact prefix run; stop here as a degraded LFSR-only point at the
+    // length that actually ran.
+    mixed_phase::finish_lfsr_only(lr, r, lr.status);
+  }
+  // --- Sign-off: the sweep's pass with this one point ---------------------
+  if (opt.compress)
+    mixed_phase::sign_off(k, fsim, opt, lr.first_detected, {&point, 1});
   return r;
 }
 

@@ -12,9 +12,10 @@
 //                     detection, i.e. covers a target no later kept pattern
 //                     does.  The same tail simulator then accounts the kept
 //                     set's coverage
-//   sign-off          (compressed) seed schedules, audited MISR fold and
-//                     golden signature over the applied stream — the same
-//                     code for complete and LFSR-only points
+//   sign-off          (compressed) audited MISR fold and golden signature
+//                     over the applied stream — one pass for every point of
+//                     a sweep, complete and LFSR-only alike, by MISR
+//                     linearity (run_mixed_tpg is that pass with one point)
 //
 // MixedSchemeResult carries the per-point totals the scheduler and area
 // model trade off: LFSR length vs. deterministic pattern count (ROM bits),
@@ -58,9 +59,10 @@ struct MixedTpgOptions {
   /// fully decoded ROM path — bit-identical to the pre-compression pipeline.
   /// The MISR is misr_spec_for(CUT output count); its output-to-stage fold
   /// is audited per point: once a point's applied stream is final
-  /// (pseudo-random prefix plus kept top-off set), choose_misr_fold() picks
-  /// an assignment with zero empirical aliasing escapes over everything that
-  /// stream detects (the natural o mod K fold when it is already clean).
+  /// (pseudo-random prefix plus kept top-off set), choose_misr_fold()'s
+  /// rule picks an assignment with zero empirical aliasing escapes over
+  /// everything that stream detects (the natural o mod K fold when it is
+  /// already clean).
   /// The audit must see the top-off patterns: the random-pattern-resistant
   /// faults they target are exactly the ones a pseudo-random-only audit can
   /// never check.
@@ -117,17 +119,17 @@ struct MixedSchemeResult {
   /// Wall-clock phase breakdown: pseudo-random phase (LFSR stream + fault
   /// simulation; sweep points share one pass, timed in MixedSweepStats),
   /// deterministic phase (PODEM generation + X-fill + pattern
-  /// verification), and back end (compaction + final tail accounting, plus
-  /// the MISR fold audit and golden signature when compressed).  Sweep
-  /// points report only the work actually done for that point (cache hits
-  /// cost no PODEM time).  In memory only: the store does not persist the
-  /// timing fields, so a store hit or a manifest replay reads 0.
+  /// verification), and back end (compaction + final tail accounting only).
+  /// Sweep points report only the work actually done for that point (cache
+  /// hits cost no PODEM time).  In memory only: the store does not persist
+  /// the timing fields, so a store hit or a manifest replay reads 0.
   double lfsr_seconds = 0.0;
   double podem_seconds = 0.0;
   double compact_seconds = 0.0;
-  /// Compression-layer wall-clock (GF(2) reseeding solves + MISR fold audit
-  /// + golden-signature simulation); a sub-measure of the phases above, not
-  /// additional time.
+  /// Compression-layer wall-clock: the GF(2) reseeding solves (the X-fill of
+  /// a compressed point, so also inside podem_seconds) plus the point's MISR
+  /// sign-off — fold audit and golden signature, in no other field; for a
+  /// sweep point, its step of the sweep's shared sign-off pass.
   double solve_seconds = 0.0;
   /// Anytime ladder position (Complete unless a deadline/cancel fired) and
   /// why a non-Complete state was reached.  For a Complete point `status`

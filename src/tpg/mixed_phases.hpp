@@ -1,10 +1,11 @@
 #pragma once
-// Internal building blocks of the mixed scheme's deterministic back end,
-// shared between run_mixed_tpg (one LFSR length) and run_mixed_sweep (many
-// candidate lengths over one LFSR pass).  Everything here is a pure function
-// of its inputs, which is what makes the sweep's reuse of cached PODEM
-// verdicts bit-identical to an independent per-length run: only the tail
-// membership and the fill-stream replay depend on the LFSR length.
+// Internal building blocks of the mixed scheme's deterministic back end and
+// its MISR sign-off, shared between run_mixed_tpg (one LFSR length) and
+// run_mixed_sweep (many candidate lengths over one LFSR pass).  Everything
+// here is a pure function of its inputs, which is what makes the sweep's
+// reuse of cached PODEM verdicts bit-identical to an independent per-length
+// run: only the tail membership and the fill-stream replay depend on the
+// LFSR length.
 //
 // Not part of the public surface; subject to change with the sweep engine.
 
@@ -60,6 +61,13 @@ bool verify_batched(const SimKernel& k, FaultSimulator& fsim,
                     std::span<const BitVec> patterns,
                     std::span<const std::uint32_t> target);
 
+/// A tail fault the kept top-off set detects, with the first top-off
+/// pattern (application order) that detects it.
+struct TopoffHit {
+  std::uint32_t fault = 0;    ///< sim-fault index
+  std::uint32_t pattern = 0;  ///< index into MixedSchemeResult::topoff
+};
+
 /// Everything after the PODEM verdicts for one LFSR length: X-fill the
 /// detected cubes (fresh fill stream from opt.fill_seed, tail order),
 /// verification, reverse-order compaction, and the final tail accounting.
@@ -67,20 +75,22 @@ bool verify_batched(const SimKernel& k, FaultSimulator& fsim,
 /// the sweep's prefix_result of its shared pass — the two are identical),
 /// `tail` holds the point's sim-fault indices ascending and `verdicts[i]`
 /// the PODEM outcome for tail[i].  Fills every field of r from these,
-/// lfsr_patterns and lfsr_coverage[_weighted] included.  Compaction and
-/// accounting run on one FaultSimulator over the tail (opt.fsim's engine,
-/// no deadline): compaction simulates the top-off set in reverse and keeps
-/// each target's first detecting pattern, and the accounting pass
-/// simulates the kept set.  Under opt.compress the point is signed off:
-/// seed schedules, audited MISR fold and golden signature over the LFSR
-/// prefix plus the kept set.  Adds the fill+verify wall-clock to
-/// r.podem_seconds and the compaction+accounting+sign-off wall-clock to
-/// r.compact_seconds.
-void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
-                   const FaultSimResult& lr,
-                   std::span<const std::uint32_t> tail,
-                   std::span<const PodemResult* const> verdicts,
-                   const MixedTpgOptions& opt, MixedSchemeResult& r);
+/// lfsr_patterns and lfsr_coverage[_weighted] included, except the MISR
+/// half of r.comp: under opt.compress the kept rows' seed schedules are
+/// set, and sign_off() adds the audited fold and golden signature.
+/// Compaction and accounting run on one FaultSimulator over the tail
+/// (opt.fsim's engine, no deadline): compaction simulates the top-off set in
+/// reverse and keeps each target's first detecting pattern, and the
+/// accounting pass simulates the kept set.  Adds the fill+verify wall-clock
+/// to r.podem_seconds, the compaction+accounting wall-clock to
+/// r.compact_seconds, and sets r.solve_seconds to the GF(2) reseeding
+/// solves' share of the fill.  Returns the tail faults the kept set detects,
+/// sign_off()'s input for the top-off.
+std::vector<TopoffHit> topoff_phases(
+    const SimKernel& k, FaultSimulator& fsim, const FaultSimResult& lr,
+    std::span<const std::uint32_t> tail,
+    std::span<const PodemResult* const> verdicts, const MixedTpgOptions& opt,
+    MixedSchemeResult& r);
 
 /// Downgrade a result whose pseudo-random phase ran (possibly truncated) but
 /// whose top-off did not: `lr` is the LFSR phase's result for the prefix
@@ -88,13 +98,39 @@ void topoff_phases(const SimKernel& k, FaultSimulator& fsim,
 /// LFSR coverage into the final coverage (an empty top-off adds nothing),
 /// and marks the point LfsrOnly with `why` as the reason.  The result is a
 /// valid degraded hardware point — the coverage it claims is exactly what
-/// the pseudo-random phase proved.  Under opt.compress the point is signed
-/// off by the same code as a complete point, over the prefix stream that
-/// ran (fold audited against the prefix's detected faults, no seeds — there
-/// is no top-off), so a degraded wrapper signs off exactly like a complete
-/// one.
-void finish_lfsr_only(const SimKernel& k, FaultSimulator& fsim,
-                      const FaultSimResult& lr, const MixedTpgOptions& opt,
-                      MixedSchemeResult& r, StageStatus why);
+/// the pseudo-random phase proved.  Under opt.compress the caller signs it
+/// off like a complete point (sign_off() with no top-off hits), so a
+/// degraded wrapper signs off exactly like a complete one.
+void finish_lfsr_only(const FaultSimResult& lr, MixedSchemeResult& r,
+                      StageStatus why);
+
+/// One point handed to sign_off(): its result, whose lfsr_patterns and
+/// topoff (empty for an LfsrOnly point) fix its applied stream, and what
+/// that top-off detects.
+struct SignOffPoint {
+  MixedSchemeResult* r = nullptr;
+  std::vector<TopoffHit> hits;
+};
+
+/// MISR sign-off of every point in one ascending pass over the shared LFSR
+/// stream (the compressed architecture's output side).  Each point's
+/// applied stream is the first r->lfsr_patterns LFSR patterns, then
+/// r->topoff; `first_detected` is the LFSR pass's first-detection index per
+/// sim fault (-1 = never), valid up to the longest point.  The pass
+/// produces the stream in one Lfsr::blocks() segment per point and feeds
+/// each segment once into a running MisrAudit; at each point it toggles the
+/// point's own top-off in, scores the fold candidates with
+/// pick_misr_fold() over exactly the faults the point's stream detects
+/// (prefix detections plus `hits`), toggles the top-off out again, and
+/// takes the golden signature under the chosen fold, chained over the kept
+/// segments and the top-off.  By MISR linearity every point's fold and
+/// golden equal choose_misr_fold() and misr_signature() over its whole
+/// applied stream.  Sets r->comp's enabled, degree, cut_outputs, misr and
+/// golden; adds each point's step of the pass to its r->solve_seconds.
+/// Points may come in any order, at distinct lengths.
+void sign_off(const SimKernel& k, const FaultSimulator& fsim,
+              const MixedTpgOptions& opt,
+              std::span<const std::int64_t> first_detected,
+              std::span<SignOffPoint> points);
 
 }  // namespace bist::mixed_phase

@@ -50,7 +50,10 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
   PodemBatch batch(k, opt.podem_threads);
   sr.stats.podem_threads = batch.workers();
 
+  // Front ends in descending order; each point's top-off detections wait
+  // for the ascending sign-off pass below.
   std::vector<MixedSchemeResult> by_order;
+  std::vector<std::vector<mixed_phase::TopoffHit>> hits(order.size());
   by_order.reserve(order.size());
   for (const std::size_t len : order) {
     MixedSchemeResult r;
@@ -64,8 +67,7 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
       const StageStatus why =
           dl ? dl->stop_status("mixed_sweep") : full.status;
       if (len <= full.patterns) {
-        mixed_phase::finish_lfsr_only(k, fsim, fsim.prefix_result(full, len),
-                                      opt, r, why);
+        mixed_phase::finish_lfsr_only(fsim.prefix_result(full, len), r, why);
       } else {
         r.lfsr_patterns = len;
         r.state = PointState::Skipped;
@@ -108,16 +110,18 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     r.podem_seconds = seconds_since(t1);
     if (cut) {
       mixed_phase::finish_lfsr_only(
-          k, fsim, lr, opt, r,
+          lr, r,
           dl ? dl->stop_status("mixed_sweep")
              : StageStatus::cancelled("mixed_sweep: podem cancelled"));
+      sr.stats.podem_seconds += r.podem_seconds;  // the cut search ran
       by_order.push_back(std::move(r));
       continue;
     }
 
     std::vector<const PodemResult*> vp(tail.size());
     for (std::size_t i = 0; i < tail.size(); ++i) vp[i] = &cache[tail[i]];
-    mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
+    hits[by_order.size()] =
+        mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
     sr.stats.podem_seconds += r.podem_seconds;
     sr.stats.compact_seconds += r.compact_seconds;
     sr.stats.solve_seconds += r.solve_seconds;
@@ -144,9 +148,22 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     fo.deadline = nullptr;
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
     const auto t0 = WallClock::now();
-    const FaultSimResult lr = fsim.run(lfsr.blocks(width, lmin), fo);
+    full = fsim.run(lfsr.blocks(width, lmin), fo);  // the floor's own pass
     r.lfsr_seconds = seconds_since(t0);
-    mixed_phase::finish_lfsr_only(k, fsim, lr, opt, r, why);
+    mixed_phase::finish_lfsr_only(full, r, why);
+  }
+
+  // --- One sign-off pass over every usable point ---------------------------
+  // Ascending over the LFSR stream (the floor's own pass when it ran), timed
+  // once for the whole sweep.
+  if (opt.compress) {
+    const auto t0 = WallClock::now();
+    std::vector<mixed_phase::SignOffPoint> points;
+    for (std::size_t i = 0; i < by_order.size(); ++i)
+      if (by_order[i].state != PointState::Skipped)
+        points.push_back({&by_order[i], std::move(hits[i])});
+    mixed_phase::sign_off(k, fsim, opt, full.first_detected, points);
+    sr.stats.solve_seconds += seconds_since(t0);
   }
 
   // Sweep-level verdict: the first non-Complete point's reason (points

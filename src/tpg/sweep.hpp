@@ -28,7 +28,11 @@
 //
 // Per-point X-fill, verification, compaction, and tail accounting still run
 // on the reused cubes (the fill stream replays per point, so the emitted
-// pattern sets match an independent run exactly).  Every per-point
+// pattern sets match an independent run exactly).  Under compression every
+// usable point is then signed off in ONE ascending pass over the LFSR
+// stream: a running MISR fold-audit accumulator takes each stream segment
+// once, and a point's own top-off is added to it only while its fold is
+// chosen (mixed_phase::sign_off).  Every per-point
 // MixedSchemeResult is bit-identical to run_mixed_tpg at that length —
 // tails, cube sets, verdicts, top-off patterns, compressed test data, and
 // both coverage conventions — at every thread count (timing fields
@@ -55,10 +59,10 @@ struct MixedSweepStats {
   double lfsr_seconds = 0.0;     ///< the one shared max-length fault-sim pass
   double podem_seconds = 0.0;    ///< all points: generation + fill + verify
   double compact_seconds = 0.0;  ///< all points: compaction + accounting
-  /// All points: the compression layer — GF(2) reseeding solves, then per
-  /// point the MISR fold audit and golden-signature simulation over its
-  /// applied stream (a sub-measure of the two above, not additional
-  /// wall-clock).
+  /// The compression layer: every point's GF(2) reseeding solves (inside
+  /// podem_seconds, whose X-fill they are) plus the one shared sign-off
+  /// pass — fold audits and golden signatures of every Complete and LfsrOnly
+  /// point, counted once and in no other field.
   double solve_seconds = 0.0;
 };
 

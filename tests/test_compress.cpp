@@ -3,11 +3,14 @@
 // reproduced by the seed expansion), its fallback-by-cost rule, the
 // MISR fold/step/signature helpers, the MISR stage operators, and the
 // empirical aliasing audit against a brute-force MISR simulation of every
-// detected fault on real circuits.
+// detected fault on real circuits, and the mixed scheme's one-pass sign-off
+// of every sweep point against an independent per-point composition.
 
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bist/compress.hpp"
@@ -18,6 +21,8 @@
 #include "sim/bitpar_sim.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/mixed.hpp"
+#include "tpg/sweep.hpp"
+#include "util/deadline.hpp"
 #include "util/gf2.hpp"
 #include "util/rng.hpp"
 
@@ -352,6 +357,46 @@ void test_audit_c432s_degree8_aliases() {
   const auto brute = check_audit_against_brute_force(
       "c432s K=8", k, fsim, blocks, n, fr.first_detected, m);
   CHECK_EQ(brute[0], std::size_t{3});
+
+  // The same stream fed to one MisrAudit in unaligned pieces, each
+  // regenerated by a further Lfsr::blocks call, the last one only toggled
+  // in: with it, every map scores what brute force counts over the whole
+  // stream; toggled out again, what the audit of the 1000-pattern prefix
+  // alone counts.  K=8 leaves real escapes, so a misplaced or dropped
+  // contribution shows in the counts.
+  const std::size_t cut_at = 1000;
+  const std::vector<std::size_t> ends{100, 333, cut_at, n};
+  MisrAudit audit(fsim, k, m.degree, m.taps, n);
+  Lfsr lfsr = Lfsr::maximal(24, 3);
+  MisrAudit::Deltas last;
+  std::size_t at = 0;
+  for (const std::size_t end : ends) {
+    const auto piece = lfsr.blocks(cut.input_count(), end - at);
+    audit.add(piece, end - at, at, fr.first_detected,
+              end == n ? &last : nullptr);
+    at = end;
+  }
+  std::vector<std::uint32_t> all, prefix;
+  for (std::size_t f = 0; f < fr.first_detected.size(); ++f) {
+    const std::int64_t d = fr.first_detected[f];
+    if (d >= 0) all.push_back(std::uint32_t(f));
+    if (d >= 0 && d < std::int64_t(cut_at)) prefix.push_back(std::uint32_t(f));
+  }
+  const auto prefix_blocks =
+      Lfsr::maximal(24, 3).blocks(cut.input_count(), cut_at);
+  const auto maps = misr_fold_candidates(m.degree, k.outputs().size());
+  audit.toggle(last);
+  for (std::size_t mi = 0; mi < maps.size(); ++mi)
+    CHECK_EQ(audit.escapes(maps[mi], all), brute[mi]);
+  audit.toggle(last);
+  for (const auto& map : maps) {
+    MisrSpec mm = m;
+    mm.fold = map;
+    CHECK_EQ(audit.escapes(map, prefix),
+             misr_aliasing_check(fsim, k, prefix_blocks, cut_at, mm,
+                                 fr.first_detected)
+                 .escapes);
+  }
 }
 
 void test_audit_c880s_sweep_point() {
@@ -401,6 +446,94 @@ void test_audit_clean_circuit() {
   CHECK(choose_misr_fold(fsim, k, blocks, n, fr.first_detected, m).fold.empty());
 }
 
+// --- One-pass sign-off vs independent per-point composition ---------------
+
+// Sign every usable point of `sw` off from scratch — rebuild its applied
+// stream one next_pattern at a time, fault-simulate it, choose_misr_fold and
+// misr_signature over the whole stream — and compare with the (misr,
+// golden) the sweep's shared pass produced.  Returns the number of points
+// checked.
+std::size_t check_sign_off(const char* what, const SimKernel& k,
+                           FaultSimulator& fsim, const MixedTpgOptions& opt,
+                           const MixedSweepResult& sw) {
+  const std::size_t width = k.inputs().size();
+  std::size_t checked = 0;
+  for (std::size_t p = 0; p < sw.points.size(); ++p) {
+    const MixedSchemeResult& r = sw.points[p];
+    if (r.state == PointState::Skipped) {
+      CHECK(!r.comp.enabled);
+      continue;
+    }
+    std::vector<BitVec> applied;
+    Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+    for (std::size_t t = 0; t < r.lfsr_patterns; ++t)
+      applied.push_back(lfsr.next_pattern(width));
+    applied.insert(applied.end(), r.topoff.begin(), r.topoff.end());
+    const auto blocks = pack_all(applied, width);
+    const FaultSimResult fr = fsim.run(blocks);
+    const MisrSpec m =
+        choose_misr_fold(fsim, k, blocks, applied.size(), fr.first_detected,
+                         misr_spec_for(k.outputs().size()));
+    const std::uint64_t golden = misr_signature(k, blocks, m, 0);
+    CHECK(r.comp.enabled);
+    if (r.comp.misr != m || r.comp.golden != golden)
+      std::printf("%s: point %zu (length %zu, %s, %zu top-off) signs off "
+                  "differently from the independent composition\n",
+                  what, p, sw.lengths[p],
+                  std::string(point_state_name(r.state)).c_str(),
+                  r.topoff.size());
+    CHECK(r.comp.misr == m);
+    CHECK_EQ(r.comp.golden, golden);
+    ++checked;
+  }
+  return checked;
+}
+
+void test_sweep_sign_off_matches_independent() {
+  // c880s, whose natural fold escapes.  Unsorted lengths with a duplicate,
+  // none a multiple of the block size, so the pass's segments split blocks
+  // everywhere; the 30-pattern point chooses a different fold from the
+  // rest, and the 4000-pattern point is Complete with an empty top-off.
+  const Netlist cut = make_iscas85("c880s");
+  const SimKernel k(cut);
+  FaultSimulator fsim(k);
+  const std::vector<std::size_t> lengths{1000, 100, 333, 1000, 30, 4000};
+  MixedTpgOptions opt;
+  opt.podem.backtrack_limit = 20;
+  const MixedSweepResult sw = run_mixed_sweep(k, fsim, lengths, opt);
+  CHECK(sw.status.ok());
+  CHECK_EQ(check_sign_off("c880s", k, fsim, opt, sw), lengths.size());
+  std::set<std::vector<std::uint16_t>> folds;
+  bool empty_topoff = false;
+  for (const MixedSchemeResult& r : sw.points) {
+    folds.insert(r.comp.misr.fold);
+    empty_topoff = empty_topoff || r.topoff.empty();
+  }
+  CHECK(folds.size() > 1);
+  CHECK(empty_topoff);
+
+  // Deadline-degraded sweeps: an immediate deadline leaves only the anytime
+  // floor's own pass, later ones LfsrOnly points over a truncated pass, and
+  // LfsrOnly beside Complete points.
+  bool mixed_states = false;
+  for (const std::uint64_t polls : {0ull, 40ull, 1000ull}) {
+    Deadline d = Deadline::after_checks(polls);
+    MixedTpgOptions o = opt;
+    o.deadline = &d;
+    const MixedSweepResult dl = run_mixed_sweep(k, fsim, lengths, o);
+    const std::size_t signed_off = check_sign_off("c880s deadlined", k, fsim,
+                                                  o, dl);
+    if (polls == 0) CHECK_EQ(signed_off, std::size_t{1});
+    bool complete = false, lfsr_only = false;
+    for (const MixedSchemeResult& r : dl.points) {
+      complete = complete || r.state == PointState::Complete;
+      lfsr_only = lfsr_only || r.state == PointState::LfsrOnly;
+    }
+    mixed_states = mixed_states || (complete && lfsr_only);
+  }
+  CHECK(mixed_states);
+}
+
 void test_expand_row_reseed_overwrite() {
   // A mid-stream reseed overwrites the register: bits after the event come
   // from the new seed's expansion, and the first `degree` of them spell the
@@ -433,5 +566,6 @@ int main() {
   test_audit_c432s_degree8_aliases();
   test_audit_c880s_sweep_point();
   test_audit_clean_circuit();
+  test_sweep_sign_off_matches_independent();
   return bist_test::summary();
 }

@@ -87,6 +87,29 @@ int main() {
     CHECK_EQ(blocks[2].count, 2u);
   }
 
+  // Successive blocks() calls of unaligned sizes continue one stream: each
+  // call starts at lane 0 of a fresh block, and the patterns, in order, are
+  // exactly what next_pattern produces (the mixed scheme's sign-off pass
+  // cuts the stream at every sweep length this way).
+  {
+    const std::size_t width = 37;
+    Lfsr seg = Lfsr::maximal(24, 0xBADC0FFE);
+    Lfsr ref = Lfsr::maximal(24, 0xBADC0FFE);
+    for (const std::size_t size : {100u, 1u, 233u, 0u, 64u, 666u, 63u}) {
+      const auto blocks = seg.blocks(width, size);
+      CHECK_EQ(blocks.size(), (size + 63) / 64);
+      std::size_t t = 0;
+      for (const PatternBlock& blk : blocks)
+        for (std::size_t lane = 0; lane < blk.count; ++lane, ++t) {
+          const BitVec p = ref.next_pattern(width);
+          for (std::size_t i = 0; i < width; ++i)
+            CHECK_EQ(bool((blk.input_words[i] >> lane) & 1), p.get(i));
+        }
+      CHECK_EQ(t, size);
+      CHECK_EQ(seg.state(), ref.state());
+    }
+  }
+
   // invalid configurations
   CHECK_THROWS(Lfsr(1, 1, 1));
   CHECK_THROWS(Lfsr(4, 0, 1));       // no taps
