@@ -29,8 +29,8 @@
 //                come from the naive run at that length.
 //   bist_plan    the scheduled knee of the length-vs-ROM trade-off (under an
 //                optional --budget test-time cap), the synthesized wrapper
-//                (written as wrapper_<circuit>.bench) and its cycle-by-cycle
-//                self-simulation, which must reproduce the scheduled point
+//                (written as wrapper_<circuit>.bench) and its inductive
+//                self-verification, which must reproduce the scheduled point
 //                exactly (wrapper_matches_plan).  --plot adds the
 //                coverage-vs-length and ROM-vs-length curves.
 //

@@ -355,17 +355,23 @@ RowCompression compress_cube(std::span<const Ternary> cube, unsigned degree,
   return rc;
 }
 
-BitVec expand_row(std::span<const SeedEvent> seeds, unsigned degree,
-                  std::uint64_t taps, std::size_t width) {
-  BitVec p(width);
-  std::uint64_t state = 0;
+std::uint64_t step_row(std::span<const SeedEvent> seeds, unsigned degree,
+                       std::uint64_t taps, std::size_t width,
+                       std::uint64_t state, BitVec* pattern) {
   std::size_t next = 0;
   for (std::size_t t = 0; t < width; ++t) {
     if (next < seeds.size() && seeds[next].offset == t)
       state = seeds[next++].seed & degree_mask(degree);
-    p.set(t, (state >> (degree - 1)) & 1);
+    if (pattern) pattern->set(t, (state >> (degree - 1)) & 1);
     state = raw_step(state, degree, taps);
   }
+  return state;
+}
+
+BitVec expand_row(std::span<const SeedEvent> seeds, unsigned degree,
+                  std::uint64_t taps, std::size_t width) {
+  BitVec p(width);
+  step_row(seeds, degree, taps, width, 0, &p);
   return p;
 }
 

@@ -266,9 +266,19 @@ RowCompression compress_cube(std::span<const Ternary> cube, unsigned degree,
                              std::uint64_t taps,
                              const std::function<bool()>& free_bit);
 
-/// Re-expand a row's seed schedule through the LFSR: `width` stream bits,
-/// reloading at each event's offset.  verify_wrapper uses this to prove the
-/// stored top-off set is exactly the seed expansion.
+/// One top-off row through the wrapper's LFSR: `width` shifts from register
+/// `state`, reloading at each event's offset, exactly as the synthesized
+/// load muxes do.  The row's stream bits go to `*pattern` (at least `width`
+/// bits) when given.  Returns the register after the row; verify_wrapper
+/// carries it through the ROM phase this way, proving each seeded row's
+/// stored pattern as it goes.
+std::uint64_t step_row(std::span<const SeedEvent> seeds, unsigned degree,
+                       std::uint64_t taps, std::size_t width,
+                       std::uint64_t state, BitVec* pattern = nullptr);
+
+/// A row's seed schedule expanded from an empty register: step_row()'s
+/// `width` stream bits.  A seeded row loads at offset 0, so this is the
+/// pattern it applies whatever the register held.
 BitVec expand_row(std::span<const SeedEvent> seeds, unsigned degree,
                   std::uint64_t taps, std::size_t width);
 

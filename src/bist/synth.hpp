@@ -7,8 +7,8 @@
 //
 // The substrate is combinational, so the wrapper is the standard one-frame
 // unrolling of the sequential BIST machine: every state bit appears as a
-// primary-input / primary-output pair (current state in, next state out) and
-// a harness (bist/verify.hpp) closes the feedback loop cycle by cycle.
+// primary-input / primary-output pair (current state in, next state out);
+// bist/verify.hpp proves the closed loop, 64 cycles per evaluation.
 //
 // Blocks, all wired through NetlistBuilder by net name:
 //

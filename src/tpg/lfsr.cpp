@@ -1,5 +1,7 @@
 #include "tpg/lfsr.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -45,6 +47,13 @@ constexpr std::uint64_t kPrimitiveTaps[33] = {
     /*32: [32,22,2,1]  */ 0x80200003,
 };
 
+/// The low `n` bits of v in reverse order.
+std::uint64_t reverse_low(std::uint64_t v, unsigned n) {
+  std::uint64_t r = 0;
+  for (unsigned i = 0; i < n; ++i) r |= ((v >> i) & 1) << (n - 1 - i);
+  return r;
+}
+
 }  // namespace
 
 Lfsr::Lfsr(unsigned degree, std::uint64_t taps, std::uint64_t seed)
@@ -72,10 +81,13 @@ Lfsr Lfsr::maximal(unsigned degree, std::uint64_t seed) {
   return Lfsr(degree, primitive_taps(degree), seed);
 }
 
+std::uint64_t Lfsr::shifted(std::uint64_t s) const {
+  return ((s << 1) | (std::popcount(s & taps_) & 1u)) & mask_;
+}
+
 bool Lfsr::step() {
   const bool out = (state_ >> (degree_ - 1)) & 1;
-  const std::uint64_t fb = std::popcount(state_ & taps_) & 1u;
-  state_ = ((state_ << 1) | fb) & mask_;
+  state_ = shifted(state_);
   return out;
 }
 
@@ -89,15 +101,67 @@ BitVec Lfsr::next_pattern(std::size_t width) {
   return bv;
 }
 
+void Lfsr::next_bits(std::uint64_t* out, std::size_t n) {
+  const unsigned D = degree_;
+  const unsigned bytes = (D + 7) / 8;
+  if (leap_.empty()) {
+    // Column j of the leap: the register whose j-th next output bit alone
+    // is set, stepped D times and read output-first again.
+    std::vector<std::uint64_t> col(bytes * 8, 0);
+    for (unsigned j = 0; j < D; ++j) {
+      std::uint64_t s = std::uint64_t{1} << (D - 1 - j);
+      for (unsigned t = 0; t < D; ++t) s = shifted(s);
+      col[j] = reverse_low(s, D);
+    }
+    leap_.assign(bytes * 256, 0);
+    for (unsigned k = 0; k < bytes; ++k)
+      for (unsigned x = 1; x < 256; ++x)
+        leap_[k * 256 + x] = leap_[k * 256 + (x & (x - 1))] ^
+                             col[k * 8 + std::countr_zero(x)];
+  }
+
+  std::uint64_t out_first = reverse_low(state_, D);
+  std::size_t pos = 0;
+  for (; pos + D <= n; pos += D) {
+    const unsigned sh = pos & 63;
+    out[pos >> 6] |= out_first << sh;
+    if (sh + D > 64) out[(pos >> 6) + 1] |= out_first >> (64 - sh);
+    std::uint64_t next = 0;
+    for (unsigned k = 0; k < bytes; ++k)
+      next ^= leap_[k * 256 + ((out_first >> (8 * k)) & 0xff)];
+    out_first = next;
+  }
+  state_ = reverse_low(out_first, D);
+  for (; pos < n; ++pos)
+    if (step()) out[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+}
+
 PatternBlock Lfsr::next_block(std::size_t width, std::size_t count) {
   if (count > 64) throw std::invalid_argument("Lfsr::next_block: count > 64");
   PatternBlock b;
   b.width = width;
   b.count = count;
   b.input_words.assign(width, 0);
-  for (std::size_t lane = 0; lane < count; ++lane)
-    for (std::size_t i = 0; i < width; ++i)
-      if (step()) b.input_words[i] |= std::uint64_t{1} << lane;
+  // Pattern p is stream bits [p*width, (p+1)*width); one spare word lets
+  // every 64-bit read below straddle a word boundary.
+  const std::size_t n = width * count;
+  std::vector<std::uint64_t> bits(n / 64 + 2, 0);
+  next_bits(bits.data(), n);
+  std::array<std::uint64_t, 64> rows;
+  for (std::size_t c = 0; c < width; c += 64) {
+    // Row p: pattern p's inputs c.. (bits past the last input transpose
+    // into lane words that are not kept).
+    for (std::size_t p = 0; p < 64; ++p) {
+      const std::size_t at = p * width + c;
+      const unsigned sh = at & 63;
+      rows[p] = p >= count ? 0
+                           : (bits[at >> 6] >> sh) |
+                                 (sh ? bits[(at >> 6) + 1] << (64 - sh) : 0);
+    }
+    transpose64(rows);
+    std::copy_n(rows.begin(), std::min<std::size_t>(64, width - c),
+                b.input_words.begin() + c);
+  }
   return b;
 }
 

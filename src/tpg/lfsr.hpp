@@ -9,6 +9,15 @@
 // `width` consecutive stream bits (test-per-clock, as in the BIST TPG).
 // Patterns are packed straight into 64-lane PatternBlocks for the
 // bit-parallel simulators.
+//
+// Two generators of one stream.  step()/fill()/next_pattern() shift one bit
+// at a time: the reference.  next_block()/blocks() produce it word-parallel:
+// in this Fibonacci form the register holds the next `degree` output bits
+// (bit degree-1 first), so they are emitted in one go and the register then
+// leaps `degree` steps at once through a precomputed M^degree, applied as
+// ceil(degree/8) byte-indexed table lookups; a 64x64 bit transpose turns 64
+// patterns' stream bits into the block's lane words.  Both leave state() in
+// the same place.
 
 #include <cstdint>
 
@@ -54,10 +63,20 @@ class Lfsr {
   std::vector<PatternBlock> blocks(std::size_t width, std::size_t total);
 
  private:
+  /// Register `s` after one step.
+  std::uint64_t shifted(std::uint64_t s) const;
+  /// Next `n` stream bits ORed into `out` LSB-first (stream bit k at bit
+  /// k % 64 of out[k / 64]).
+  void next_bits(std::uint64_t* out, std::size_t n);
+
   unsigned degree_;
   std::uint64_t taps_;
   std::uint64_t mask_;
   std::uint64_t state_;
+  /// The degree-step leap on the register read output-first (bit j = the
+  /// j-th next output bit): table k maps byte k of it to its share of the
+  /// leapt register.  Built on the first next_block().
+  std::vector<std::uint64_t> leap_;
 };
 
 }  // namespace bist

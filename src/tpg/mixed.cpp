@@ -210,7 +210,7 @@ void finish_lfsr_only(const FaultSimResult& lr, MixedSchemeResult& r,
 }
 
 void sign_off(const SimKernel& k, const FaultSimulator& fsim,
-              const MixedTpgOptions& opt,
+              const MixedTpgOptions& opt, const MisrSpec& base,
               std::span<const std::int64_t> first_detected,
               std::span<SignOffPoint> points) {
   std::vector<SignOffPoint*> order;
@@ -225,7 +225,6 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
             });
   const std::size_t width = k.inputs().size();
   const std::size_t outs = k.outputs().size();
-  const MisrSpec base = misr_spec_for(outs);
   MisrAudit audit(fsim, k, base.degree, base.taps, horizon);
 
   // The LFSR stream so far, one segment per point: each segment starts at
@@ -360,7 +359,8 @@ MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
   }
   // --- Sign-off: the sweep's pass with this one point ---------------------
   if (opt.compress)
-    mixed_phase::sign_off(k, fsim, opt, lr.first_detected, {&point, 1});
+    mixed_phase::sign_off(k, fsim, opt, misr_spec_for(k.outputs().size()),
+                          lr.first_detected, {&point, 1});
   return r;
 }
 

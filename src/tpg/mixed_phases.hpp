@@ -113,7 +113,8 @@ struct SignOffPoint {
 };
 
 /// MISR sign-off of every point in one ascending pass over the shared LFSR
-/// stream (the compressed architecture's output side).  Each point's
+/// stream (the compressed architecture's output side), folds chosen for a
+/// `base` MISR (the pipeline's is misr_spec_for(outputs)).  Each point's
 /// applied stream is the first r->lfsr_patterns LFSR patterns, then
 /// r->topoff; `first_detected` is the LFSR pass's first-detection index per
 /// sim fault (-1 = never), valid up to the longest point.  The pass
@@ -129,7 +130,7 @@ struct SignOffPoint {
 /// golden; adds each point's step of the pass to its r->solve_seconds.
 /// Points may come in any order, at distinct lengths.
 void sign_off(const SimKernel& k, const FaultSimulator& fsim,
-              const MixedTpgOptions& opt,
+              const MixedTpgOptions& opt, const MisrSpec& base,
               std::span<const std::int64_t> first_detected,
               std::span<SignOffPoint> points);
 

@@ -162,7 +162,8 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     for (std::size_t i = 0; i < by_order.size(); ++i)
       if (by_order[i].state != PointState::Skipped)
         points.push_back({&by_order[i], std::move(hits[i])});
-    mixed_phase::sign_off(k, fsim, opt, full.first_detected, points);
+    mixed_phase::sign_off(k, fsim, opt, misr_spec_for(k.outputs().size()),
+                          full.first_detected, points);
     sr.stats.solve_seconds += seconds_since(t0);
   }
 

@@ -96,4 +96,16 @@ void BitVec::trim_tail() {
     words_.back() &= (std::uint64_t{1} << (size_ & 63)) - 1;
 }
 
+void transpose64(std::span<std::uint64_t, 64> a) {
+  // Swap ever smaller off-diagonal blocks: at block size j, the high j bits
+  // of row k trade places with the low j bits of row k + j.
+  std::uint64_t m = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j)
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k | j] ^= t;
+      a[k] ^= t << j;
+    }
+}
+
 }  // namespace bist

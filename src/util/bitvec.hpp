@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,5 +72,10 @@ class BitVec {
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };
+
+/// Transpose a 64x64 bit matrix in place: bit j of a[i] and bit i of a[j]
+/// swap.  Turns 64 row words (one pattern or register state each) into 64
+/// lane words (one bit position across the 64 lanes) and back.
+void transpose64(std::span<std::uint64_t, 64> a);
 
 }  // namespace bist

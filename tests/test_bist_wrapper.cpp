@@ -2,15 +2,19 @@
 // circuit in the ISCAS85 surrogate family:
 //
 //   run_mixed_sweep -> schedule_bist -> synthesize_bist_wrapper ->
-//   write_bench -> read_bench -> cycle-by-cycle self-simulation
+//   write_bench -> read_bench -> verify_wrapper
 //
 // must reproduce the scheduled point exactly: the applied pseudo-random
 // phase is bit-identical to the Lfsr stream, the applied ROM phase equals
 // the stored top-off set (checked both in sequence and as a multiset), and
 // fault-simulating the CUT over the applied patterns lands on the scheduled
 // point's final coverage down to the double, under both accounting
-// conventions.  Also checks the synthesizer's exact area accounting against
-// netlist_area and the T=0 (no ROM) degenerate wrapper.
+// conventions.  verify_wrapper's inductive proof is compared field by field
+// with the same checks composed from the cycle-by-cycle simulate_wrapper
+// oracle, on both architectures, degraded and T=0 plans and test times off
+// the 64-cycle frame grid; wrappers wrong in one place must fail it.  Also
+// checks the synthesizer's exact area accounting against netlist_area and
+// the T=0 (no ROM) degenerate wrapper.
 
 #include <algorithm>
 #include <cmath>
@@ -28,6 +32,7 @@
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/sweep.hpp"
+#include "util/deadline.hpp"
 
 using namespace bist;
 
@@ -45,6 +50,78 @@ bool set_identical(std::vector<BitVec> a, std::vector<BitVec> b) {
   std::sort(kb.begin(), kb.end());
   return ka == kb;
 }
+
+// Every WrapperVerification field composed the plain way from the
+// cycle-by-cycle oracle's run `ws`: the applied stream split into its
+// phases and compared with the Lfsr stream and the stored set,
+// fault-simulated for coverage and aliasing, seeded rows re-expanded, and
+// the MISR read off the last cycle.
+WrapperVerification verify_by_oracle(const WrapperSimResult& ws,
+                                     const Netlist& cut, const BistPlan& plan,
+                                     const MixedSchemeResult& point) {
+  const std::size_t w = cut.input_count();
+  const std::size_t L = plan.lfsr_patterns;
+  WrapperVerification v;
+  v.cycles = ws.applied.size();
+  Lfsr lfsr(plan.lfsr_degree, plan.lfsr_taps, plan.lfsr_seed);
+  v.lfsr_phase_identical = L <= ws.applied.size();
+  for (std::size_t t = 0; t < L && v.lfsr_phase_identical; ++t)
+    v.lfsr_phase_identical = ws.applied[t] == lfsr.next_pattern(w);
+  v.topoff_identical = ws.applied.size() == L + plan.topoff.size();
+  for (std::size_t j = 0; j < plan.topoff.size() && v.topoff_identical; ++j)
+    v.topoff_identical = ws.applied[L + j] == plan.topoff[j];
+
+  const SimKernel ck(cut);
+  FaultSimulator fsim(ck);
+  const std::vector<PatternBlock> blocks = pack_all(ws.applied, w);
+  const FaultSimResult fr = fsim.run(blocks);
+  v.achieved_coverage = fr.final_coverage();
+  v.achieved_coverage_weighted = fr.final_coverage_weighted();
+  v.coverage_identical =
+      v.achieved_coverage == point.final_coverage &&
+      v.achieved_coverage_weighted == point.final_coverage_weighted;
+
+  const CompressedTopoff& comp = plan.comp;
+  if (comp.enabled) {
+    v.seeds_identical = comp.fallback.size() == plan.topoff.size();
+    for (std::size_t j = 0; j < plan.topoff.size() && v.seeds_identical; ++j) {
+      if (comp.fallback[j]) continue;
+      std::vector<SeedEvent> row;
+      for (const SeedEvent& e : comp.seeds)
+        if (e.row == j) row.push_back(e);
+      v.seeds_identical =
+          expand_row(row, plan.lfsr_degree, plan.lfsr_taps, w) ==
+          plan.topoff[j];
+    }
+    v.misr_signature = ws.final_misr;
+    v.signature_identical = comp.misr.enabled()
+                                ? ws.final_misr == comp.golden && ws.sign_ok
+                                : ws.final_misr == 0 && !ws.sign_ok;
+    if (comp.misr.enabled())
+      v.aliasing = misr_aliasing_check(fsim, ck, blocks, ws.applied.size(),
+                                       comp.misr, fr.first_detected);
+  }
+  return v;
+}
+
+bool same_verification(const WrapperVerification& a,
+                       const WrapperVerification& b) {
+  return a.lfsr_phase_identical == b.lfsr_phase_identical &&
+         a.topoff_identical == b.topoff_identical &&
+         a.coverage_identical == b.coverage_identical &&
+         a.seeds_identical == b.seeds_identical &&
+         a.signature_identical == b.signature_identical &&
+         a.cycles == b.cycles && a.achieved_coverage == b.achieved_coverage &&
+         a.achieved_coverage_weighted == b.achieved_coverage_weighted &&
+         a.misr_signature == b.misr_signature &&
+         a.aliasing.detected_checked == b.aliasing.detected_checked &&
+         a.aliasing.escapes == b.aliasing.escapes &&
+         a.aliasing.bound == b.aliasing.bound &&
+         a.status.code == b.status.code && a.status.message == b.status.message;
+}
+
+// Plans whose test time is off the 64-cycle frame grid, among those checked.
+std::size_t unaligned_plans = 0;
 
 void check_wrapper(const Netlist& cut, const BistPlan& plan,
                    const MixedSchemeResult& point) {
@@ -91,6 +168,9 @@ void check_wrapper(const Netlist& cut, const BistPlan& plan,
   CHECK_EQ(compute_stats(back).gates, compute_stats(syn.wrapper).gates);
 
   const WrapperVerification v = verify_wrapper(back, cut, plan, point);
+  const WrapperSimResult ws = simulate_wrapper(back, cut, plan);
+  CHECK(same_verification(v, verify_by_oracle(ws, cut, plan, point)));
+  if (plan.test_time % 64 != 0) ++unaligned_plans;
   CHECK(v.lfsr_phase_identical);
   CHECK(v.topoff_identical);
   CHECK(v.coverage_identical);
@@ -111,7 +191,6 @@ void check_wrapper(const Netlist& cut, const BistPlan& plan,
 
   // Independent extraction: the raw simulation result splits into the two
   // phases, set-identical ROM phase included.
-  const WrapperSimResult ws = simulate_wrapper(back, cut, plan);
   CHECK_EQ(ws.applied.size(), plan.test_time);
   std::vector<BitVec> rom_phase(ws.applied.begin() + plan.lfsr_patterns,
                                 ws.applied.end());
@@ -127,6 +206,83 @@ void check_wrapper(const Netlist& cut, const BistPlan& plan,
       ref.next_pattern(cut.input_count());
     CHECK_EQ(ws.final_lfsr_state, ref.state());
   }
+}
+
+std::string replace_once(std::string text, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = text.find(from);
+  CHECK(at != std::string::npos);
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+// A wrapper wrong in one place must fail verification: a gate edited in
+// the .bench text where the plan does not describe the gate, a one-bit
+// plan edit re-synthesized where it does, each verified against the
+// unedited plan.
+void check_mutants() {
+  const Netlist cut = make_iscas85("c432s");
+  const SimKernel k(cut);
+  const std::vector<std::size_t> lengths{128, 256};
+  MixedTpgOptions opt;
+  opt.podem.backtrack_limit = 20;
+  const MixedSweepResult csw = run_mixed_sweep(k, lengths, opt);
+  opt.compress = false;
+  const MixedSweepResult dsw = run_mixed_sweep(k, lengths, opt);
+  const BistPlan cplan = schedule_bist(csw, cut.input_count());
+  const BistPlan dplan = schedule_bist(dsw, cut.input_count());
+  const MixedSchemeResult& cpoint = csw.points[cplan.point_index];
+  const MixedSchemeResult& dpoint = dsw.points[dplan.point_index];
+  CHECK(cplan.comp.misr.enabled());
+  CHECK(!cplan.comp.seeds.empty());
+  CHECK(!dplan.topoff.empty());
+
+  const auto fails = [&](const Netlist& wrapper, const BistPlan& plan,
+                         const MixedSchemeResult& point) {
+    return !verify_wrapper(wrapper, cut, plan, point).ok();
+  };
+  const auto fails_text = [&](const std::string& bench, const BistPlan& plan,
+                              const MixedSchemeResult& point) {
+    return fails(read_bench(bench, "mutant"), plan, point);
+  };
+  const auto fails_plan = [&](const BistPlan& mutant, const BistPlan& plan,
+                              const MixedSchemeResult& point) {
+    return fails(synthesize_bist_wrapper(cut, mutant).wrapper, plan, point);
+  };
+
+  const std::string text =
+      write_bench(synthesize_bist_wrapper(cut, cplan).wrapper);
+  CHECK(!fails_text(text, cplan, cpoint));  // the unedited text passes
+  // One LFSR feedback XOR flipped to XNOR.
+  CHECK(fails_text(replace_once(text, "bist_lfsr_fb7 = XOR(",
+                                "bist_lfsr_fb7 = XNOR("),
+                   cplan, cpoint));
+  // One counter gate: a carry AND turned into an OR.
+  CHECK(fails_text(
+      replace_once(text, "bist_cnt_k1 = AND(", "bist_cnt_k1 = OR("), cplan,
+      cpoint));
+  // One ROM bit (decoded architecture).
+  BistPlan m = dplan;
+  m.topoff[0].flip(0);
+  CHECK(fails_plan(m, dplan, dpoint));
+  // One MISR feedback tap.
+  m = cplan;
+  m.comp.misr.taps ^= 1;
+  CHECK(fails_plan(m, cplan, cpoint));
+  // One stage's MISR input XORed with a counter bit that is 0 on the last
+  // cycle: every transition but the last goes wrong, so only checking each
+  // one (not the final compare) catches it.
+  std::size_t b = 0;
+  while (((cplan.test_time - 1) >> b) & 1) ++b;
+  CHECK(b < counter_width(cplan.test_time));
+  CHECK(fails_text(replace_once(text, "bist_misr_n0 = ", "bist_misr_m0 = ") +
+                       "bist_misr_n0 = XOR(bist_misr_m0, bist_cnt_s" +
+                       std::to_string(b) + ")\n",
+                   cplan, cpoint));
+  // One seed-load bit.
+  m = cplan;
+  m.comp.seeds[0].seed ^= std::uint64_t{1} << (cplan.lfsr_degree - 1);
+  CHECK(fails_plan(m, cplan, cpoint));
 }
 
 }  // namespace
@@ -198,6 +354,27 @@ int main() {
     if (compress) CHECK(plan.comp.seeds.empty());
     check_wrapper(cut, plan, sw.points[plan.point_index]);
   }
+
+  // Degraded plans in both modes: a deadline that beats the sweep's shared
+  // pass leaves the anytime floor's LfsrOnly point at the shortest length,
+  // whose 100-cycle test ends inside a frame.
+  for (const bool compress : {true, false}) {
+    const Netlist cut = make_iscas85("c432s");
+    const SimKernel k(cut);
+    Deadline d = Deadline::after_checks(0);
+    MixedTpgOptions opt;
+    opt.compress = compress;
+    opt.deadline = &d;
+    const std::vector<std::size_t> lengths{100, 300};
+    const MixedSweepResult sw = run_mixed_sweep(k, lengths, opt);
+    const BistPlan plan = schedule_bist(sw, cut.input_count());
+    CHECK(plan.degraded);
+    CHECK_EQ(plan.test_time, std::size_t{100});
+    check_wrapper(cut, plan, sw.points[plan.point_index]);
+  }
+  CHECK(unaligned_plans > 0);
+
+  check_mutants();
 
   return bist_test::summary();
 }

@@ -1,5 +1,7 @@
 #include "util/bitvec.hpp"
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 
 #include "test_util.hpp"
@@ -80,6 +82,26 @@ int main() {
   CHECK_EQ(t.word(1) >> 3, 0u);
   t.reset_all();
   CHECK(t.none());
+
+  // transpose64: bit j of row i lands at bit i of row j, and transposing
+  // twice gives the matrix back.
+  {
+    std::array<std::uint64_t, 64> a;
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (auto& row : a) {
+      x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+      row = x;
+    }
+    const std::array<std::uint64_t, 64> orig = a;
+    bist::transpose64(a);
+    bool ok = true;
+    for (unsigned i = 0; i < 64; ++i)
+      for (unsigned j = 0; j < 64; ++j)
+        ok = ok && ((a[j] >> i) & 1) == ((orig[i] >> j) & 1);
+    CHECK(ok);
+    bist::transpose64(a);
+    CHECK(a == orig);
+  }
 
   return bist_test::summary();
 }

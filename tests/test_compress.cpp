@@ -6,6 +6,7 @@
 // detected fault on real circuits, and the mixed scheme's one-pass sign-off
 // of every sweep point against an independent per-point composition.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <set>
@@ -21,6 +22,7 @@
 #include "sim/bitpar_sim.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/mixed.hpp"
+#include "tpg/mixed_phases.hpp"
 #include "tpg/sweep.hpp"
 #include "util/deadline.hpp"
 #include "util/gf2.hpp"
@@ -448,14 +450,27 @@ void test_audit_clean_circuit() {
 
 // --- One-pass sign-off vs independent per-point composition ---------------
 
+// A point's applied stream built one next_pattern at a time: its LFSR
+// phase, then its top-off.
+std::vector<BitVec> applied_stream(const MixedTpgOptions& opt,
+                                   const MixedSchemeResult& r,
+                                   std::size_t width) {
+  std::vector<BitVec> applied;
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  for (std::size_t t = 0; t < r.lfsr_patterns; ++t)
+    applied.push_back(lfsr.next_pattern(width));
+  applied.insert(applied.end(), r.topoff.begin(), r.topoff.end());
+  return applied;
+}
+
 // Sign every usable point of `sw` off from scratch — rebuild its applied
-// stream one next_pattern at a time, fault-simulate it, choose_misr_fold and
-// misr_signature over the whole stream — and compare with the (misr,
+// stream, fault-simulate it, choose_misr_fold and misr_signature over the
+// whole stream, folds chosen for `base` — and compare with the (misr,
 // golden) the sweep's shared pass produced.  Returns the number of points
 // checked.
 std::size_t check_sign_off(const char* what, const SimKernel& k,
                            FaultSimulator& fsim, const MixedTpgOptions& opt,
-                           const MixedSweepResult& sw) {
+                           const MixedSweepResult& sw, const MisrSpec& base) {
   const std::size_t width = k.inputs().size();
   std::size_t checked = 0;
   for (std::size_t p = 0; p < sw.points.size(); ++p) {
@@ -464,16 +479,11 @@ std::size_t check_sign_off(const char* what, const SimKernel& k,
       CHECK(!r.comp.enabled);
       continue;
     }
-    std::vector<BitVec> applied;
-    Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    for (std::size_t t = 0; t < r.lfsr_patterns; ++t)
-      applied.push_back(lfsr.next_pattern(width));
-    applied.insert(applied.end(), r.topoff.begin(), r.topoff.end());
+    const std::vector<BitVec> applied = applied_stream(opt, r, width);
     const auto blocks = pack_all(applied, width);
     const FaultSimResult fr = fsim.run(blocks);
-    const MisrSpec m =
-        choose_misr_fold(fsim, k, blocks, applied.size(), fr.first_detected,
-                         misr_spec_for(k.outputs().size()));
+    const MisrSpec m = choose_misr_fold(fsim, k, blocks, applied.size(),
+                                        fr.first_detected, base);
     const std::uint64_t golden = misr_signature(k, blocks, m, 0);
     CHECK(r.comp.enabled);
     if (r.comp.misr != m || r.comp.golden != golden)
@@ -489,6 +499,35 @@ std::size_t check_sign_off(const char* what, const SimKernel& k,
   return checked;
 }
 
+// Sign the sweep's points off again, under another base MISR, through the
+// pipeline's one-pass sign-off: each point's top-off hits are read off an
+// independent fault-sim run of its applied stream, the LFSR-phase
+// detections off one pass at the longest length, as the sweep has them.
+MixedSweepResult resign(const SimKernel& k, FaultSimulator& fsim,
+                        const MixedTpgOptions& opt, MixedSweepResult sw,
+                        const MisrSpec& base) {
+  const std::size_t width = k.inputs().size();
+  std::size_t lmax = 0;
+  for (const MixedSchemeResult& r : sw.points)
+    lmax = std::max(lmax, r.lfsr_patterns);
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  const FaultSimResult full = fsim.run(lfsr.blocks(width, lmax));
+  std::vector<mixed_phase::SignOffPoint> points;
+  for (MixedSchemeResult& r : sw.points) {
+    const FaultSimResult fr =
+        fsim.run(pack_all(applied_stream(opt, r, width), width));
+    mixed_phase::SignOffPoint p{&r, {}};
+    for (std::size_t f = 0; f < fr.first_detected.size(); ++f)
+      if (const std::int64_t d = fr.first_detected[f];
+          d >= std::int64_t(r.lfsr_patterns))
+        p.hits.push_back({static_cast<std::uint32_t>(f),
+                          static_cast<std::uint32_t>(d - r.lfsr_patterns)});
+    points.push_back(std::move(p));
+  }
+  mixed_phase::sign_off(k, fsim, opt, base, full.first_detected, points);
+  return sw;
+}
+
 void test_sweep_sign_off_matches_independent() {
   // c880s, whose natural fold escapes.  Unsorted lengths with a duplicate,
   // none a multiple of the block size, so the pass's segments split blocks
@@ -502,7 +541,8 @@ void test_sweep_sign_off_matches_independent() {
   opt.podem.backtrack_limit = 20;
   const MixedSweepResult sw = run_mixed_sweep(k, fsim, lengths, opt);
   CHECK(sw.status.ok());
-  CHECK_EQ(check_sign_off("c880s", k, fsim, opt, sw), lengths.size());
+  const MisrSpec base = misr_spec_for(k.outputs().size());
+  CHECK_EQ(check_sign_off("c880s", k, fsim, opt, sw, base), lengths.size());
   std::set<std::vector<std::uint16_t>> folds;
   bool empty_topoff = false;
   for (const MixedSchemeResult& r : sw.points) {
@@ -522,7 +562,7 @@ void test_sweep_sign_off_matches_independent() {
     o.deadline = &d;
     const MixedSweepResult dl = run_mixed_sweep(k, fsim, lengths, o);
     const std::size_t signed_off = check_sign_off("c880s deadlined", k, fsim,
-                                                  o, dl);
+                                                  o, dl, base);
     if (polls == 0) CHECK_EQ(signed_off, std::size_t{1});
     bool complete = false, lfsr_only = false;
     for (const MixedSchemeResult& r : dl.points) {
@@ -532,6 +572,24 @@ void test_sweep_sign_off_matches_independent() {
     mixed_states = mixed_states || (complete && lfsr_only);
   }
   CHECK(mixed_states);
+
+  // A K=8 base: 2^8 signatures make the folds depend on every segment's
+  // offset into the stream and on each point's own first detections, which
+  // the K >= 16 production MISR barely shows.
+  MisrSpec base8;
+  base8.degree = 8;
+  base8.taps = Lfsr::primitive_taps(8);
+  for (const char* name : {"c432s", "c880s"}) {
+    const Netlist c = make_iscas85(name);
+    const SimKernel ck(c);
+    FaultSimulator cf(ck);
+    const std::vector<std::size_t> unaligned{1000, 100, 333, 30};
+    const MixedSweepResult s8 =
+        resign(ck, cf, opt, run_mixed_sweep(ck, cf, unaligned, opt), base8);
+    const std::string what = std::string(name) + " K=8";
+    CHECK_EQ(check_sign_off(what.c_str(), ck, cf, opt, s8, base8),
+             unaligned.size());
+  }
 }
 
 void test_expand_row_reseed_overwrite() {

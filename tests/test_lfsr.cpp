@@ -1,5 +1,8 @@
+#include <cstdio>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
@@ -7,6 +10,22 @@
 using namespace bist;
 
 namespace {
+
+// Draw `count` patterns of `width` bits with next_block and the same stream
+// one step() at a time: true when every lane matches, the lanes past
+// `count` are empty, and both registers end in the same state.
+bool block_matches_steps(Lfsr& fast, Lfsr& ref, std::size_t width,
+                         std::size_t count) {
+  const PatternBlock b = fast.next_block(width, count);
+  bool ok = b.width == width && b.count == count &&
+            b.input_words.size() == width;
+  for (std::size_t lane = 0; ok && lane < count; ++lane)
+    for (std::size_t i = 0; i < width; ++i)
+      ok = ok && bool((b.input_words[i] >> lane) & 1) == ref.step();
+  for (std::size_t i = 0; ok && i < width; ++i)
+    ok = (b.input_words[i] & ~b.lane_mask()) == 0;
+  return ok && fast.state() == ref.state();
+}
 
 // Count steps until the state first repeats the seed (sequence period).
 std::size_t state_period(Lfsr l, std::size_t limit) {
@@ -107,6 +126,42 @@ int main() {
         }
       CHECK_EQ(t, size);
       CHECK_EQ(seg.state(), ref.state());
+    }
+  }
+
+  // The word-parallel generator against the step() oracle: every primitive
+  // degree plus a degree-64 register, widths on both sides of the degree
+  // and of the 64-bit word, every lane count, and successive calls of
+  // unaligned sizes, the register compared after every call.
+  {
+    std::vector<std::pair<unsigned, std::uint64_t>> regs;
+    for (unsigned d = 2; d <= 32; ++d)
+      regs.push_back({d, Lfsr::primitive_taps(d)});
+    regs.push_back({64, 0xD800000000000000ull});  // x^64+x^63+x^61+x^60+1
+    for (const auto& [degree, taps] : regs) {
+      const std::uint64_t seed = 0x9E3779B97F4A7C15ull;
+      Lfsr fast(degree, taps, seed), ref(degree, taps, seed);
+      bool ok = true;
+      for (std::size_t width = 1; width <= 130; ++width)
+        ok = ok && block_matches_steps(fast, ref, width,
+                                       (width * 7 + degree) % 64 + 1);
+      for (std::size_t count = 1; count <= 64; ++count)
+        ok = ok && block_matches_steps(fast, ref, degree > 3 ? degree - 3 : 1,
+                                       count);
+      for (const std::size_t width : {std::size_t{1}, std::size_t{degree},
+                                      std::size_t{degree + 1}, std::size_t{67}})
+        for (const std::size_t size : {5u, 64u, 0u, 129u, 1u, 70u}) {
+          const auto blocks = fast.blocks(width, size);
+          ok = ok && blocks.size() == (size + 63) / 64;
+          for (const PatternBlock& blk : blocks)
+            for (std::size_t lane = 0; ok && lane < blk.count; ++lane)
+              for (std::size_t i = 0; i < width; ++i)
+                ok = ok && bool((blk.input_words[i] >> lane) & 1) == ref.step();
+          ok = ok && fast.state() == ref.state();
+        }
+      if (!ok)
+        std::printf("degree %u: next_block departs from step()\n", degree);
+      CHECK(ok);
     }
   }
 
