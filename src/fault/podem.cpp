@@ -18,7 +18,7 @@ std::string_view podem_status_name(PodemStatus s) {
 }
 
 Podem::Podem(const SimKernel& k)
-    : k_(&k), sim_(k) {
+    : k_(&k), sim_(k), lanes_(PairSim::kLanes) {
   pi_ordinal_.assign(k.gate_count(), ~0u);
   for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
     pi_ordinal_[k.inputs()[i]] = i;
@@ -36,37 +36,24 @@ Podem::Podem(const SimKernel& k)
   }
 }
 
-void Podem::build_cone(KIndex site) {
-  for (KIndex u : cone_) in_cone_[u] = 0;
-  cone_.clear();
-  cone_.push_back(site);
-  in_cone_[site] = 1;
-  for (std::size_t i = 0; i < cone_.size(); ++i)
-    for (KIndex f : k_->fanouts(cone_[i]))
-      if (!in_cone_[f]) {
-        in_cone_[f] = 1;
-        cone_.push_back(f);
-      }
-  std::sort(cone_.begin(), cone_.end());  // ascending == level order
-}
-
-bool Podem::detected() const {
+bool Podem::detected(unsigned l) const {
   for (KIndex o : k_->outputs())
-    if (PairSim::is_diff(sim_.pair(o))) return true;
+    if (PairSim::is_diff(sim_.pair(l, o))) return true;
   return false;
 }
 
-bool Podem::x_path_ok() {
+bool Podem::x_path_ok(unsigned l) {
   // reach_[u]: u's value is still X in one machine and a path of such
   // unresolved gates leads from u to a primary output.  Ternary values are
   // monotone under further PI assignment (binary never reverts to X), so a
   // signal pair that is binary-equal is dead for good: if no difference and
   // no unresolved site signal can reach a PO through unresolved gates, no
   // completion of the current assignment detects the fault.
-  for (auto it = cone_.rbegin(); it != cone_.rend(); ++it) {
+  const std::vector<KIndex>& cone = lanes_[l].cone;
+  for (auto it = cone.rbegin(); it != cone.rend(); ++it) {
     const KIndex u = *it;
     bool r = false;
-    if (PairSim::has_x(sim_.pair(u))) {
+    if (PairSim::has_x(sim_.pair(l, u))) {
       if (k_->is_output(u)) {
         r = true;
       } else {
@@ -76,9 +63,10 @@ bool Podem::x_path_ok() {
     }
     reach_[u] = r;
   }
-  if (reach_[site_]) return true;  // fault effect can still materialize here
-  for (KIndex u : cone_) {
-    if (!PairSim::is_diff(sim_.pair(u))) continue;  // not a D signal
+  // The fault effect can still materialize at the site.
+  if (reach_[lanes_[l].site]) return true;
+  for (KIndex u : cone) {
+    if (!PairSim::is_diff(sim_.pair(l, u))) continue;  // not a D signal
     if (k_->is_output(u)) return true;  // detected, caller handles first
     for (KIndex fo : k_->fanouts(u))
       if (reach_[fo]) return true;
@@ -86,12 +74,13 @@ bool Podem::x_path_ok() {
   return false;
 }
 
-bool Podem::objective(KIndex* gate, Ternary* v) const {
+bool Podem::objective(unsigned l, KIndex* gate, Ternary* v) const {
+  const Lane& ln = lanes_[l];
   // Phase 1: activate the fault — drive the faulted line to the opposite of
   // its stuck value.
-  if (sim_.good(line_) == Ternary::VX) {
-    *gate = line_;
-    *v = stuck_t_ == Ternary::V0 ? Ternary::V1 : Ternary::V0;
+  if (sim_.good(l, ln.line) == Ternary::VX) {
+    *gate = ln.line;
+    *v = ln.stuck == Ternary::V0 ? Ternary::V1 : Ternary::V0;
     return true;
   }
   // Phase 2: advance the D-frontier — a gate whose output is unresolved in
@@ -100,18 +89,18 @@ bool Podem::objective(KIndex* gate, Ternary* v) const {
   // frontier gates take the one closest to a primary output: the shortest
   // propagation path needs the fewest side-input justifications.
   KIndex best = kNoGate;
-  for (const KIndex u : cone_) {
-    if (!PairSim::has_x(sim_.pair(u))) continue;
-    bool frontier = branch_fault_ && u == site_;
+  for (const KIndex u : ln.cone) {
+    if (!PairSim::has_x(sim_.pair(l, u))) continue;
+    bool frontier = ln.branch_fault && u == ln.site;
     if (!frontier) {
       for (KIndex w : k_->fanins(u))
-        if (PairSim::is_diff(sim_.pair(w))) { frontier = true; break; }
+        if (PairSim::is_diff(sim_.pair(l, w))) { frontier = true; break; }
     }
     if (!frontier) continue;
     if (best == kNoGate || po_dist_[u] < po_dist_[best]) best = u;
   }
   if (best == kNoGate) return false;
-  const KIndex pick = pick_x_fanin(best, /*easiest=*/false);
+  const KIndex pick = pick_x_fanin(l, best, /*easiest=*/false);
   if (pick == kNoGate) return false;
   const int c = controlling_value(k_->type(best));
   *gate = pick;
@@ -121,7 +110,7 @@ bool Podem::objective(KIndex* gate, Ternary* v) const {
   return true;
 }
 
-KIndex Podem::pick_x_fanin(KIndex g, bool easiest) const {
+KIndex Podem::pick_x_fanin(unsigned l, KIndex g, bool easiest) const {
   // Among the unresolved fanins of g prefer the good machine's X region
   // (faulty-only X happens just inside the fault cone), then use logic level
   // as a controllability proxy: a shallow X (easiest) when a single
@@ -130,8 +119,8 @@ KIndex Podem::pick_x_fanin(KIndex g, bool easiest) const {
   KIndex pick = kNoGate;
   bool pick_good = false;
   for (KIndex w : k_->fanins(g)) {
-    const bool gx = sim_.good(w) == Ternary::VX;
-    const bool fx = sim_.faulty(w) == Ternary::VX;
+    const bool gx = sim_.good(l, w) == Ternary::VX;
+    const bool fx = sim_.faulty(l, w) == Ternary::VX;
     if (!gx && !fx) continue;
     if (pick == kNoGate || (gx && !pick_good) ||
         (gx == pick_good &&
@@ -144,7 +133,7 @@ KIndex Podem::pick_x_fanin(KIndex g, bool easiest) const {
   return pick;
 }
 
-void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
+void Podem::backtrace(unsigned l, KIndex g, Ternary v, std::uint32_t* pi_idx,
                       Ternary* pv) const {
   // Walk the objective backwards through the X region to a primary input.
   // Every non-input gate on the walk has an unresolved fanin (its own value
@@ -160,11 +149,11 @@ void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
       // and the parity already contributed by the binary fanins (unresolved
       // side fanins are optimistically counted as 0).
       bool parity = inv;
-      next = pick_x_fanin(g, /*easiest=*/true);
+      next = pick_x_fanin(l, g, /*easiest=*/true);
       if (next == kNoGate)
         throw std::logic_error("Podem::backtrace: no X fanin on the walk");
       for (KIndex w : k_->fanins(g))
-        if (w != next && sim_.good(w) == Ternary::V1) parity = !parity;
+        if (w != next && sim_.good(l, w) == Ternary::V1) parity = !parity;
       if (parity) v = t_not(v);
     } else {
       if (inv) v = t_not(v);
@@ -172,7 +161,7 @@ void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
       // every input needs the non-controlling value, take the hardest.
       const bool one_input_decides =
           c >= 0 && v == (c == 0 ? Ternary::V0 : Ternary::V1);
-      next = pick_x_fanin(g, one_input_decides);
+      next = pick_x_fanin(l, g, one_input_decides);
       if (next == kNoGate)
         throw std::logic_error("Podem::backtrace: no X fanin on the walk");
     }
@@ -182,74 +171,131 @@ void Podem::backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx,
   *pv = v;
 }
 
-bool Podem::search() {
-  // Cooperative stop, polled once per search node (== once per decision
-  // plus the root): a node costs an event-driven implication pass plus the
-  // x_path_ok/objective cone scans, far above the poll, so cancellation
-  // latency is one node while an undeadlined search is untouched — the poll
-  // reads a clock and a flag, never search state.  Reuses the abort
-  // unwinding (no second branches), so the whole stack collapses
-  // immediately.
-  if (deadline_ && deadline_->should_stop()) {
-    cancelled_ = true;
-    aborted_ = true;
+// Load the next unclaimed fault into lane l; false (lane idle) when none is
+// left.
+bool Podem::claim(unsigned l, std::span<const Fault> faults,
+                  std::atomic<std::size_t>& next) {
+  Lane& ln = lanes_[l];
+  ln.slot = kIdle;
+  const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+  if (i >= faults.size()) {
+    sim_.load(l, kNoGate, -1, Ternary::VX);
     return false;
   }
-  if (detected()) return true;
-  if (sim_.good(line_) == stuck_t_) return false;  // activation impossible
-  if (!x_path_ok()) return false;  // every propagation path is dead
+  const Fault& f = faults[i];
+  ln.site = k_->index_of(f.gate);
+  ln.branch_fault = !f.is_output_fault();
+  ln.stuck = f.stuck ? Ternary::V1 : Ternary::V0;
+  // Drops the lane's previous fault and assignments; throws on a bad pin.
+  sim_.load(l, ln.site, f.pin, ln.stuck);
+  ln.line = ln.branch_fault ? k_->fanins(ln.site)[f.pin] : ln.site;
+  ln.frames.clear();
+  ln.backtracks = 0;
+  ln.decisions = 0;
+
+  ln.cone.clear();
+  ln.cone.push_back(ln.site);
+  in_cone_[ln.site] = 1;
+  for (std::size_t c = 0; c < ln.cone.size(); ++c)
+    for (KIndex fo : k_->fanouts(ln.cone[c]))
+      if (!in_cone_[fo]) {
+        in_cone_[fo] = 1;
+        ln.cone.push_back(fo);
+      }
+  for (KIndex u : ln.cone) in_cone_[u] = 0;
+  std::sort(ln.cone.begin(), ln.cone.end());  // ascending == level order
+  ln.slot = i;
+  return true;
+}
+
+bool Podem::step(unsigned l, PodemStatus* verdict) {
+  // One search node, on the values of the pass that implied the lane's last
+  // decision.
+  Lane& ln = lanes_[l];
+  if (detected(l)) {
+    *verdict = PodemStatus::Detected;
+    return true;
+  }
   KIndex og;
   Ternary ov;
-  if (!objective(&og, &ov)) return false;
-  std::uint32_t idx;
-  Ternary v;
-  backtrace(og, ov, &idx, &v);
+  if (sim_.good(l, ln.line) != ln.stuck &&  // activation still possible
+      x_path_ok(l) &&                        // some propagation path lives
+      objective(l, &og, &ov)) {
+    std::uint32_t idx;
+    Ternary v;
+    backtrace(l, og, ov, &idx, &v);
+    ++ln.decisions;
+    ln.frames.push_back({idx, v, false});
+    sim_.set_input(l, idx, v);
+    return false;
+  }
+  // The node failed: unassign decisions back to the newest one whose second
+  // branch is untried, count the backtrack, and take that branch.  Hitting
+  // the limit abandons every open decision at once.
+  while (!ln.frames.empty()) {
+    Frame& fr = ln.frames.back();
+    if (!fr.second) {
+      if (++ln.backtracks > limit_) {
+        *verdict = PodemStatus::Aborted;
+        return true;
+      }
+      fr.second = true;
+      sim_.set_input(l, fr.pi, t_not(fr.v));
+      return false;
+    }
+    sim_.set_input(l, fr.pi, Ternary::VX);
+    ln.frames.pop_back();
+  }
+  *verdict = PodemStatus::Redundant;
+  return true;
+}
 
-  // Unassigning the PI pops the trail back to the mark: the state before
-  // the decision is restored byte for byte without re-simulating X.
-  ++decisions_;
-  const std::size_t mark = sim_.mark();
-  sim_.assign(idx, v);
-  if (search()) return true;
-  sim_.undo(mark);
-  if (!aborted_ && ++backtracks_ > limit_) aborted_ = true;
-  if (aborted_) return false;
-  sim_.assign(idx, t_not(v));
-  if (search()) return true;
-  sim_.undo(mark);
-  return false;
+PodemResult Podem::result(unsigned l, PodemStatus s) const {
+  const Lane& ln = lanes_[l];
+  PodemResult r;
+  r.status = s;
+  r.backtracks = ln.backtracks;
+  r.decisions = ln.decisions;
+  if (s == PodemStatus::Detected) {
+    r.cube.resize(k_->inputs().size());
+    for (std::size_t i = 0; i < r.cube.size(); ++i)
+      r.cube[i] = sim_.good(l, k_->inputs()[i]);
+  }
+  return r;
+}
+
+void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
+                std::span<PodemResult> results, const PodemOptions& opt) {
+  limit_ = opt.backtrack_limit;
+  unsigned busy = 0;
+  for (unsigned l = 0; l < PairSim::kLanes; ++l) busy += claim(l, faults, next);
+  while (busy) {
+    // Cooperative stop, polled once per step: a step is a full pass plus a
+    // node in every busy lane, far above the poll, so cancellation latency
+    // is one node while an undeadlined search is untouched — the poll reads
+    // a clock and a flag, never search state.
+    if (opt.deadline && opt.deadline->should_stop()) {
+      for (unsigned l = 0; l < PairSim::kLanes; ++l)
+        if (lanes_[l].slot != kIdle) {
+          results[lanes_[l].slot] = result(l, PodemStatus::Cancelled);
+          lanes_[l].slot = kIdle;
+        }
+      return;
+    }
+    sim_.evaluate();
+    for (unsigned l = 0; l < PairSim::kLanes; ++l) {
+      PodemStatus verdict;
+      if (lanes_[l].slot == kIdle || !step(l, &verdict)) continue;
+      results[lanes_[l].slot] = result(l, verdict);
+      if (!claim(l, faults, next)) --busy;
+    }
+  }
 }
 
 PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
-  site_ = k_->index_of(f.gate);
-  branch_fault_ = !f.is_output_fault();
-  stuck_t_ = f.stuck ? Ternary::V1 : Ternary::V0;
-  // Drops the previous fault, assignments and trail; throws on a bad pin.
-  sim_.reset(site_, f.pin, stuck_t_);
-  line_ = branch_fault_ ? k_->fanins(site_)[f.pin] : site_;
-  build_cone(site_);
-
-  backtracks_ = 0;
-  decisions_ = 0;
-  limit_ = opt.backtrack_limit;
-  aborted_ = false;
-  cancelled_ = false;
-  deadline_ = opt.deadline;
-  const bool found = search();
-
   PodemResult r;
-  r.backtracks = backtracks_;
-  r.decisions = decisions_;
-  if (found) {
-    r.status = PodemStatus::Detected;
-    r.cube.resize(k_->inputs().size());
-    for (std::size_t i = 0; i < r.cube.size(); ++i)
-      r.cube[i] = sim_.good(k_->inputs()[i]);
-  } else if (cancelled_) {
-    r.status = PodemStatus::Cancelled;  // no verdict: the search was cut off
-  } else {
-    r.status = aborted_ ? PodemStatus::Aborted : PodemStatus::Redundant;
-  }
+  std::atomic<std::size_t> next{0};
+  run({&f, 1}, next, {&r, 1}, opt);
   return r;
 }
 
@@ -270,17 +316,15 @@ std::vector<PodemResult> PodemBatch::generate(std::span<const Fault> faults,
   if (opt.deadline) {
     // Pre-mark every slot Cancelled so faults never claimed once the
     // deadline fires read as "no verdict" rather than the default status.
-    // Claimed faults overwrite their slot (possibly also with Cancelled, if
-    // the deadline fired mid-search); completed verdicts are bit-identical
-    // to an undeadlined run by the engine's determinism contract.
+    // Claimed faults overwrite their slot (with Cancelled if the deadline
+    // fired mid-search); completed verdicts are bit-identical to an
+    // undeadlined run by the engine's reuse contract.
     for (PodemResult& r : results) r.status = PodemStatus::Cancelled;
   }
-  parallel_for(*pool_, faults.size(), 1,
-               [&](unsigned wid, std::size_t b, std::size_t e) {
-                 if (opt.deadline && opt.deadline->should_stop()) return;
-                 for (std::size_t i = b; i < e; ++i)
-                   results[i] = engines_[wid]->generate(faults[i], opt);
-               });
+  std::atomic<std::size_t> next{0};
+  pool_->run([&](unsigned wid) {
+    engines_[wid]->run(faults, next, results, opt);
+  });
   return results;
 }
 

@@ -1,26 +1,34 @@
 #pragma once
 // PODEM (path-oriented decision making) deterministic test generation for
 // single stuck-at faults — the generator behind the mixed scheme's top-off
-// phase.  One PairSim over a shared SimKernel is the implication engine: it
-// carries the good and the faulty machine in one byte per gate and evaluates
-// both with the same bitwise ops, the fault injected into the faulty lane
-// only (stem faults overwrite the site's lane, fanout-branch faults the
-// forced pin's).  A signal whose (good, faulty) pair is (1,0) carries D,
-// (0,1) carries D-bar; a test is found when some primary output pair
-// differs on binary values.
+// phase.  Searches run lane-parallel: one PairSim over a shared SimKernel
+// carries PairSim::kLanes searches at once, each lane with its own fault
+// (injected into the lane's faulty machine only) and its own PI assignment,
+// and one levelized pass implies every lane's last decision together.  A
+// signal whose (good, faulty) pair is (1,0) carries D, (0,1) carries D-bar;
+// a test is found when some primary output pair differs on binary values.
 //
-// The search is the classic PODEM loop: pick an objective (activate the
+// Each lane runs the classic PODEM loop: pick an objective (activate the
 // fault line, then advance a D-frontier gate), backtrace it through the
-// X-valued region to a primary-input assignment, propagate it, and
-// backtrack on failure.  Unassigning a PI pops the engine's trail back to
-// the mark taken before the assignment, restoring every byte without
-// re-simulating.  Pruning is conservative — a branch is cut only when the
-// fault provably cannot be activated, or no X-path from a difference (or the
-// still-unresolved fault site) reaches a primary output under the current
-// assignment — so an exhausted search proves the fault redundant.  Searches
-// that hit the backtrack limit are reported Aborted, separately from
-// Redundant.
+// X-valued region to a primary-input assignment, imply it, and backtrack on
+// failure.  The recursion is an explicit per-lane stack of decision frames
+// (PI, value, second branch tried), so a search can stop after any node and
+// resume after the next pass.  A step runs one node in every busy lane —
+// the detected / activation / X-path / objective checks and a backtrace, or
+// a backtrack — and then one pass evaluates all lanes.  Unassigning a PI
+// writes X back to it; the pass restores everything downstream.  Pruning is
+// conservative — a branch is cut only when the fault provably cannot be
+// activated, or no X-path from a difference (or the still-unresolved fault
+// site) reaches a primary output under the current assignment — so an
+// exhausted search proves the fault redundant.  Searches that hit the
+// backtrack limit are reported Aborted, separately from Redundant.
+//
+// The frame stack is the depth-first recursion unrolled, so every lane takes
+// exactly the decisions of a one-search-at-a-time PODEM: a lane's values
+// depend only on its own fault and assignment, never on its neighbours, and
+// lanes are a pure throughput device.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -37,7 +45,7 @@ namespace bist {
 class WorkerPool;
 
 enum class PodemStatus : std::uint8_t {
-  Detected,   ///< test cube found (and verified by the lock-step lanes)
+  Detected,   ///< test cube found (and verified by the lock-step machines)
   Redundant,  ///< search space exhausted: no test exists
   Aborted,    ///< backtrack limit hit before a verdict
   Cancelled,  ///< deadline/cancel fired mid-search: NO verdict — unlike
@@ -53,10 +61,10 @@ struct PodemOptions {
   /// redundancy through reconvergent XOR/multiplier logic are the budget
   /// eaters and abort instead (see BENCH JSON podem.aborted per circuit).
   std::uint32_t backtrack_limit = 1000;
-  /// Cooperative deadline/cancel, polled once per decision inside the
-  /// search (and per fault by PodemBatch before claiming the next one).  A
-  /// search stopped mid-flight returns PodemStatus::Cancelled; verdicts
-  /// reached before the stop are untouched and bit-identical to an
+  /// Cooperative deadline/cancel, polled once per step of an engine (one
+  /// node in every busy lane).  When it fires, every search in flight
+  /// returns PodemStatus::Cancelled and no further fault is started;
+  /// verdicts reached before the stop are untouched and bit-identical to an
   /// undeadlined run.  nullptr = never stops.
   const Deadline* deadline = nullptr;
 };
@@ -69,62 +77,85 @@ struct PodemResult {
   std::uint64_t decisions = 0;
 };
 
-/// Reusable PODEM engine; generate() may be called for any number of faults.
-/// The kernel must outlive the engine.
+/// Reusable lane-parallel PODEM engine.  The kernel must outlive it.
 ///
-/// Reuse contract (what lets pooled workers hold one engine each): generate()
-/// starts by resetting the pair simulator (one full evaluation that drops
-/// the previous fault injection, every PI assignment and the trail, even
-/// after a throw) and every per-fault field, so the result of a call depends
-/// only on (kernel, fault, options) — never on the faults generated before
-/// it.  The engine carries no RNG; the search is fully deterministic.
+/// Reuse contract (what lets pooled workers hold one engine each and lanes
+/// be refilled mid-run): loading a fault into a lane replaces the lane's
+/// previous fault, unassigns every one of its PIs and resets every per-lane
+/// search field, so a verdict depends only on (kernel, fault, options) —
+/// never on the faults searched before it, beside it, or in which lane.
+/// run() starts every lane afresh, even after a throw.  The engine carries
+/// no RNG; the search is fully deterministic.
 class Podem {
  public:
   explicit Podem(const SimKernel& k);
 
+  /// One fault: a batch of one.
   PodemResult generate(const Fault& f, const PodemOptions& opt = {});
 
+  /// Search faults until none is left: each free lane claims the next fault
+  /// index from `next` (which several engines may share) and writes the
+  /// verdict to that slot of `results`.  When the deadline fires, every
+  /// claimed search still in flight gets a Cancelled result and no further
+  /// fault is claimed.  Throws std::out_of_range on a fault with a bad pin.
+  void run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
+           std::span<PodemResult> results, const PodemOptions& opt);
+
  private:
-  bool detected() const;
-  bool x_path_ok();
-  bool objective(KIndex* gate, Ternary* v) const;
-  KIndex pick_x_fanin(KIndex g, bool easiest) const;
-  void backtrace(KIndex g, Ternary v, std::uint32_t* pi_idx, Ternary* pv) const;
-  bool search();
-  void build_cone(KIndex site);
+  static constexpr std::size_t kIdle = ~std::size_t{0};
+
+  // One decision: `pi` assigned `v`; `second` once it was flipped to !v.
+  struct Frame {
+    std::uint32_t pi;
+    Ternary v;
+    bool second;
+  };
+  // One search in flight.
+  struct Lane {
+    std::size_t slot = kIdle;  // index of its fault in the running batch
+    KIndex site = 0;           // fault site gate
+    KIndex line = 0;           // faulted line's driving signal
+    bool branch_fault = false;
+    Ternary stuck = Ternary::V0;
+    std::vector<KIndex> cone;  // transitive fanout of site incl site, ascending
+    std::vector<Frame> frames;
+    std::uint32_t backtracks = 0;
+    std::uint64_t decisions = 0;
+  };
+
+  bool claim(unsigned l, std::span<const Fault> faults,
+             std::atomic<std::size_t>& next);
+  bool step(unsigned l, PodemStatus* verdict);
+  PodemResult result(unsigned l, PodemStatus s) const;
+  bool detected(unsigned l) const;
+  bool x_path_ok(unsigned l);
+  bool objective(unsigned l, KIndex* gate, Ternary* v) const;
+  KIndex pick_x_fanin(unsigned l, KIndex g, bool easiest) const;
+  void backtrace(unsigned l, KIndex g, Ternary v, std::uint32_t* pi_idx,
+                 Ternary* pv) const;
 
   const SimKernel* k_;
   PairSim sim_;
   std::vector<std::uint32_t> pi_ordinal_;  // kernel idx -> PI index, ~0 if not PI
   std::vector<std::uint32_t> po_dist_;     // min fanout hops to a primary output
-
-  // Per-fault state.
-  KIndex site_ = 0;              // fault site gate
-  KIndex line_ = 0;              // faulted line's driving signal
-  bool branch_fault_ = false;
-  Ternary stuck_t_ = Ternary::V0;
-  std::vector<KIndex> cone_;     // transitive fanout of site_ incl site_, ascending
-  std::vector<char> in_cone_;
-  std::vector<char> reach_;      // x_path_ok scratch, valid on cone_ only
-  std::uint32_t backtracks_ = 0;
-  std::uint64_t decisions_ = 0;
+  std::vector<char> in_cone_;              // cone-building scratch, kept all 0
+  std::vector<char> reach_;                // x_path_ok scratch, valid on a cone
+  std::vector<Lane> lanes_;                // PairSim::kLanes
   std::uint32_t limit_ = 0;
-  bool aborted_ = false;
-  bool cancelled_ = false;
-  const Deadline* deadline_ = nullptr;
 };
 
-/// Parallel PODEM: one persistent engine (its own PairSim) per worker of an
+/// Parallel PODEM: one persistent lane-parallel engine per worker of an
 /// owned WorkerPool, reused across generate() calls — the construction cost
 /// (pool threads + per-engine kernel-sized scratch) is paid once per batch
 /// object, which is what a sweep over many candidate LFSR lengths needs.
 ///
-/// generate() partitions the fault list dynamically at grain 1 (per-fault
-/// cost is heavily skewed: an easy detection is microseconds while a
-/// redundancy proof or abort burns the whole backtrack budget) and each
-/// verdict lands in its fault's slot of the returned vector.  Combined with
-/// the per-engine determinism contract of Podem::generate, the result is in
-/// input order and bit-identical for every worker count.
+/// generate() hands faults out one at a time from a shared cursor: a lane
+/// that finishes claims the next unclaimed fault, whichever worker it
+/// belongs to (per-fault cost is heavily skewed: an easy detection takes a
+/// few nodes while a redundancy proof or abort burns the whole backtrack
+/// budget).  Each verdict lands in its fault's slot of the returned vector.
+/// Combined with the engine's reuse contract, the result is in input order
+/// and bit-identical for every worker count.
 class PodemBatch {
  public:
   /// `threads` resolved as in resolve_threads(); 1 spawns no threads and
@@ -137,7 +168,8 @@ class PodemBatch {
 
   unsigned workers() const;
 
-  /// One verdict per fault, input order; see the class comment.
+  /// One verdict per fault, input order; see the class comment.  Under a
+  /// deadline, faults never claimed read Cancelled.
   std::vector<PodemResult> generate(std::span<const Fault> faults,
                                     const PodemOptions& opt = {});
 

@@ -7,154 +7,167 @@ namespace bist {
 
 namespace {
 
-// The "is 0" / "is 1" rails of both lanes.
-constexpr std::uint8_t kRail0 = 0x5;
-constexpr std::uint8_t kRail1 = 0xA;
+// The "is 0" / "is 1" rails of every machine of every lane.
+constexpr std::uint64_t kRail0 = 0x5555555555555555ull;
+constexpr std::uint64_t kRail1 = 0xAAAAAAAAAAAAAAAAull;
 
-// v in both lanes.
-std::uint8_t both_lanes(Ternary v) {
-  return v == Ternary::V0 ? kRail0 : v == Ternary::V1 ? kRail1 : 0;
+// v in both machines, as one lane's nibble.
+std::uint64_t both_machines(Ternary v) {
+  return v == Ternary::V0 ? 0x5 : v == Ternary::V1 ? 0xA : 0;
 }
 
-// Inversion: swap the rails within each lane (X stays X).
-inline std::uint8_t swap_rails(unsigned p) {
-  return static_cast<std::uint8_t>(((p & kRail0) << 1) | ((p & kRail1) >> 1));
+// Inversion: swap the rails within each machine (X stays X).
+inline std::uint64_t swap_rails(std::uint64_t p) {
+  return ((p & kRail0) << 1) | ((p & kRail1) >> 1);
 }
 
-// Two-input XOR per lane: 0 where the inputs agree, 1 where they differ, X
-// if either is X.  `same` has rail r set where both inputs have rail r,
-// `cross` where a has rail r and b the other one; folding each lane's two
+// Two-input XOR per machine: 0 where the inputs agree, 1 where they differ,
+// X if either is X.  `same` has rail r set where both inputs have rail r,
+// `cross` where a has rail r and b the other one; folding each machine's two
 // rails of `same` gives the 0-rail, of `cross` the 1-rail.
-inline std::uint8_t xor2(unsigned a, unsigned b) {
-  const unsigned same = a & b;
-  const unsigned cross = a & swap_rails(b);
-  return static_cast<std::uint8_t>(((same | (same >> 1)) & kRail0) |
-                                   (((cross | (cross >> 1)) & kRail0) << 1));
+inline std::uint64_t xor2(std::uint64_t a, std::uint64_t b) {
+  const std::uint64_t same = a & b;
+  const std::uint64_t cross = a & swap_rails(b);
+  return ((same | (same >> 1)) & kRail0) |
+         (((cross | (cross >> 1)) & kRail0) << 1);
 }
 
 }  // namespace
 
 PairSim::PairSim(const SimKernel& k) : k_(&k) {
   values_.assign(k.gate_count(), 0);
-  level_queues_.resize(k.max_level() + 1);
-  queued_.assign(k.gate_count(), 0);
-  reset(kNoGate, -1, Ternary::VX);
+  pi_.assign(k.inputs().size(), 0);
+  stem_mask_.assign(k.gate_count(), 0);
+  stem_val_.assign(k.gate_count(), 0);
+  pin_mask_.assign(k.fanin_offset_data()[k.gate_count()], 0);
+  pin_val_.assign(pin_mask_.size(), 0);
+  injected_.assign(k.gate_count(), 0);
+  const std::span<const std::uint32_t> lv = k.schedule_level_offsets();
+  const std::span<const KIndex> sched = k.schedule();
+  std::vector<KIndex> gates(sched.begin(), sched.end());
+  const auto key = [&](KIndex g) {
+    return static_cast<unsigned>(k.op(g)) * 2 + (k.invert_mask(g) != 0);
+  };
+  for (std::size_t l = 0; l + 1 < lv.size(); ++l) {
+    const auto b = gates.begin() + lv[l];
+    const auto e = gates.begin() + lv[l + 1];
+    std::stable_sort(b, e, [&](KIndex x, KIndex y) { return key(x) < key(y); });
+    for (auto it = b; it != e; ++it) {
+      Slot s{*it, static_cast<std::uint32_t>(fin_.size()), 0};
+      for (KIndex f : k.fanins(*it)) fin_.push_back(f);
+      s.end = static_cast<std::uint32_t>(fin_.size());
+      order_.push_back(s);
+      if (it + 1 == e || key(it[1]) != key(*it))
+        runs_.push_back({k.op(*it), k.invert_mask(*it) != 0,
+                         static_cast<std::uint32_t>(order_.size())});
+    }
+  }
+  evaluate();
 }
 
-void PairSim::reset(KIndex site, int pin, Ternary stuck) {
-  site_ = kNoGate;
-  branch_ = false;
-  trail_.clear();
-  if (site != kNoGate && pin >= 0) {
+void PairSim::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
+  const unsigned sh = 4 * lane;
+  const std::uint64_t rails = std::uint64_t{0xC} << sh;  // the faulty machine
+  LaneFault& lf = faults_[lane];
+  if (lf.site != kNoGate) {
+    if (lf.pin < 0) {
+      stem_mask_[lf.site] &= ~rails;
+      stem_val_[lf.site] &= ~rails;
+    } else {
+      const std::uint32_t slot =
+          k_->fanin_offset_data()[lf.site] + static_cast<std::uint32_t>(lf.pin);
+      pin_mask_[slot] &= ~rails;
+      pin_val_[slot] &= ~rails;
+    }
+    --injected_[lf.site];
+    lf = LaneFault{};
+  }
+  for (std::uint64_t& w : pi_) w &= ~(std::uint64_t{0xF} << sh);
+  if (site == kNoGate) return;
+
+  const std::uint64_t val = (both_machines(stuck) << sh) & rails;
+  if (pin < 0) {
+    stem_mask_[site] |= rails;
+    stem_val_[site] |= val;
+  } else {
     const std::uint32_t* off = k_->fanin_offset_data();
     if (off[site] + static_cast<std::uint32_t>(pin) >= off[site + 1])
-      throw std::out_of_range("PairSim::reset: fault pin out of range");
-    branch_ = true;
-    forced_slot_ = off[site] + static_cast<std::uint32_t>(pin);
+      throw std::out_of_range("PairSim::load: fault pin out of range");
+    const std::uint32_t slot = off[site] + static_cast<std::uint32_t>(pin);
+    pin_mask_[slot] |= rails;
+    pin_val_[slot] |= val;
   }
-  site_ = site;
-  stuck_lane_ = both_lanes(stuck) & 0xC;
-  for (KIndex g = 0; g < k_->gate_count(); ++g) values_[g] = compute(g);
+  ++injected_[site];
+  lf = {site, pin};
 }
 
-template <bool kBranch>
-std::uint8_t PairSim::eval(KIndex g) const {
-  const std::uint32_t* off = k_->fanin_offset_data();
-  const KIndex* fi = k_->fanin_data();
-  const std::uint32_t b = off[g];
-  const std::uint32_t e = off[g + 1];
-  const auto in = [&](std::uint32_t i) -> unsigned {
-    const unsigned p = values_[fi[i]];
-    if constexpr (kBranch)
-      if (i == forced_slot_) return (p & 0x3) | stuck_lane_;
+void PairSim::set_input(unsigned lane, std::size_t input_idx, Ternary v) {
+  const unsigned sh = 4 * lane;
+  std::uint64_t& w = pi_[input_idx];
+  w = (w & ~(std::uint64_t{0xF} << sh)) | (both_machines(v) << sh);
+}
+
+template <MicroOp kOp, bool kInjected>
+std::uint64_t PairSim::eval(const Slot& s) const {
+  const auto in = [&](std::uint32_t i) {
+    const std::uint64_t p = values_[fin_[i]];
+    if constexpr (kInjected) {
+      const std::uint32_t slot =
+          k_->fanin_offset_data()[s.gate] + (i - s.begin);
+      return (p & ~pin_mask_[slot]) | pin_val_[slot];
+    }
     return p;
   };
-  const GateType t = k_->type(g);
-  switch (t) {
-    case GateType::Input: return 0;  // unassigned; assign() sets PIs
-    case GateType::Const0: return kRail0;
-    case GateType::Const1: return kRail1;
-    case GateType::Buf: return static_cast<std::uint8_t>(in(b));
-    case GateType::Not: return swap_rails(in(b));
-    case GateType::And:
-    case GateType::Nand:
-    case GateType::Or:
-    case GateType::Nor: {
-      unsigned any = 0, all = 0xF;
-      for (std::uint32_t i = b; i < e; ++i) {
-        const unsigned p = in(i);
-        any |= p;
-        all &= p;
-      }
-      // AND: some input 0 -> 0, every input 1 -> 1; OR is the dual.
-      const bool is_and = t == GateType::And || t == GateType::Nand;
-      const unsigned r = is_and ? (any & kRail0) | (all & kRail1)
-                                : (any & kRail1) | (all & kRail0);
-      const bool inv = t == GateType::Nand || t == GateType::Nor;
-      return inv ? swap_rails(r) : static_cast<std::uint8_t>(r);
+  std::uint64_t r = in(s.begin);
+  if constexpr (kOp == MicroOp::And || kOp == MicroOp::Or) {
+    std::uint64_t any = r, all = r;
+    for (std::uint32_t i = s.begin + 1; i < s.end; ++i) {
+      const std::uint64_t p = in(i);
+      any |= p;
+      all &= p;
     }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      unsigned acc = kRail0;
-      for (std::uint32_t i = b; i < e; ++i) acc = xor2(acc, in(i));
-      return t == GateType::Xnor ? swap_rails(acc)
-                                 : static_cast<std::uint8_t>(acc);
-    }
+    // AND: some input 0 -> 0, every input 1 -> 1; OR is the dual.
+    r = kOp == MicroOp::And ? (any & kRail0) | (all & kRail1)
+                            : (any & kRail1) | (all & kRail0);
+  } else if constexpr (kOp == MicroOp::Xor) {
+    for (std::uint32_t i = s.begin + 1; i < s.end; ++i) r = xor2(r, in(i));
   }
-  return 0;
+  return r;
 }
 
-std::uint8_t PairSim::compute(KIndex g) const {
-  if (g != site_) return eval<false>(g);
-  if (branch_) return eval<true>(g);
-  return static_cast<std::uint8_t>((eval<false>(g) & 0x3) | stuck_lane_);
-}
-
-void PairSim::set(KIndex g, std::uint8_t v) {
-  trail_.push_back({g, values_[g]});
-  values_[g] = v;
-}
-
-void PairSim::enqueue_fanouts(KIndex g) {
-  for (KIndex f : k_->fanouts(g)) {
-    if (queued_[f]) continue;
-    queued_[f] = 1;
-    const unsigned lv = k_->level(f);
-    level_queues_[lv].push_back(f);
-    hi_level_ = std::max(hi_level_, lv);
+template <MicroOp kOp>
+void PairSim::eval_run(const Slot* s, const Slot* end, std::uint64_t inv) {
+  for (; s != end; ++s) {
+    const KIndex g = s->gate;
+    std::uint64_t r = injected_[g] ? eval<kOp, true>(*s) : eval<kOp, false>(*s);
+    r ^= inv & (r ^ swap_rails(r));  // inv all ones: r = swap_rails(r)
+    if (injected_[g]) r = (r & ~stem_mask_[g]) | stem_val_[g];
+    values_[g] = r;
   }
 }
 
-void PairSim::assign(std::size_t input_idx, Ternary v) {
-  const KIndex root = k_->inputs()[input_idx];
-  std::uint8_t p = both_lanes(v);
-  if (root == site_ && !branch_)
-    p = static_cast<std::uint8_t>((p & 0x3) | stuck_lane_);
-  if (p == values_[root]) return;
-  set(root, p);
-
-  // Levelized propagation: fanouts sit at strictly higher levels, so walking
-  // the levels upwards evaluates every gate at most once.
-  hi_level_ = 0;
-  enqueue_fanouts(root);
-  for (unsigned lv = k_->level(root) + 1; lv <= hi_level_; ++lv) {
-    auto& q = level_queues_[lv];
-    for (const KIndex g : q) {
-      queued_[g] = 0;
-      const std::uint8_t nv = compute(g);
-      if (nv == values_[g]) continue;
-      set(g, nv);
-      enqueue_fanouts(g);
-    }
-    q.clear();
+void PairSim::evaluate() {
+  const std::span<const KIndex> ins = k_->inputs();
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    const KIndex g = ins[i];
+    values_[g] = (pi_[i] & ~stem_mask_[g]) | stem_val_[g];
   }
-}
-
-void PairSim::undo(std::size_t m) {
-  while (trail_.size() > m) {
-    const TrailEntry& e = trail_.back();
-    values_[e.gate] = e.old;
-    trail_.pop_back();
+  for (const KIndex g : k_->constants()) {
+    const std::uint64_t c = k_->type(g) == GateType::Const0 ? kRail0 : kRail1;
+    values_[g] = (c & ~stem_mask_[g]) | stem_val_[g];
+  }
+  // Runs follow level order: every fanin is final before its gate.
+  const Slot* g = order_.data();
+  for (const Run& run : runs_) {
+    const Slot* end = order_.data() + run.end;
+    const std::uint64_t inv = run.invert ? ~std::uint64_t{0} : 0;
+    switch (run.op) {
+      case MicroOp::And: eval_run<MicroOp::And>(g, end, inv); break;
+      case MicroOp::Or: eval_run<MicroOp::Or>(g, end, inv); break;
+      case MicroOp::Xor: eval_run<MicroOp::Xor>(g, end, inv); break;
+      case MicroOp::Copy: eval_run<MicroOp::Copy>(g, end, inv); break;
+    }
+    g = end;
   }
 }
 

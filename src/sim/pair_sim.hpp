@@ -1,28 +1,41 @@
 #pragma once
-// Lock-step (good, faulty) three-valued simulation — PODEM's implication
-// engine.  One byte per gate carries both machines, and one gate evaluation
-// serves both.
+// Lane-parallel lock-step (good, faulty) three-valued simulation — PODEM's
+// implication engine.  One 64-bit word per gate carries kLanes = 16
+// independent lanes.  Each lane is one search's machine pair, with its own
+// fault and its own primary-input assignment, and one bitwise gate
+// evaluation serves every lane and both machines of each.
 //
-// Byte layout: bits 0-1 are the good machine's lane, bits 2-3 the faulty
-// machine's.  Each lane is dual-rail: bit 0 means "is 0", bit 1 means
-// "is 1", and 00 is X.  A (good, faulty) pair of (1,0) — byte 0b1001 —
-// carries D, (0,1) — byte 0b0110 — carries D-bar.  The same bitwise ops
-// evaluate both lanes at once:
+// Lane layout: lane L is the nibble at bits 4L..4L+3.  Bits 0-1 of the
+// nibble are the good machine, bits 2-3 the faulty machine.  Each machine is
+// dual-rail: the low bit means "is 0", the high bit "is 1", and 00 is X.  A
+// (good, faulty) pair of (1,0) — nibble 0b1001 — carries D, (0,1) — nibble
+// 0b0110 — carries D-bar.  With the rail masks 0x5555… ("is 0") and
+// 0xAAAA… ("is 1"), the same bitwise ops evaluate every machine at once:
 //  - AND: AND the 1-rails, OR the 0-rails; OR is the dual;
 //  - XOR: the pairwise rail formula, folded over the fanins;
-//  - inversion (NAND/NOR/XNOR/NOT) swaps the two rails of each lane.
+//  - inversion (NAND/NOR/XNOR/NOT) swaps the two rails of each machine.
 //
-// The single stuck-at fault touches only the faulty lane: a stem fault
-// overwrites the site's faulty lane, a branch fault replaces the forced
-// pin's faulty lane while the site gate is evaluated.
+// A lane's single stuck-at fault touches only that lane's faulty machine,
+// through injection masks that hold the lane's faulty rails (mask) and the
+// stuck value in them (value):
+//  - a stem fault sets the site gate's stem masks: after the site (gate,
+//    PI or constant) is evaluated, its masked rails take the stuck value;
+//  - a branch fault sets the masks of the forced fanin slot (the site's
+//    fanin CSR entry): while the site gate is evaluated, that slot reads the
+//    stuck value in place of the driver's faulty rails.
+// Lanes are independent, so two of them may carry faults on the same gate,
+// or the same fault.
 //
-// assign() propagates a PI change through one levelized event queue
-// (fanouts are queued when either lane changes) and records every changed
-// byte on a trail; undo(mark) pops the trail back, restoring the exact bytes
-// from before the mark without re-simulating.  Each lane always equals what
-// a TernarySim (the reference oracle, one machine per instance) computes for
-// the same assignment, with the fault forced in the faulty one.
+// There is no event queue and no trail.  evaluate() is one levelized pass
+// over every gate, so a lane's state is a pure function of its PI
+// assignment and its fault: unassigning a PI is writing X back to it, and
+// the next pass restores everything downstream.  Values read between a
+// load()/set_input() and the next evaluate() are stale.  After a pass each
+// lane equals what a TernarySim (the reference oracle, one machine per
+// instance) computes for the same assignment, with the fault forced in the
+// faulty one.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -34,65 +47,80 @@ namespace bist {
 
 class PairSim {
  public:
+  static constexpr unsigned kLanes = 16;
+
   /// The kernel must outlive the simulator.  Any fanin count is supported.
+  /// Every lane starts fault-free with every PI unassigned.
   explicit PairSim(const SimKernel& k);
 
-  /// Start over for one fault: every PI unassigned, the fault injected into
-  /// the faulty lane (pin < 0: `site`'s output stuck at `stuck`; otherwise
-  /// the branch into fanin `pin` of `site`; site == kNoGate: no fault), the
-  /// trail emptied, and one full evaluation.  Throws std::out_of_range on a
-  /// bad pin; the next reset() starts over regardless.
-  void reset(KIndex site, int pin, Ternary stuck);
+  /// Give `lane` a new fault and unassign all of its PIs; the other lanes
+  /// are untouched.  pin < 0: `site`'s output stuck at `stuck`; otherwise
+  /// the branch into fanin `pin` of `site`; site == kNoGate: no fault.
+  /// Throws std::out_of_range on a bad pin, leaving the lane fault-free.
+  void load(unsigned lane, KIndex site, int pin, Ternary stuck);
 
-  /// Assign primary input `input_idx` (PI order) to v in both machines and
-  /// propagate the change, recording every changed byte on the trail.
-  void assign(std::size_t input_idx, Ternary v);
+  /// Assign primary input `input_idx` (PI order) to v in both machines of
+  /// `lane`; VX unassigns it.
+  void set_input(unsigned lane, std::size_t input_idx, Ternary v);
 
-  /// Current trail position; undo(mark()) later returns to this state.
-  std::size_t mark() const { return trail_.size(); }
-  /// Pop the trail back to `m`: every byte, PI assignments included, is
-  /// restored to its value when mark() returned `m`.
-  void undo(std::size_t m);
+  /// One levelized pass over every gate, all lanes at once.
+  void evaluate();
 
-  /// Raw (good, faulty) byte of kernel gate k.
-  std::uint8_t pair(KIndex k) const { return values_[k]; }
-  Ternary good(KIndex k) const { return lane_value(values_[k] & 3); }
-  Ternary faulty(KIndex k) const { return lane_value(values_[k] >> 2); }
+  /// Raw (good, faulty) nibble of kernel gate k in `lane`.
+  std::uint8_t pair(unsigned lane, KIndex k) const {
+    return static_cast<std::uint8_t>((values_[k] >> (4 * lane)) & 0xF);
+  }
+  Ternary good(unsigned lane, KIndex k) const {
+    return machine_value(pair(lane, k) & 3);
+  }
+  Ternary faulty(unsigned lane, KIndex k) const {
+    return machine_value(pair(lane, k) >> 2);
+  }
 
   /// Either machine is still X.
   static bool has_x(std::uint8_t p) { return (p & 0x3) == 0 || (p & 0xC) == 0; }
-  /// Both machines binary and different: the byte carries D or D-bar.
+  /// Both machines binary and different: the nibble carries D or D-bar.
   static bool is_diff(std::uint8_t p) { return p == 0x9 || p == 0x6; }
 
  private:
-  static Ternary lane_value(unsigned lane) {
-    return lane == 1 ? Ternary::V0 : lane == 2 ? Ternary::V1 : Ternary::VX;
+  static Ternary machine_value(unsigned rails) {
+    return rails == 1 ? Ternary::V0 : rails == 2 ? Ternary::V1 : Ternary::VX;
   }
-  std::uint8_t compute(KIndex g) const;
-  template <bool kBranch>
-  std::uint8_t eval(KIndex g) const;
-  void set(KIndex g, std::uint8_t v);
-  void enqueue_fanouts(KIndex g);
+  // One scheduled gate: its fanins are fin_[begin, end).
+  struct Slot {
+    KIndex gate;
+    std::uint32_t begin, end;
+  };
+  template <MicroOp kOp, bool kInjected>
+  std::uint64_t eval(const Slot& s) const;
+  template <MicroOp kOp>
+  void eval_run(const Slot* s, const Slot* end, std::uint64_t inv);
 
   const SimKernel* k_;
-  std::vector<std::uint8_t> values_;  // per kernel index, layout above
-
-  // Fault injection.  site_ == kNoGate: fault-free.
-  KIndex site_ = kNoGate;
-  std::uint32_t forced_slot_ = 0;  // fanin CSR slot of a branch fault
-  bool branch_ = false;
-  std::uint8_t stuck_lane_ = 0;    // stuck value as a faulty-lane byte (<< 2)
-
-  struct TrailEntry {
-    KIndex gate;
-    std::uint8_t old;
+  // The schedule regrouped so that each level's gates come in runs of one
+  // micro-op and one inversion: gates of a level are independent, so the
+  // order inside a level is free, and a run dispatches its gate function
+  // once instead of once per gate.  The fanins are copied in that order.
+  std::vector<Slot> order_;
+  std::vector<KIndex> fin_;
+  struct Run {
+    MicroOp op;
+    bool invert;
+    std::uint32_t end;  // one past the run's last entry of order_
   };
-  std::vector<TrailEntry> trail_;
+  std::vector<Run> runs_;
+  std::vector<std::uint64_t> values_;  // per kernel index, layout above
+  std::vector<std::uint64_t> pi_;      // per PI: the assigned nibbles
 
-  // Levelized event scheduling scratch.
-  std::vector<std::vector<KIndex>> level_queues_;
-  std::vector<char> queued_;
-  unsigned hi_level_ = 0;  // highest level queued by the running propagate
+  // Fault injection (see the header comment).
+  std::vector<std::uint64_t> stem_mask_, stem_val_;  // per gate
+  std::vector<std::uint64_t> pin_mask_, pin_val_;    // per fanin CSR slot
+  std::vector<std::uint8_t> injected_;  // per gate: lanes with a fault on it
+  struct LaneFault {
+    KIndex site = kNoGate;  // kNoGate: fault-free
+    int pin = -1;
+  };
+  std::array<LaneFault, kLanes> faults_{};
 };
 
 }  // namespace bist

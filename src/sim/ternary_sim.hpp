@@ -2,9 +2,9 @@
 // Three-valued (0/1/X) logic: the Ternary value type used for PODEM test
 // cubes, and TernarySim, the reference oracle of the ternary simulation
 // layer.  One TernarySim simulates one machine; PODEM's engine (PairSim,
-// both machines in one byte per gate) is tested lane for lane against a
-// pair of them, one with the fault forced.  Nothing outside the tests runs
-// a TernarySim.
+// 16 searches' good and faulty machines in one word per gate) is tested
+// lane for lane against a pair of them per lane, one with the lane's fault
+// forced.  Nothing outside the tests runs a TernarySim.
 //
 // The simulator is event-driven and levelized: assigning one PI only
 // re-evaluates the affected cone.  Gates of any fanin count are supported.

@@ -554,9 +554,11 @@ void test_sweep_sign_off_matches_independent() {
 
   // Deadline-degraded sweeps: an immediate deadline leaves only the anytime
   // floor's own pass, later ones LfsrOnly points over a truncated pass, and
-  // LfsrOnly beside Complete points.
+  // LfsrOnly beside Complete points.  PODEM polls once per lane-parallel
+  // step, so 150 polls land inside the shortest point's search and 1000
+  // outlast the whole sweep.
   bool mixed_states = false;
-  for (const std::uint64_t polls : {0ull, 40ull, 1000ull}) {
+  for (const std::uint64_t polls : {0ull, 40ull, 150ull, 1000ull}) {
     Deadline d = Deadline::after_checks(polls);
     MixedTpgOptions o = opt;
     o.deadline = &d;

@@ -1,11 +1,16 @@
-// PairSim against the reference oracle: after every step of seeded random
-// assign / flip / undo sequences, each gate's good lane must equal a plain
-// TernarySim and its faulty lane a TernarySim with the same fault forced —
-// for stem and branch faults, constant gates, multi-input XOR/XNOR, a gate
-// wider than 64 inputs, c17 and the c432s/c880s/c1355s surrogates.  Every
-// undo must restore the exact bytes from before the assignment it unwinds.
+// PairSim against the reference oracle: every lane carries its own seeded
+// random walk (assign, flip, unassign back to X, reload with the next fault)
+// and, after every pass, each gate's good machine in each lane must equal a
+// plain TernarySim with that lane's assignment, and its faulty machine a
+// TernarySim with the lane's fault forced.  The lanes start with different
+// faults — no fault, the same fault in two lanes, stem and branch faults —
+// and are reloaded mid-walk while the others keep walking.  Covers constant
+// gates, multi-input XOR/XNOR, a gate wider than 64 inputs, c17 and the
+// c432s/c880s/c1355s surrogates.
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,105 +27,73 @@ using namespace bist;
 
 namespace {
 
-std::vector<std::uint8_t> snapshot(const PairSim& ps, const SimKernel& k) {
-  std::vector<std::uint8_t> s(k.gate_count());
-  for (KIndex g = 0; g < k.gate_count(); ++g) s[g] = ps.pair(g);
-  return s;
-}
+constexpr unsigned kLanes = PairSim::kLanes;
 
-// Gates whose (good, faulty) lanes differ from the two reference machines.
-std::size_t lane_mismatches(const PairSim& ps, const TernarySim& good,
-                            const TernarySim& faulty, const SimKernel& k) {
-  std::size_t bad = 0;
-  for (KIndex g = 0; g < k.gate_count(); ++g)
-    bad += ps.good(g) != good.value_at(g) || ps.faulty(g) != faulty.value_at(g);
-  return bad;
-}
-
-// One open decision of the random walk: PI `idx` was assigned `v` (over
-// `prev`) at trail position `mark`, when the bytes were `before`.
-struct Decision {
-  std::size_t idx;
-  Ternary prev, v;
-  std::size_t mark;
-  std::vector<std::uint8_t> before;
+// One lane's walk and its two reference machines.
+struct LaneWalk {
+  explicit LaneWalk(const SimKernel& k)
+      : good(k), faulty(k), value(k.inputs().size(), Ternary::VX) {}
+  TernarySim good, faulty;
+  std::vector<Ternary> value;  // the lane's PI assignment
 };
 
-// Inject `f` (kNoGate site: fault-free) and run `steps` random operations:
-// assign an unassigned PI, flip the newest decision PODEM-style (undo, then
-// assign the complement), reassign a PI over its value in place, or undo
-// the newest decision.  Returns the number of failed comparisons.
-std::size_t random_walk(const SimKernel& k, PairSim& ps, const Fault* f,
-                        Rng& rng, int steps) {
-  TernarySim good(k), faulty(k);
-  KIndex site = kNoGate;
-  int pin = -1;
-  Ternary stuck = Ternary::VX;
-  if (f) {
-    site = k.index_of(f->gate);
-    pin = f->pin;
-    stuck = f->stuck ? Ternary::V1 : Ternary::V0;
-    if (pin < 0)
-      faulty.force(f->gate, stuck);
-    else
-      faulty.force_pin(f->gate, static_cast<unsigned>(pin), stuck);
+// Load `f` (nullptr: fault-free) into lane `l` of both engines.
+void load(const SimKernel& k, PairSim& ps, LaneWalk& w, unsigned l,
+          const Fault* f) {
+  w.good.reset();
+  w.faulty.reset();
+  std::fill(w.value.begin(), w.value.end(), Ternary::VX);
+  if (!f) {
+    ps.load(l, kNoGate, -1, Ternary::VX);
+    return;
   }
-  ps.reset(site, pin, stuck);
-  std::size_t bad = lane_mismatches(ps, good, faulty, k) != 0;
+  const Ternary stuck = f->stuck ? Ternary::V1 : Ternary::V0;
+  if (f->pin < 0)
+    w.faulty.force(f->gate, stuck);
+  else
+    w.faulty.force_pin(f->gate, static_cast<unsigned>(f->pin), stuck);
+  ps.load(l, k.index_of(f->gate), f->pin, stuck);
+}
 
-  const std::size_t n_in = k.inputs().size();
-  std::vector<Ternary> value(n_in, Ternary::VX);
-  std::vector<Decision> stack;
-  const auto assign = [&](std::size_t idx, Ternary v) {
-    stack.push_back({idx, value[idx], v, ps.mark(), snapshot(ps, k)});
-    value[idx] = v;
-    ps.assign(idx, v);
-    good.set_input(idx, v);
-    faulty.set_input(idx, v);
-  };
-  const auto undo = [&]() {
-    const Decision d = stack.back();
-    stack.pop_back();
-    ps.undo(d.mark);
-    value[d.idx] = d.prev;
-    good.set_input(d.idx, d.prev);
-    faulty.set_input(d.idx, d.prev);
-    bad += snapshot(ps, k) != d.before;
-  };
+void set_input(PairSim& ps, LaneWalk& w, unsigned l, std::size_t idx,
+               Ternary v) {
+  w.value[idx] = v;
+  ps.set_input(l, idx, v);
+  w.good.set_input(idx, v);
+  w.faulty.set_input(idx, v);
+}
 
-  for (int s = 0; s < steps; ++s) {
-    const std::uint32_t op = rng.next_below(8);
-    if (op < 4 || stack.empty()) {
-      std::size_t idx = rng.next_below(static_cast<std::uint32_t>(n_in));
-      for (std::size_t t = 0; t < n_in && value[idx] != Ternary::VX; ++t)
-        idx = (idx + 1) % n_in;
-      if (value[idx] != Ternary::VX) {  // everything assigned: back off
-        if (!stack.empty()) undo();
-      } else {
-        assign(idx, rng.next_bool() ? Ternary::V1 : Ternary::V0);
-      }
-    } else if (op < 6) {
-      const Decision d = stack.back();
-      undo();
-      assign(d.idx, t_not(d.v));
-    } else if (op == 6) {
-      const std::size_t idx = stack[rng.next_below(
-          static_cast<std::uint32_t>(stack.size()))].idx;
-      assign(idx, t_not(value[idx]));
-    } else {
-      undo();
-    }
-    bad += lane_mismatches(ps, good, faulty, k) != 0;
-  }
-  while (!stack.empty()) {
-    undo();
-    bad += lane_mismatches(ps, good, faulty, k) != 0;
+// Lanes whose (good, faulty) machines differ from their references on some
+// gate.
+std::size_t lane_mismatches(const PairSim& ps,
+                            const std::vector<std::unique_ptr<LaneWalk>>& w,
+                            const SimKernel& k) {
+  std::size_t bad = 0;
+  for (unsigned l = 0; l < kLanes; ++l) {
+    bool differ = false;
+    for (KIndex g = 0; g < k.gate_count() && !differ; ++g)
+      differ = ps.good(l, g) != w[l]->good.value_at(g) ||
+               ps.faulty(l, g) != w[l]->faulty.value_at(g);
+    bad += differ;
   }
   return bad;
 }
 
-// Every fault of `n` (all of them when `sample` is 0, else a seeded
-// sample), plus the fault-free machine pair, through random walks.
+// A random PI of lane `w` that is (assigned == true) or is not assigned, or
+// n_in if there is none.
+std::size_t pick_pi(const LaneWalk& w, Rng& rng, bool assigned) {
+  const std::size_t n = w.value.size();
+  std::size_t idx = rng.next_below(static_cast<std::uint32_t>(n));
+  for (std::size_t t = 0; t < n; ++t, idx = (idx + 1) % n)
+    if ((w.value[idx] != Ternary::VX) == assigned) return idx;
+  return n;
+}
+
+// Every fault of `n` (all of them when `sample` is 0, else a seeded sample)
+// through independent lane walks of at least `steps` passes, until every
+// fault has been loaded.  Lane 0 starts fault-free and lanes 1 and 2 start
+// with the same fault; a reload takes the next fault of the list, or now and
+// then no fault.
 void check_circuit(const Netlist& n, std::size_t sample, int steps,
                    std::uint64_t seed) {
   const SimKernel k(n);
@@ -134,22 +107,65 @@ void check_circuit(const Netlist& n, std::size_t sample, int steps,
       faults.push_back(
           all[rng.next_below(static_cast<std::uint32_t>(all.size()))]);
   }
-  std::size_t stems = 0, branches = 0;
-  std::size_t bad = random_walk(k, ps, nullptr, rng, steps);
-  for (const Fault& f : faults) {
-    (f.is_output_fault() ? stems : branches) += 1;
-    bad += random_walk(k, ps, &f, rng, steps);
+  std::size_t next = 0, stems = 0, branches = 0, reloads = 0;
+  const auto take = [&]() -> const Fault* {
+    if (next == faults.size()) return nullptr;
+    const Fault* f = &faults[next++];
+    (f->is_output_fault() ? stems : branches) += 1;
+    return f;
+  };
+  const auto next_fault = [&]() {
+    return rng.next_below(8) != 0 ? take() : nullptr;
+  };
+
+  std::vector<std::unique_ptr<LaneWalk>> w;
+  const Fault* twice = nullptr;
+  for (unsigned l = 0; l < kLanes; ++l) {
+    w.push_back(std::make_unique<LaneWalk>(k));
+    if (l == 1) twice = take();
+    const Fault* f = l == 0 ? nullptr : l <= 2 ? twice : next_fault();
+    load(k, ps, *w[l], l, f);
   }
-  std::printf("%s: %zu stem + %zu branch faults, %d steps each, "
-              "%zu mismatches\n",
-              n.name().c_str(), stems, branches, steps, bad);
+  ps.evaluate();
+  std::size_t bad = lane_mismatches(ps, w, k) != 0;
+
+  for (int s = 0; s < steps || next < faults.size(); ++s) {
+    for (unsigned l = 0; l < kLanes; ++l) {
+      LaneWalk& lw = *w[l];
+      const std::uint32_t op = rng.next_below(10);
+      const std::size_t none = lw.value.size();
+      if (op < 4) {  // decide an unassigned PI (or back off when full)
+        const std::size_t idx = pick_pi(lw, rng, false);
+        if (idx != none)
+          set_input(ps, lw, l, idx,
+                    rng.next_bool() ? Ternary::V1 : Ternary::V0);
+        else
+          set_input(ps, lw, l, pick_pi(lw, rng, true), Ternary::VX);
+      } else if (op < 6) {  // flip a decision
+        const std::size_t idx = pick_pi(lw, rng, true);
+        if (idx != none) set_input(ps, lw, l, idx, t_not(lw.value[idx]));
+      } else if (op < 8) {  // unassign back to X
+        const std::size_t idx = pick_pi(lw, rng, true);
+        if (idx != none) set_input(ps, lw, l, idx, Ternary::VX);
+      } else if (op == 8) {  // reload mid-walk
+        load(k, ps, lw, l, next_fault());
+        ++reloads;
+      }  // op 9: this lane idles while the others move
+    }
+    ps.evaluate();
+    bad += lane_mismatches(ps, w, k);
+  }
+  std::printf("%s: %zu stem + %zu branch faults over %u lanes, %zu reloads, "
+              "%zu lane mismatches\n",
+              n.name().c_str(), stems, branches, kLanes, reloads, bad);
   CHECK(stems > 0);
   CHECK(branches > 0);
+  CHECK(reloads > 0);
   CHECK_EQ(bad, 0u);
 }
 
 // Constant gates, multi-input XOR/XNOR, every other gate type, and an
-// 80-input AND (wider than the old fixed 64-entry fanin buffer).
+// 80-input AND (wider than a 64-entry fanin buffer).
 Netlist hand_circuit() {
   Netlist n("hand");
   std::vector<GateId> in;
@@ -178,38 +194,52 @@ Netlist hand_circuit() {
 }  // namespace
 
 int main() {
-  // --- the wide gate in both engines, known values ------------------------
+  // --- the wide gate, known values, lanes side by side -------------------
   {
     const Netlist n = hand_circuit();
     const SimKernel k(n);
     const KIndex wide = k.index_of(n.find("wide"));
-    TernarySim ref(k);
     PairSim ps(k);
-    for (std::size_t i = 0; i < 80; ++i) {
-      ref.set_input(i, Ternary::V1);
-      ps.assign(i, Ternary::V1);
-    }
-    CHECK_EQ(int(ref.value_at(wide)), int(Ternary::V1));
-    CHECK_EQ(int(ps.good(wide)), int(Ternary::V1));
-    CHECK_EQ(int(ps.faulty(wide)), int(Ternary::V1));
-    ref.set_input(79, Ternary::V0);
-    ps.assign(79, Ternary::V0);
-    CHECK_EQ(int(ref.value_at(wide)), int(Ternary::V0));
-    CHECK_EQ(int(ps.good(wide)), int(Ternary::V0));
+    // Lane 0 fault-free, lane 5 with the last pin of the wide gate stuck at
+    // 0, lane 15 with the wide gate's output stuck at 1.
+    ps.load(5, wide, 79, Ternary::V0);
+    ps.load(15, wide, -1, Ternary::V1);
+    for (unsigned l : {0u, 5u, 15u})
+      for (std::size_t i = 0; i < 80; ++i) ps.set_input(l, i, Ternary::V1);
+    ps.evaluate();
+    CHECK_EQ(int(ps.good(0, wide)), int(Ternary::V1));
+    CHECK_EQ(int(ps.faulty(0, wide)), int(Ternary::V1));
+    CHECK_EQ(int(ps.good(5, wide)), int(Ternary::V1));
+    CHECK_EQ(int(ps.faulty(5, wide)), int(Ternary::V0));
+    CHECK(PairSim::is_diff(ps.pair(5, wide)));
+    CHECK_EQ(int(ps.faulty(5, k.inputs()[79])), int(Ternary::V1));
+    CHECK_EQ(int(ps.faulty(15, wide)), int(Ternary::V1));
+    CHECK(!PairSim::is_diff(ps.pair(15, wide)));
+    // Lanes never assigned stay X.
+    CHECK_EQ(int(ps.good(1, wide)), int(Ternary::VX));
 
-    // Branch fault on the last pin of the wide gate: only the faulty lane of
-    // that gate sees it.
-    ps.reset(wide, 79, Ternary::V0);
-    for (std::size_t i = 0; i < 80; ++i) ps.assign(i, Ternary::V1);
-    CHECK_EQ(int(ps.good(wide)), int(Ternary::V1));
-    CHECK_EQ(int(ps.faulty(wide)), int(Ternary::V0));
-    CHECK(PairSim::is_diff(ps.pair(wide)));
-    CHECK_EQ(int(ps.faulty(k.inputs()[79])), int(Ternary::V1));
+    // Unassigning one input back to X: every lane's wide gate returns to X,
+    // except the stem fault's faulty machine.
+    for (unsigned l : {0u, 5u, 15u}) ps.set_input(l, 79, Ternary::VX);
+    ps.evaluate();
+    CHECK_EQ(int(ps.good(0, wide)), int(Ternary::VX));
+    CHECK_EQ(int(ps.faulty(5, wide)), int(Ternary::V0));  // pin still forced
+    CHECK_EQ(int(ps.good(5, wide)), int(Ternary::VX));
+    CHECK_EQ(int(ps.faulty(15, wide)), int(Ternary::V1));
+    ps.set_input(0, 79, Ternary::V0);
+    ps.evaluate();
+    CHECK_EQ(int(ps.good(0, wide)), int(Ternary::V0));
 
-    CHECK_THROWS(ps.reset(wide, 80, Ternary::V0));
-    ps.reset(kNoGate, -1, Ternary::VX);  // usable again after the throw
-    CHECK_EQ(int(ps.good(wide)), int(Ternary::VX));
-    CHECK_EQ(int(ps.faulty(wide)), int(Ternary::VX));
+    // A bad pin throws and leaves that lane fault-free with its PIs X; the
+    // other lanes keep their faults and assignments.
+    CHECK_THROWS(ps.load(5, wide, 80, Ternary::V0));
+    for (std::size_t i = 0; i < 80; ++i) ps.set_input(5, i, Ternary::V1);
+    ps.evaluate();
+    CHECK_EQ(int(ps.good(5, wide)), int(Ternary::V1));
+    CHECK_EQ(int(ps.faulty(5, wide)), int(Ternary::V1));
+    CHECK_EQ(int(ps.faulty(15, wide)), int(Ternary::V1));
+    CHECK_EQ(int(ps.good(15, wide)), int(Ternary::VX));
+    CHECK_EQ(int(ps.good(0, wide)), int(Ternary::V0));
   }
 
   // --- lane-for-lane against the oracle -----------------------------------

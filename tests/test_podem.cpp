@@ -5,11 +5,15 @@
 // and all-1 completion of the don't-care bits.  A checked-in digest pins the
 // search bit for bit (status, cube, backtracks, decisions of every LFSR-tail
 // fault on three surrogates), so an implication-engine change that alters a
-// single decision fails here, and one engine reused over a shuffled fault
-// order must reproduce the in-order per-fault results.
+// single decision fails here — through the lane-parallel batch at 1 and 2
+// threads and every lane occupancy, and through one fault at a time — and a
+// batch reused over a shuffled fault order must reproduce the in-order
+// per-fault results.
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +103,19 @@ int main() {
     std::size_t x_bits = 0;
     for (Ternary t : r.cube) x_bits += t == Ternary::VX;
     CHECK(x_bits >= 1);
+
+    // A fault with a bad pin throws out of a batch that has other searches
+    // in flight; the next call starts every lane afresh.
+    PodemBatch batch(k, 1);
+    const std::span<const Fault> all = fsim.faults();
+    const std::vector<PodemResult> before = batch.generate(all);
+    std::vector<Fault> bad(all.begin(), all.end());
+    bad.insert(bad.begin() + 3, Fault{c17.find("10"), 2, 0});  // 2-input NAND
+    CHECK_THROWS(batch.generate(bad));
+    const std::vector<PodemResult> after = batch.generate(all);
+    CHECK_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < after.size(); ++i)
+      CHECK(same_result(after[i], before[i]));
   }
 
   // --- redundancy recognition -------------------------------------------
@@ -167,42 +184,86 @@ int main() {
   // c432s, c880s and c1355s at backtrack limits 50 and 0.  The value was
   // recorded with the two-TernarySim implication engine; any engine must
   // reproduce it, since implication never decides what the search does.
+  // It must hold through PodemBatch at 1 and 2 threads, with the tail
+  // handed over in batches of 1, 15, 16 and 17 faults and whole (partial,
+  // full and refilled lanes), and through Podem::generate one fault at a
+  // time.  The batch and the single engine must also agree slot for slot,
+  // and the same batch over a shuffled order (faults meeting other lane
+  // neighbours) must return the same result for every fault.
   {
-    Hasher h;
+    const std::string pin("33fe0b6759e316efdf0f4067cf623838");
+    const std::size_t chunks[] = {1, 15, 16, 17, 0};  // 0: the whole tail
+    std::vector<Hasher> batch_h(2 * std::size(chunks));
+    Hasher solo_h;
     for (const std::string& name : {std::string("c432s"), std::string("c880s"),
                                     std::string("c1355s")}) {
       const Netlist n = make_iscas85(name);
       const SimKernel k(n);
       FaultSimulator fsim(k);
       const std::vector<Fault> tail = lfsr_tail(n, fsim, 512);
-      CHECK(!tail.empty());
-      Podem podem(k);
+      CHECK(tail.size() > 2 * PairSim::kLanes);
+      PodemBatch batches[] = {PodemBatch(k, 1), PodemBatch(k, 2)};
+      Podem solo(k);
       for (const std::uint32_t limit : {50u, 0u}) {
         PodemOptions opt;
         opt.backtrack_limit = limit;
-        std::vector<PodemResult> in_order;
-        h.str(name).u32(limit).u64(tail.size());
-        for (const Fault& f : tail) {
-          in_order.push_back(podem.generate(f, opt));
-          hash_result(h, in_order.back());
+        const auto header = [&](Hasher& h) {
+          h.str(name).u32(limit).u64(tail.size());
+        };
+        std::vector<PodemResult> ref;
+        for (std::size_t t = 0; t < 2; ++t)
+          for (std::size_t c = 0; c < std::size(chunks); ++c) {
+            Hasher& h = batch_h[t * std::size(chunks) + c];
+            header(h);
+            const std::size_t step = chunks[c] ? chunks[c] : tail.size();
+            std::vector<PodemResult> all;
+            for (std::size_t b = 0; b < tail.size(); b += step) {
+              const std::span<const Fault> part(
+                  tail.data() + b, std::min(step, tail.size() - b));
+              for (PodemResult& r : batches[t].generate(part, opt))
+                all.push_back(std::move(r));
+            }
+            for (const PodemResult& r : all) hash_result(h, r);
+            if (t == 0 && chunks[c] == 0) ref = std::move(all);
+          }
+
+        header(solo_h);
+        std::size_t differ = 0;
+        for (std::size_t i = 0; i < tail.size(); ++i) {
+          const PodemResult r = solo.generate(tail[i], opt);
+          hash_result(solo_h, r);
+          differ += !same_result(r, ref[i]);
         }
-        // Reuse contract: the same engine over a shuffled order returns the
-        // same result for every fault.
+        CHECK_EQ(differ, 0u);
+
+        // Reuse contract: a shuffled order returns the same result for every
+        // fault.
         std::vector<std::size_t> perm(tail.size());
         for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
         Rng rng(0x9e3779b9u + limit);
         for (std::size_t i = perm.size(); i > 1; --i)
           std::swap(perm[i - 1],
                     perm[rng.next_below(static_cast<std::uint32_t>(i))]);
-        std::size_t differ = 0;
-        for (const std::size_t i : perm)
-          differ += !same_result(podem.generate(tail[i], opt), in_order[i]);
+        std::vector<Fault> shuffled;
+        for (const std::size_t i : perm) shuffled.push_back(tail[i]);
+        const std::vector<PodemResult> sr = batches[1].generate(shuffled, opt);
+        differ = 0;
+        for (std::size_t j = 0; j < perm.size(); ++j)
+          differ += !same_result(sr[j], ref[perm[j]]);
         CHECK_EQ(differ, 0u);
       }
     }
-    const std::string got = h.digest().hex();
+    const std::string got = batch_h[std::size(chunks) - 1].digest().hex();
     std::printf("podem search digest: %s\n", got.c_str());
-    CHECK_EQ(got, std::string("33fe0b6759e316efdf0f4067cf623838"));
+    for (std::size_t t = 0; t < 2; ++t)
+      for (std::size_t c = 0; c < std::size(chunks); ++c) {
+        const std::string d = batch_h[t * std::size(chunks) + c].digest().hex();
+        if (d != pin)
+          std::printf("  %zu thread(s), batches of %zu: %s\n", t + 1,
+                      chunks[c], d.c_str());
+        CHECK_EQ(d, pin);
+      }
+    CHECK_EQ(solo_h.digest().hex(), pin);
   }
 
   return bist_test::summary();

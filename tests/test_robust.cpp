@@ -326,6 +326,54 @@ static void test_podem_cancellation() {
   }
   CHECK(done > 0);
   CHECK(cancelled > 0);
+
+  // Stops while several lanes are in flight: the LFSR tail of c432s (hard
+  // faults, some abort at the limit) in one batch larger than the lane
+  // count.  Verdicts finished before the stop are bit-identical; every other
+  // slot is Cancelled, never Aborted.  A Cancelled slot with decisions was a
+  // search cut mid-flight.  One worker polls once per step, so where each
+  // budget lands is deterministic; two workers share the budget and land
+  // anywhere, under the same contract.
+  Lfsr lfsr = Lfsr::maximal(32, 0xACE1);
+  const FaultSimResult lr = fsim.run(lfsr.blocks(n.input_count(), 512));
+  std::vector<Fault> tail;
+  for (const std::uint32_t i : lr.tail_at(lr.patterns))
+    tail.push_back(fsim.faults()[i]);
+  CHECK(tail.size() > 2 * PairSim::kLanes);
+  PodemOptions lim;
+  lim.backtrack_limit = 50;
+  PodemBatch solo_batch(k, 1);
+  const std::vector<PodemResult> tail_base = solo_batch.generate(tail, lim);
+  bool cut_in_flight = false;
+  for (const std::uint64_t polls : {2, 8, 32, 128, 512}) {
+    for (PodemBatch* b : {&solo_batch, &batch}) {
+      PodemOptions o = lim;
+      Deadline d = Deadline::after_checks(polls);
+      o.deadline = &d;
+      const std::vector<PodemResult> r = b->generate(tail, o);
+      std::size_t finished = 0, in_flight = 0;
+      for (std::size_t i = 0; i < tail.size(); ++i) {
+        if (r[i].status == PodemStatus::Cancelled) {
+          in_flight += r[i].decisions > 0;
+          CHECK(r[i].cube.empty());
+          continue;
+        }
+        ++finished;
+        CHECK(r[i].status == tail_base[i].status);
+        CHECK(r[i].cube == tail_base[i].cube);
+        CHECK_EQ(r[i].backtracks, tail_base[i].backtracks);
+        CHECK_EQ(r[i].decisions, tail_base[i].decisions);
+      }
+      if (b == &solo_batch) {
+        std::printf("podem lanes: %zu faults, stop after %llu polls: %zu "
+                    "finished, %zu cut in flight\n",
+                    tail.size(), static_cast<unsigned long long>(polls),
+                    finished, in_flight);
+        cut_in_flight |= finished > 0 && in_flight >= 2;
+      }
+    }
+  }
+  CHECK(cut_in_flight);
 }
 
 // ---------------------------------------------------------------------------
