@@ -1,6 +1,7 @@
 #include "fault/podem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "util/parallel.hpp"
@@ -17,13 +18,11 @@ std::string_view podem_status_name(PodemStatus s) {
   return "?";
 }
 
-Podem::Podem(const SimKernel& k)
-    : k_(&k), sim_(k), lanes_(PairSim::kLanes) {
-  pi_ordinal_.assign(k.gate_count(), ~0u);
-  for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
-    pi_ordinal_[k.inputs()[i]] = i;
-  in_cone_.assign(k.gate_count(), 0);
-  reach_.assign(k.gate_count(), 0);
+PodemScan::PodemScan(const SimKernel& k)
+    : k_(&k),
+      cone_lanes_(k.gate_count(), 0),
+      branch_site_(k.gate_count(), 0),
+      reach_(k.gate_count(), 0) {
   // Static distance-to-PO (min fanout hops), used to steer the D-frontier
   // towards the closest output.  Kernel order is level order, so a reverse
   // sweep sees every fanout before its driver.
@@ -36,69 +35,120 @@ Podem::Podem(const SimKernel& k)
   }
 }
 
-bool Podem::detected(unsigned l) const {
-  for (KIndex o : k_->outputs())
-    if (PairSim::is_diff(sim_.pair(l, o))) return true;
-  return false;
+void PodemScan::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
+  const std::uint64_t bit = std::uint64_t{1} << (4 * lane);
+  Lane& ln = lanes_[lane];
+  for (KIndex u : ln.cone) cone_lanes_[u] &= ~bit;
+  if (ln.branch_fault) branch_site_[ln.site] &= ~bit;
+  ln.cone.clear();
+  ln.site = kNoGate;
+  ln.branch_fault = false;
+  if (site == kNoGate) return;
+  if (pin >= 0 && static_cast<std::size_t>(pin) >= k_->fanins(site).size())
+    throw std::out_of_range("PodemScan::load: fault pin out of range");
+
+  ln.site = site;
+  ln.branch_fault = pin >= 0;
+  ln.line = ln.branch_fault ? k_->fanins(site)[pin] : site;
+  ln.stuck = stuck;
+  if (ln.branch_fault) branch_site_[site] |= bit;
+  // The cone: the site and its transitive fanout, marked in cone_lanes_.
+  ln.cone.push_back(site);
+  cone_lanes_[site] |= bit;
+  for (std::size_t c = 0; c < ln.cone.size(); ++c)
+    for (KIndex fo : k_->fanouts(ln.cone[c]))
+      if (!(cone_lanes_[fo] & bit)) {
+        cone_lanes_[fo] |= bit;
+        ln.cone.push_back(fo);
+      }
 }
 
-bool Podem::x_path_ok(unsigned l) {
-  // reach_[u]: u's value is still X in one machine and a path of such
-  // unresolved gates leads from u to a primary output.  Ternary values are
-  // monotone under further PI assignment (binary never reverts to X), so a
-  // signal pair that is binary-equal is dead for good: if no difference and
-  // no unresolved site signal can reach a PO through unresolved gates, no
-  // completion of the current assignment detects the fault.
-  const std::vector<KIndex>& cone = lanes_[l].cone;
-  for (auto it = cone.rbegin(); it != cone.rend(); ++it) {
-    const KIndex u = *it;
-    bool r = false;
-    if (PairSim::has_x(sim_.pair(l, u))) {
-      if (k_->is_output(u)) {
-        r = true;
-      } else {
-        for (KIndex f : k_->fanouts(u))  // fanouts of cone gates stay in cone
-          if (reach_[f]) { r = true; break; }
+void PodemScan::scan(const PairSim& sim) {
+  const std::uint64_t* val = sim.values().data();
+  // Per lane: activated (the fault line holds !stuck) lanes look for a
+  // D-frontier; a line at its stuck value is dead whatever the X-paths say.
+  std::uint64_t activated = 0, not_stuck = 0;
+  KIndex lo = static_cast<KIndex>(k_->gate_count());
+  for (unsigned l = 0; l < PairSim::kLanes; ++l) {
+    frontier_[l] = kNoGate;
+    frontier_dist_[l] = ~0u;
+    const Lane& ln = lanes_[l];
+    if (ln.site == kNoGate) continue;
+    lo = std::min(lo, ln.site);
+    const Ternary g = sim.good(l, ln.line);
+    const std::uint64_t bit = std::uint64_t{1} << (4 * l);
+    if (g != ln.stuck) not_stuck |= bit;
+    if (g == t_not(ln.stuck)) activated |= bit;
+  }
+  // One reverse walk over the union of the cones.  A gate of a lane's cone
+  // has every fanout in that cone, at a higher index, so its fanouts' reach
+  // is final when the walk gets to it.  reach_ is only ever read on cone
+  // gates, which the walk rewrites.
+  //  - reach: X in some machine, and an output or a reaching fanout;
+  //  - live: a difference with an output or a reaching fanout;
+  //  - frontier: X in some machine, and a difference on a fanin (or the
+  //    site of a branch fault); of those the lowest po_dist, ties to the
+  //    lowest index — `<=` in a descending walk.
+  std::uint64_t detected = 0, live = 0;
+  for (KIndex u = static_cast<KIndex>(k_->gate_count()); u-- > lo;) {
+    const std::uint64_t cone = cone_lanes_[u];
+    if (!cone) continue;
+    const std::uint64_t x = PairSim::x_lanes(val[u]) & cone;
+    const std::uint64_t d = PairSim::diff_lanes(val[u]) & cone;
+    if (!(x | d)) {
+      reach_[u] = 0;
+      continue;
+    }
+    std::uint64_t out = ~std::uint64_t{0};
+    if (k_->is_output(u)) {
+      detected |= d;
+    } else {
+      out = 0;
+      for (KIndex f : k_->fanouts(u)) out |= reach_[f];
+    }
+    reach_[u] = x & out;
+    live |= d & out;
+    std::uint64_t front = x & activated;
+    if (!front) continue;
+    std::uint64_t fin = branch_site_[u];
+    for (KIndex w : k_->fanins(u)) fin |= PairSim::diff_lanes(val[w]);
+    front &= fin;
+    while (front) {
+      const unsigned l = static_cast<unsigned>(std::countr_zero(front)) / 4;
+      front &= front - 1;
+      if (po_dist_[u] <= frontier_dist_[l]) {
+        frontier_[l] = u;
+        frontier_dist_[l] = po_dist_[u];
       }
     }
-    reach_[u] = r;
   }
-  // The fault effect can still materialize at the site.
-  if (reach_[lanes_[l].site]) return true;
-  for (KIndex u : cone) {
-    if (!PairSim::is_diff(sim_.pair(l, u))) continue;  // not a D signal
-    if (k_->is_output(u)) return true;  // detected, caller handles first
-    for (KIndex fo : k_->fanouts(u))
-      if (reach_[fo]) return true;
-  }
-  return false;
+  // The fault effect can still materialize at an unresolved site.
+  for (unsigned l = 0; l < PairSim::kLanes; ++l)
+    if (lanes_[l].site != kNoGate)
+      live |= reach_[lanes_[l].site] & (std::uint64_t{1} << (4 * l));
+  detected_ = detected;
+  live_ = live & not_stuck;
+}
+
+Podem::Podem(const SimKernel& k)
+    : k_(&k), sim_(k), scan_(k), lanes_(PairSim::kLanes) {
+  pi_ordinal_.assign(k.gate_count(), ~0u);
+  for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
+    pi_ordinal_[k.inputs()[i]] = i;
 }
 
 bool Podem::objective(unsigned l, KIndex* gate, Ternary* v) const {
-  const Lane& ln = lanes_[l];
   // Phase 1: activate the fault — drive the faulted line to the opposite of
   // its stuck value.
-  if (sim_.good(l, ln.line) == Ternary::VX) {
-    *gate = ln.line;
-    *v = ln.stuck == Ternary::V0 ? Ternary::V1 : Ternary::V0;
+  if (sim_.good(l, scan_.line(l)) == Ternary::VX) {
+    *gate = scan_.line(l);
+    *v = t_not(scan_.stuck(l));
     return true;
   }
-  // Phase 2: advance the D-frontier — a gate whose output is unresolved in
-  // some machine and that has a difference on a fanin (or is the site gate
-  // of a branch fault, whose difference lives on the forced pin).  Among the
-  // frontier gates take the one closest to a primary output: the shortest
-  // propagation path needs the fewest side-input justifications.
-  KIndex best = kNoGate;
-  for (const KIndex u : ln.cone) {
-    if (!PairSim::has_x(sim_.pair(l, u))) continue;
-    bool frontier = ln.branch_fault && u == ln.site;
-    if (!frontier) {
-      for (KIndex w : k_->fanins(u))
-        if (PairSim::is_diff(sim_.pair(l, w))) { frontier = true; break; }
-    }
-    if (!frontier) continue;
-    if (best == kNoGate || po_dist_[u] < po_dist_[best]) best = u;
-  }
+  // Phase 2: advance the D-frontier.  The scan picked the frontier gate
+  // closest to a primary output: the shortest propagation path needs the
+  // fewest side-input justifications.
+  const KIndex best = scan_.frontier(l);
   if (best == kNoGate) return false;
   const KIndex pick = pick_x_fanin(l, best, /*easiest=*/false);
   if (pick == kNoGate) return false;
@@ -180,46 +230,34 @@ bool Podem::claim(unsigned l, std::span<const Fault> faults,
   const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
   if (i >= faults.size()) {
     sim_.load(l, kNoGate, -1, Ternary::VX);
+    scan_.load(l, kNoGate, -1, Ternary::VX);
     return false;
   }
   const Fault& f = faults[i];
-  ln.site = k_->index_of(f.gate);
-  ln.branch_fault = !f.is_output_fault();
-  ln.stuck = f.stuck ? Ternary::V1 : Ternary::V0;
-  // Drops the lane's previous fault and assignments; throws on a bad pin.
-  sim_.load(l, ln.site, f.pin, ln.stuck);
-  ln.line = ln.branch_fault ? k_->fanins(ln.site)[f.pin] : ln.site;
+  const KIndex site = k_->index_of(f.gate);
+  const Ternary stuck = f.stuck ? Ternary::V1 : Ternary::V0;
+  // Each drops the lane's previous fault; a bad pin throws, and run()
+  // reloads every lane before its first scan.
+  sim_.load(l, site, f.pin, stuck);
+  scan_.load(l, site, f.pin, stuck);
   ln.frames.clear();
   ln.backtracks = 0;
   ln.decisions = 0;
-
-  ln.cone.clear();
-  ln.cone.push_back(ln.site);
-  in_cone_[ln.site] = 1;
-  for (std::size_t c = 0; c < ln.cone.size(); ++c)
-    for (KIndex fo : k_->fanouts(ln.cone[c]))
-      if (!in_cone_[fo]) {
-        in_cone_[fo] = 1;
-        ln.cone.push_back(fo);
-      }
-  for (KIndex u : ln.cone) in_cone_[u] = 0;
-  std::sort(ln.cone.begin(), ln.cone.end());  // ascending == level order
   ln.slot = i;
   return true;
 }
 
 bool Podem::step(unsigned l, PodemStatus* verdict) {
-  // One search node, on the values of the pass that implied the lane's last
+  // One search node, on the scan of the pass that implied the lane's last
   // decision.
   Lane& ln = lanes_[l];
-  if (detected(l)) {
+  if (scan_.detected(l)) {
     *verdict = PodemStatus::Detected;
     return true;
   }
   KIndex og;
   Ternary ov;
-  if (sim_.good(l, ln.line) != ln.stuck &&  // activation still possible
-      x_path_ok(l) &&                        // some propagation path lives
+  if (scan_.live(l) &&  // activation possible, some propagation path lives
       objective(l, &og, &ov)) {
     std::uint32_t idx;
     Ternary v;
@@ -270,10 +308,10 @@ void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
   unsigned busy = 0;
   for (unsigned l = 0; l < PairSim::kLanes; ++l) busy += claim(l, faults, next);
   while (busy) {
-    // Cooperative stop, polled once per step: a step is a full pass plus a
-    // node in every busy lane, far above the poll, so cancellation latency
-    // is one node while an undeadlined search is untouched — the poll reads
-    // a clock and a flag, never search state.
+    // Cooperative stop, polled once per step: a step is a full pass, a scan
+    // and a node in every busy lane, far above the poll, so cancellation
+    // latency is one node while an undeadlined search is untouched — the
+    // poll reads a clock and a flag, never search state.
     if (opt.deadline && opt.deadline->should_stop()) {
       for (unsigned l = 0; l < PairSim::kLanes; ++l)
         if (lanes_[l].slot != kIdle) {
@@ -283,6 +321,7 @@ void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
       return;
     }
     sim_.evaluate();
+    scan_.scan(sim_);
     for (unsigned l = 0; l < PairSim::kLanes; ++l) {
       PodemStatus verdict;
       if (lanes_[l].slot == kIdle || !step(l, &verdict)) continue;

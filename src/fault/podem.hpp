@@ -13,21 +13,25 @@
 // X-valued region to a primary-input assignment, imply it, and backtrack on
 // failure.  The recursion is an explicit per-lane stack of decision frames
 // (PI, value, second branch tried), so a search can stop after any node and
-// resume after the next pass.  A step runs one node in every busy lane —
-// the detected / activation / X-path / objective checks and a backtrace, or
-// a backtrack — and then one pass evaluates all lanes.  Unassigning a PI
-// writes X back to it; the pass restores everything downstream.  Pruning is
-// conservative — a branch is cut only when the fault provably cannot be
-// activated, or no X-path from a difference (or the still-unresolved fault
-// site) reaches a primary output under the current assignment — so an
-// exhausted search proves the fault redundant.  Searches that hit the
-// backtrack limit are reported Aborted, separately from Redundant.
+// resume after the next pass.  A step is one pass over all lanes, then one
+// PodemScan of its values — the detected, X-path and D-frontier checks of
+// every lane at once, as lane masks over one reverse walk of the kernel —
+// and then one node in every busy lane: a backtrace from the next
+// objective, or a backtrack.  Unassigning a PI writes X back to it; the
+// pass restores everything downstream.  Pruning is conservative — a branch
+// is cut only when the fault provably cannot be activated, or no X-path
+// from a difference (or the still-unresolved fault site) reaches a primary
+// output under the current assignment — so an exhausted search proves the
+// fault redundant.  Searches that hit the backtrack limit are reported
+// Aborted, separately from Redundant.
 //
-// The frame stack is the depth-first recursion unrolled, so every lane takes
-// exactly the decisions of a one-search-at-a-time PODEM: a lane's values
-// depend only on its own fault and assignment, never on its neighbours, and
-// lanes are a pure throughput device.
+// The frame stack is the depth-first recursion unrolled, and the scan
+// computes exactly the per-lane checks of a one-search-at-a-time PODEM, so
+// every lane takes exactly that search's decisions: a lane's values depend
+// only on its own fault and assignment, never on its neighbours, and lanes
+// are a pure throughput device.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -62,10 +66,10 @@ struct PodemOptions {
   /// eaters and abort instead (see BENCH JSON podem.aborted per circuit).
   std::uint32_t backtrack_limit = 1000;
   /// Cooperative deadline/cancel, polled once per step of an engine (one
-  /// node in every busy lane).  When it fires, every search in flight
-  /// returns PodemStatus::Cancelled and no further fault is started;
-  /// verdicts reached before the stop are untouched and bit-identical to an
-  /// undeadlined run.  nullptr = never stops.
+  /// pass, one scan and one node in every busy lane).  When it fires, every
+  /// search in flight returns PodemStatus::Cancelled and no further fault is
+  /// started; verdicts reached before the stop are untouched and
+  /// bit-identical to an undeadlined run.  nullptr = never stops.
   const Deadline* deadline = nullptr;
 };
 
@@ -77,6 +81,71 @@ struct PodemResult {
   std::uint64_t decisions = 0;
 };
 
+/// The per-pass checks of every PODEM lane at once.  After a PairSim pass,
+/// scan() reads its value words and answers, for each lane with a fault:
+///  - detected: some primary output carries D or D-bar;
+///  - live: the fault line does not hold its stuck value, and a difference
+///    (or the still-unresolved fault site) reaches a primary output along
+///    gates still X in some machine — else no completion of the assignment
+///    detects the fault (values are monotone: binary never reverts to X);
+///  - frontier: once the fault line holds the opposite of its stuck value,
+///    the D-frontier gate (X in some machine, with a difference on a fanin,
+///    or the site gate of a branch fault) closest to a primary output,
+///    lowest kernel index on ties; kNoGate otherwise.
+/// All three come from lane masks (lane L is bit 4L, the low bit of its
+/// PairSim nibble) over one reverse walk of kernel order, which stops at the
+/// lowest fault site: per gate, the lanes whose fault cone holds it, the
+/// lanes with an X or a difference there, and the lanes an X-path leads from
+/// it to an output.
+class PodemScan {
+ public:
+  /// The kernel must outlive the scan.  Every lane starts without a fault.
+  explicit PodemScan(const SimKernel& k);
+
+  /// Lane `lane` now targets the fault at kernel gate `site` (pin < 0: its
+  /// output; otherwise the branch into fanin `pin`) stuck at `stuck`, as
+  /// PairSim::load; site == kNoGate: no fault.  Drops the lane's previous
+  /// fault first.  Throws std::out_of_range on a bad pin, leaving the lane
+  /// without a fault.
+  void load(unsigned lane, KIndex site, int pin, Ternary stuck);
+
+  /// Scan the values of `sim`'s last pass (its lanes carrying the faults
+  /// loaded here).
+  void scan(const PairSim& sim);
+
+  bool detected(unsigned lane) const { return (detected_ >> (4 * lane)) & 1; }
+  bool live(unsigned lane) const { return (live_ >> (4 * lane)) & 1; }
+  KIndex frontier(unsigned lane) const { return frontier_[lane]; }
+  /// Gate u lies in the lane's fault cone (the site and its transitive
+  /// fanout); never true for a lane without a fault.
+  bool in_cone(unsigned lane, KIndex u) const {
+    return (cone_lanes_[u] >> (4 * lane)) & 1;
+  }
+  /// The faulted line's driving signal and its stuck value.
+  KIndex line(unsigned lane) const { return lanes_[lane].line; }
+  Ternary stuck(unsigned lane) const { return lanes_[lane].stuck; }
+
+ private:
+  struct Lane {
+    KIndex site = kNoGate;     // fault site gate, kNoGate: no fault
+    KIndex line = kNoGate;     // faulted line's driving signal
+    bool branch_fault = false;
+    Ternary stuck = Ternary::VX;
+    std::vector<KIndex> cone;  // transitive fanout of site incl site
+  };
+
+  const SimKernel* k_;
+  // Per gate: min fanout hops to an output, and lane masks of the lanes
+  // whose cone holds it, the lanes with a branch fault at it, and the lanes
+  // with an X-path from it to an output (valid on cone gates after a scan).
+  std::vector<std::uint32_t> po_dist_;
+  std::vector<std::uint64_t> cone_lanes_, branch_site_, reach_;
+  std::array<Lane, PairSim::kLanes> lanes_;
+  std::array<KIndex, PairSim::kLanes> frontier_;
+  std::array<std::uint32_t, PairSim::kLanes> frontier_dist_;
+  std::uint64_t detected_ = 0, live_ = 0;
+};
+
 /// Reusable lane-parallel PODEM engine.  The kernel must outlive it.
 ///
 /// Reuse contract (what lets pooled workers hold one engine each and lanes
@@ -84,8 +153,8 @@ struct PodemResult {
 /// previous fault, unassigns every one of its PIs and resets every per-lane
 /// search field, so a verdict depends only on (kernel, fault, options) —
 /// never on the faults searched before it, beside it, or in which lane.
-/// run() starts every lane afresh, even after a throw.  The engine carries
-/// no RNG; the search is fully deterministic.
+/// run() starts every lane afresh, even after a throw or a cancellation.
+/// The engine carries no RNG; the search is fully deterministic.
 class Podem {
  public:
   explicit Podem(const SimKernel& k);
@@ -110,14 +179,9 @@ class Podem {
     Ternary v;
     bool second;
   };
-  // One search in flight.
+  // One search in flight; its fault lives in the lane of sim_ and scan_.
   struct Lane {
     std::size_t slot = kIdle;  // index of its fault in the running batch
-    KIndex site = 0;           // fault site gate
-    KIndex line = 0;           // faulted line's driving signal
-    bool branch_fault = false;
-    Ternary stuck = Ternary::V0;
-    std::vector<KIndex> cone;  // transitive fanout of site incl site, ascending
     std::vector<Frame> frames;
     std::uint32_t backtracks = 0;
     std::uint64_t decisions = 0;
@@ -127,8 +191,6 @@ class Podem {
              std::atomic<std::size_t>& next);
   bool step(unsigned l, PodemStatus* verdict);
   PodemResult result(unsigned l, PodemStatus s) const;
-  bool detected(unsigned l) const;
-  bool x_path_ok(unsigned l);
   bool objective(unsigned l, KIndex* gate, Ternary* v) const;
   KIndex pick_x_fanin(unsigned l, KIndex g, bool easiest) const;
   void backtrace(unsigned l, KIndex g, Ternary v, std::uint32_t* pi_idx,
@@ -136,10 +198,8 @@ class Podem {
 
   const SimKernel* k_;
   PairSim sim_;
+  PodemScan scan_;
   std::vector<std::uint32_t> pi_ordinal_;  // kernel idx -> PI index, ~0 if not PI
-  std::vector<std::uint32_t> po_dist_;     // min fanout hops to a primary output
-  std::vector<char> in_cone_;              // cone-building scratch, kept all 0
-  std::vector<char> reach_;                // x_path_ok scratch, valid on a cone
   std::vector<Lane> lanes_;                // PairSim::kLanes
   std::uint32_t limit_ = 0;
 };

@@ -38,6 +38,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/kernel.hpp"
@@ -77,10 +78,24 @@ class PairSim {
     return machine_value(pair(lane, k) >> 2);
   }
 
+  /// Every gate's value word (kernel order), layout above.
+  std::span<const std::uint64_t> values() const { return values_; }
+
   /// Either machine is still X.
   static bool has_x(std::uint8_t p) { return (p & 0x3) == 0 || (p & 0xC) == 0; }
   /// Both machines binary and different: the nibble carries D or D-bar.
   static bool is_diff(std::uint8_t p) { return p == 0x9 || p == 0x6; }
+
+  /// Lane masks: bit 4L (the low bit of lane L's nibble) of each is
+  /// has_x / is_diff of lane L's nibble in value word v.
+  static constexpr std::uint64_t kLaneBits = 0x1111111111111111ull;
+  static std::uint64_t x_lanes(std::uint64_t v) {
+    return (~(v | v >> 1) | ~(v >> 2 | v >> 3)) & kLaneBits;
+  }
+  static std::uint64_t diff_lanes(std::uint64_t v) {
+    // good binary, faulty binary, and the two "is 1" rails differ
+    return (v ^ v >> 1) & (v >> 2 ^ v >> 3) & (v >> 1 ^ v >> 3) & kLaneBits;
+  }
 
  private:
   static Ternary machine_value(unsigned rails) {

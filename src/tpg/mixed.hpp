@@ -68,7 +68,8 @@ struct MixedTpgOptions {
   /// never check.
   bool compress = true;
   /// Cooperative deadline/cancel for the whole scheme, threaded into the
-  /// fault-sim pass (per block group) and PODEM (per decision, per fault).
+  /// fault-sim pass (per block group) and PODEM (once per engine step: one
+  /// pass, one scan and one search node in every busy lane).
   /// When it fires, the run degrades instead of failing: see
   /// MixedSchemeResult::state.  nullptr = never stops.
   const Deadline* deadline = nullptr;

@@ -6,7 +6,8 @@
 // faults — no fault, the same fault in two lanes, stem and branch faults —
 // and are reloaded mid-walk while the others keep walking.  Covers constant
 // gates, multi-input XOR/XNOR, a gate wider than 64 inputs, c17 and the
-// c432s/c880s/c1355s surrogates.
+// c432s/c880s/c1355s surrogates.  The lane-mask predicates x_lanes and
+// diff_lanes are checked against has_x and is_diff on random words.
 
 #include <algorithm>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include "circuits/c17.hpp"
 #include "circuits/iscas85_family.hpp"
 #include "fault/fault.hpp"
+#include "hand_circuit.hpp"
 #include "sim/kernel.hpp"
 #include "sim/pair_sim.hpp"
 #include "sim/ternary_sim.hpp"
@@ -164,33 +166,6 @@ void check_circuit(const Netlist& n, std::size_t sample, int steps,
   CHECK_EQ(bad, 0u);
 }
 
-// Constant gates, multi-input XOR/XNOR, every other gate type, and an
-// 80-input AND (wider than a 64-entry fanin buffer).
-Netlist hand_circuit() {
-  Netlist n("hand");
-  std::vector<GateId> in;
-  for (int i = 0; i < 80; ++i)
-    in.push_back(n.add_input("i" + std::to_string(i)));
-  const GateId c0 = n.add_gate(GateType::Const0, {}, "c0");
-  const GateId c1 = n.add_gate(GateType::Const1, {}, "c1");
-  const GateId x3 = n.add_gate(GateType::Xor, {in[0], in[1], in[2]}, "x3");
-  const GateId xn4 = n.add_gate(GateType::Xnor, {in[3], in[4], x3, c1}, "xn4");
-  const GateId a = n.add_gate(GateType::And, {in[5], c1, xn4}, "a");
-  const GateId na = n.add_gate(GateType::Nand, {in[6], x3, in[7]}, "na");
-  const GateId o = n.add_gate(GateType::Or, {c0, in[8], na}, "o");
-  const GateId no = n.add_gate(GateType::Nor, {a, in[9]}, "no");
-  const GateId b = n.add_gate(GateType::Buf, {no}, "b");
-  const GateId nt = n.add_gate(GateType::Not, {o}, "nt");
-  const GateId xo = n.add_gate(GateType::Xor, {b, nt, in[10], x3, c0}, "xo");
-  const GateId wide = n.add_gate(GateType::And, in, "wide");
-  const GateId wx = n.add_gate(GateType::Xnor, {wide, xo}, "wx");
-  const GateId k0 = n.add_gate(GateType::Or, {c0, c0}, "k0");
-  const GateId k1 = n.add_gate(GateType::Nand, {k0, in[11]}, "k1");
-  for (GateId g : {xn4, a, o, b, xo, wx, k1}) n.add_output(g);
-  n.freeze();
-  return n;
-}
-
 }  // namespace
 
 int main() {
@@ -240,6 +215,30 @@ int main() {
     CHECK_EQ(int(ps.faulty(15, wide)), int(Ternary::V1));
     CHECK_EQ(int(ps.good(15, wide)), int(Ternary::VX));
     CHECK_EQ(int(ps.good(0, wide)), int(Ternary::V0));
+  }
+
+  // --- lane masks against the per-nibble predicates ----------------------
+  // Words of valid nibbles (each machine 0, 1 or X): bit 4L of x_lanes and
+  // diff_lanes must be has_x and is_diff of lane L's nibble, and no other
+  // bit may be set.
+  {
+    Rng rng(0x1000);
+    std::size_t bad = 0;
+    for (int t = 0; t < 4096; ++t) {
+      std::uint64_t v = 0;
+      for (unsigned l = 0; l < kLanes; ++l) {
+        const std::uint64_t good = rng.next_below(3), faulty = rng.next_below(3);
+        v |= (good | faulty << 2) << (4 * l);
+      }
+      const std::uint64_t x = PairSim::x_lanes(v), d = PairSim::diff_lanes(v);
+      bad += ((x | d) & ~PairSim::kLaneBits) != 0;
+      for (unsigned l = 0; l < kLanes; ++l) {
+        const std::uint8_t p = static_cast<std::uint8_t>((v >> (4 * l)) & 0xF);
+        bad += ((x >> (4 * l)) & 1) != PairSim::has_x(p);
+        bad += ((d >> (4 * l)) & 1) != PairSim::is_diff(p);
+      }
+    }
+    CHECK_EQ(bad, 0u);
   }
 
   // --- lane-for-lane against the oracle -----------------------------------

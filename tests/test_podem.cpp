@@ -8,7 +8,9 @@
 // single decision fails here — through the lane-parallel batch at 1 and 2
 // threads and every lane occupancy, and through one fault at a time — and a
 // batch reused over a shuffled fault order must reproduce the in-order
-// per-fault results.
+// per-fault results.  The lane-mask scan (PodemScan) is checked lane by
+// lane against the per-lane scalar scans it replaced, kept here as the
+// reference, on seeded random PairSim states.
 
 #include <algorithm>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "fault/fault.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/podem.hpp"
+#include "hand_circuit.hpp"
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
@@ -70,9 +73,235 @@ bool same_result(const PodemResult& a, const PodemResult& b) {
          a.backtracks == b.backtracks && a.decisions == b.decisions;
 }
 
+// --- the per-lane scalar scans: the reference for PodemScan -------------
+// What a one-search-at-a-time PODEM checks on one lane, reading that lane's
+// nibbles only: the engine's scans before they went bit-parallel.
+
+struct RefFault {
+  KIndex site, line;
+  bool branch;
+  Ternary stuck;
+  std::vector<KIndex> cone;  // site and its transitive fanout, ascending
+};
+
+RefFault ref_fault(const SimKernel& k, const Fault& f) {
+  RefFault r;
+  r.site = k.index_of(f.gate);
+  r.branch = !f.is_output_fault();
+  r.line = r.branch ? k.fanins(r.site)[f.pin] : r.site;
+  r.stuck = f.stuck ? Ternary::V1 : Ternary::V0;
+  std::vector<char> in(k.gate_count(), 0);
+  r.cone.push_back(r.site);
+  in[r.site] = 1;
+  for (std::size_t c = 0; c < r.cone.size(); ++c)
+    for (KIndex fo : k.fanouts(r.cone[c]))
+      if (!in[fo]) {
+        in[fo] = 1;
+        r.cone.push_back(fo);
+      }
+  std::sort(r.cone.begin(), r.cone.end());
+  return r;
+}
+
+std::vector<std::uint32_t> ref_po_dist(const SimKernel& k) {
+  std::vector<std::uint32_t> d(k.gate_count(), ~0u);
+  for (KIndex u = static_cast<KIndex>(k.gate_count()); u-- > 0;) {
+    if (k.is_output(u)) { d[u] = 0; continue; }
+    for (KIndex f : k.fanouts(u))
+      if (d[f] != ~0u) d[u] = std::min(d[u], d[f] + 1);
+  }
+  return d;
+}
+
+bool ref_detected(const SimKernel& k, const PairSim& ps, unsigned l) {
+  for (KIndex o : k.outputs())
+    if (PairSim::is_diff(ps.pair(l, o))) return true;
+  return false;
+}
+
+// The line can still take the opposite of its stuck value, and a difference
+// or the unresolved site reaches an output along gates X in some machine.
+bool ref_live(const SimKernel& k, const PairSim& ps, unsigned l,
+              const RefFault& f) {
+  if (ps.good(l, f.line) == f.stuck) return false;
+  std::vector<char> reach(k.gate_count(), 0);
+  for (auto it = f.cone.rbegin(); it != f.cone.rend(); ++it) {
+    const KIndex u = *it;
+    bool r = false;
+    if (PairSim::has_x(ps.pair(l, u))) {
+      if (k.is_output(u)) {
+        r = true;
+      } else {
+        for (KIndex fo : k.fanouts(u))  // fanouts of cone gates stay in cone
+          if (reach[fo]) { r = true; break; }
+      }
+    }
+    reach[u] = r;
+  }
+  if (reach[f.site]) return true;
+  for (KIndex u : f.cone) {
+    if (!PairSim::is_diff(ps.pair(l, u))) continue;
+    if (k.is_output(u)) return true;
+    for (KIndex fo : k.fanouts(u))
+      if (reach[fo]) return true;
+  }
+  return false;
+}
+
+// Once the line holds !stuck: the first D-frontier gate in ascending order
+// with the lowest po_dist.  *ties counts the frontier gates at that distance.
+KIndex ref_frontier(const SimKernel& k, const PairSim& ps, unsigned l,
+                    const RefFault& f, const std::vector<std::uint32_t>& dist,
+                    std::size_t* ties) {
+  *ties = 0;
+  if (ps.good(l, f.line) != t_not(f.stuck)) return kNoGate;
+  KIndex best = kNoGate;
+  for (const KIndex u : f.cone) {
+    if (!PairSim::has_x(ps.pair(l, u))) continue;
+    bool frontier = f.branch && u == f.site;
+    if (!frontier) {
+      for (KIndex w : k.fanins(u))
+        if (PairSim::is_diff(ps.pair(l, w))) { frontier = true; break; }
+    }
+    if (!frontier) continue;
+    if (best == kNoGate || dist[u] < dist[best]) {
+      best = u;
+      *ties = 1;
+    } else if (dist[u] == dist[best]) {
+      ++*ties;
+    }
+  }
+  return best;
+}
+
+struct ScanTally {
+  std::size_t lanes = 0, idle = 0, detected = 0, live = 0, dead = 0,
+              picks = 0, branch_site_picks = 0, tied_picks = 0, bad = 0;
+};
+
+// Seeded random states: every round each lane either keeps its fault or is
+// refilled — with a random fault (half of them on a multi-fanout line, stem
+// or branch) or with none — and gets a fresh partial PI assignment at a
+// random density.  After each pass, every lane of the scan must equal the
+// reference.
+void check_scan(const Netlist& n, int rounds, std::uint64_t seed,
+                ScanTally& t) {
+  const SimKernel k(n);
+  PairSim ps(k);
+  PodemScan scan(k);
+  Rng rng(seed);
+  const std::vector<Fault> all = enumerate_faults(n);
+  std::vector<Fault> multi;  // the faulted line has several fanouts
+  for (const Fault& f : all) {
+    const KIndex site = k.index_of(f.gate);
+    const KIndex line = f.is_output_fault() ? site : k.fanins(site)[f.pin];
+    if (k.fanouts(line).size() > 1) multi.push_back(f);
+  }
+  const std::vector<std::uint32_t> dist = ref_po_dist(k);
+  std::vector<RefFault> ref(PairSim::kLanes);
+  std::vector<bool> busy(PairSim::kLanes, false);
+  const std::size_t before = t.bad;
+  for (int round = 0; round < rounds; ++round) {
+    for (unsigned l = 0; l < PairSim::kLanes; ++l) {
+      if (round > 0 && rng.next_below(2)) continue;  // keeps its fault
+      busy[l] = rng.next_below(8) != 0;
+      if (!busy[l]) {
+        ps.load(l, kNoGate, -1, Ternary::VX);
+        scan.load(l, kNoGate, -1, Ternary::VX);
+        continue;
+      }
+      const std::vector<Fault>& from =
+          !multi.empty() && rng.next_bool() ? multi : all;
+      const Fault& f =
+          from[rng.next_below(static_cast<std::uint32_t>(from.size()))];
+      ref[l] = ref_fault(k, f);
+      ps.load(l, ref[l].site, f.pin, ref[l].stuck);
+      scan.load(l, ref[l].site, f.pin, ref[l].stuck);
+    }
+    for (unsigned l = 0; l < PairSim::kLanes; ++l) {
+      const std::uint32_t density = 1 + rng.next_below(9);  // tenths assigned
+      for (std::size_t i = 0; i < k.inputs().size(); ++i)
+        ps.set_input(l, i,
+                     rng.next_below(10) >= density ? Ternary::VX
+                     : rng.next_bool()             ? Ternary::V1
+                                                   : Ternary::V0);
+    }
+    ps.evaluate();
+    scan.scan(ps);
+    for (unsigned l = 0; l < PairSim::kLanes; ++l) {
+      ++t.lanes;
+      // The lane's cone marks, exactly: a refill or an idle lane keeps none
+      // of the previous fault's.
+      std::vector<char> cone(k.gate_count(), 0);
+      if (busy[l])
+        for (KIndex u : ref[l].cone) cone[u] = 1;
+      for (KIndex u = 0; u < k.gate_count(); ++u)
+        t.bad += scan.in_cone(l, u) != (cone[u] != 0);
+      if (!busy[l]) {
+        ++t.idle;
+        t.bad += scan.detected(l) || scan.live(l) ||
+                 scan.frontier(l) != kNoGate;
+        continue;
+      }
+      const bool det = ref_detected(k, ps, l);
+      const bool live = ref_live(k, ps, l, ref[l]);
+      std::size_t ties = 0;
+      const KIndex pick = ref_frontier(k, ps, l, ref[l], dist, &ties);
+      t.detected += det;
+      t.live += !det && live;
+      t.dead += !det && !live;
+      t.picks += pick != kNoGate;
+      t.branch_site_picks += ref[l].branch && pick == ref[l].site;
+      t.tied_picks += ties > 1;
+      t.bad += scan.detected(l) != det || scan.live(l) != live ||
+               scan.frontier(l) != pick || scan.line(l) != ref[l].line ||
+               scan.stuck(l) != ref[l].stuck;
+    }
+  }
+  std::printf("scan %s: %zu lane mismatches\n", n.name().c_str(),
+              t.bad - before);
+}
+
 }  // namespace
 
 int main() {
+  // --- the lane scan against the per-lane reference -----------------------
+  {
+    ScanTally t;
+    check_scan(hand_circuit(), 200, 0x5ca1, t);
+    check_scan(make_c17(), 200, 0x5ca2, t);
+    check_scan(make_iscas85("c432s"), 150, 0x5ca3, t);
+    check_scan(make_iscas85("c880s"), 150, 0x5ca4, t);
+    check_scan(make_iscas85("c1355s"), 150, 0x5ca5, t);
+    std::printf("scan: %zu lanes (%zu idle), %zu detected, %zu live, %zu "
+                "dead, %zu frontier picks (%zu at a branch site, %zu tied)\n",
+                t.lanes, t.idle, t.detected, t.live, t.dead, t.picks,
+                t.branch_site_picks, t.tied_picks);
+    CHECK_EQ(t.bad, 0u);
+    CHECK(t.idle > 0);
+    CHECK(t.detected > 0);
+    CHECK(t.live > 0);
+    CHECK(t.dead > 0);
+    CHECK(t.branch_site_picks > 0);
+    CHECK(t.tied_picks > 0);
+
+    // A bad pin throws and leaves the lane without a fault or cone marks.
+    const Netlist c17 = make_c17();
+    const SimKernel k(c17);
+    PairSim ps(k);
+    PodemScan scan(k);
+    const KIndex g10 = k.index_of(c17.find("10"));  // 2-input NAND
+    scan.load(3, g10, 0, Ternary::V0);
+    CHECK(scan.in_cone(3, g10));
+    CHECK_THROWS(scan.load(3, g10, 2, Ternary::V0));
+    std::size_t marks = 0;
+    for (KIndex u = 0; u < k.gate_count(); ++u) marks += scan.in_cone(3, u);
+    CHECK_EQ(marks, 0u);
+    ps.evaluate();
+    scan.scan(ps);
+    CHECK(!scan.detected(3) && !scan.live(3) && scan.frontier(3) == kNoGate);
+  }
+
   // --- C17: every collapsed fault has a test, every cube is confirmed ----
   {
     const Netlist c17 = make_c17();

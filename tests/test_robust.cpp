@@ -374,6 +374,21 @@ static void test_podem_cancellation() {
     }
   }
   CHECK(cut_in_flight);
+
+  // Reuse after the cuts: both batches, undeadlined, return every slot
+  // exactly as before — a lane cancelled mid-search leaves no fault, cone or
+  // assignment behind in its engine.
+  for (PodemBatch* b : {&solo_batch, &batch}) {
+    const std::vector<PodemResult> r = b->generate(tail, lim);
+    CHECK_EQ(r.size(), tail_base.size());
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < r.size() && i < tail_base.size(); ++i)
+      differ += r[i].status != tail_base[i].status ||
+                r[i].cube != tail_base[i].cube ||
+                r[i].backtracks != tail_base[i].backtracks ||
+                r[i].decisions != tail_base[i].decisions;
+    CHECK_EQ(differ, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
