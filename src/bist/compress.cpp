@@ -89,12 +89,26 @@ MisrAudit::MisrAudit(const FaultSimulator& fsim, const SimKernel& cut,
                      unsigned K, std::uint64_t taps, std::size_t horizon)
     : fsim_(&fsim),
       outs_(cut.outputs().size()),
-      stage_(misr_stage_operators(K, taps)),
+      nbytes_((K + 7) / 8),
+      stage_(std::size_t{K} * nbytes_ * 256, 0),
       e0_at_(horizon),
       q_(fsim.faults().size() * outs_, 0) {
   const Gf2Matrix M = lfsr_transition(K, taps);
   std::uint64_t v = 1;
   for (std::size_t t = horizon; t-- > 0; v = M.apply(v)) e0_at_[t] = v;
+  // Byte table i of stage c maps x to R_c * (x << 8i): each entry is one
+  // XOR of a smaller entry and a column of R_c, so the tables cost K^2
+  // applies in all.
+  const std::vector<Gf2Matrix> R = misr_stage_operators(K, taps);
+  for (unsigned c = 0; c < K; ++c)
+    for (unsigned i = 0; i < nbytes_; ++i) {
+      std::uint64_t col[8] = {};
+      for (unsigned j = 0; j < 8 && 8 * i + j < K; ++j)
+        col[j] = R[c].apply(std::uint64_t{1} << (8 * i + j));
+      std::uint64_t* t = stage_.data() + (std::size_t{c} * nbytes_ + i) * 256;
+      for (unsigned x = 1; x < 256; ++x)
+        t[x] = t[x & (x - 1)] ^ col[std::countr_zero(x)];
+    }
 }
 
 void MisrAudit::add(std::span<const PatternBlock> blocks, std::size_t patterns,
@@ -154,8 +168,14 @@ std::size_t MisrAudit::escapes(std::span<const std::uint16_t> map,
   for (const std::uint32_t f : faults) {
     const std::uint64_t* qf = q_.data() + std::size_t{f} * outs_;
     std::uint64_t sig = 0;
-    for (std::size_t o = 0; o < outs_; ++o)
-      if (qf[o]) sig ^= stage_[map[o]].apply(qf[o]);
+    for (std::size_t o = 0; o < outs_; ++o) {
+      const std::uint64_t q = qf[o];
+      if (!q) continue;
+      const std::uint64_t* t =
+          stage_.data() + std::size_t{map[o]} * nbytes_ * 256;
+      for (unsigned i = 0; i < nbytes_; ++i, t += 256)
+        sig ^= t[(q >> (8 * i)) & 255];
+    }
     n += sig == 0;
   }
   return n;

@@ -178,14 +178,18 @@ class MisrAudit {
   void toggle(const Deltas& d);
 
   /// Faults among `faults` (sim-fault indices) whose signature difference
-  /// cancels under fold map `map`.
+  /// cancels under fold map `map`.  Each nonzero q_o is moved to its stage
+  /// through the byte tables of R_map(o), built once per audit: ceil(K/8)
+  /// lookups per (fault, output).
   std::size_t escapes(std::span<const std::uint16_t> map,
                       std::span<const std::uint32_t> faults) const;
 
  private:
   const FaultSimulator* fsim_;
   std::size_t outs_;
-  std::vector<Gf2Matrix> stage_;     ///< R_c per stage
+  unsigned nbytes_;                  ///< ceil(K / 8)
+  /// R_c as byte tables: entry (c * nbytes_ + i) * 256 + x = R_c * (x << 8i).
+  std::vector<std::uint64_t> stage_;
   std::vector<std::uint64_t> e0_at_; ///< M^(horizon-1-t) * e_0 per cycle t
   std::vector<std::uint64_t> q_;     ///< sim faults x outputs
 };

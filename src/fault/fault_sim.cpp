@@ -401,48 +401,97 @@ void FaultSimulator::output_diff_sweep(
       first_block = std::min(first_block, static_cast<std::size_t>(fd) / 64);
     }
 
+  // kMaxWordWidth blocks per pass: one good-machine pass and one cone
+  // propagation per stem for all of a group's lanes.
+  constexpr unsigned W = kMaxWordWidth;
+  using Word = SimWord<W>;
+
   // PO indices driven by each output gate (a gate may feed several POs).
   const auto outs = k_->outputs();
   std::vector<std::vector<std::uint32_t>> po_of(k_->gate_count());
   for (std::size_t i = 0; i < outs.size(); ++i)
     po_of[outs[i]].push_back(static_cast<std::uint32_t>(i));
 
-  FfrScratch<1> s;
-  s.init(*k_);
-  std::vector<std::pair<KIndex, std::uint64_t>> hits;
+  // One block group's observed stems, buffered so that the visits can come
+  // block by block: per stem, its faults' (fault, stem word) pairs in live
+  // order and its PO hits, both in flat arrays ending at `words_end` /
+  // `hits_end`.  Only faults whose stem word reaches some output are kept.
+  struct Stem {
+    std::size_t words_end, hits_end;
+  };
+  std::vector<Stem> stems;
+  std::vector<std::pair<std::uint32_t, Word>> words;
+  std::vector<std::pair<KIndex, Word>> hits;
   std::vector<OutputDiff> diffs;
+  FfrScratch<W> s;
+  s.init(*k_);
   std::uint64_t evals = 0;
-  KernelSim good(*k_);
-  for (std::size_t b = first_block; b < n_blocks; ++b) {
-    good.simulate(blocks[b]);
-    const std::size_t live_lanes = std::min<std::size_t>(64, patterns - b * 64);
-    const std::uint64_t lanes = live_lanes == 64
-                                    ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << live_lanes) - 1;
-    const std::uint64_t* gv = good.values().data();
-    for (std::size_t g = 0; g < ngroups; ++g) {
+  WideSimT<W> good(*k_);
+  for (std::size_t b0 = first_block; b0 < n_blocks; b0 += W) {
+    const std::size_t nb = std::min<std::size_t>(W, n_blocks - b0);
+    good.simulate(blocks.subspan(b0, nb));
+    // Live lanes come from `patterns` (the last block may be partial);
+    // joined_from[j] keeps only sub-blocks >= j, the lanes of a fault that
+    // joins at sub-block j.
+    Word joined_from[W];
+    Word lanes = w_zero<Word>();
+    for (std::size_t j = nb; j-- > 0;) {
+      const std::size_t live_lanes =
+          std::min<std::size_t>(64, patterns - (b0 + j) * 64);
+      const std::uint64_t m = live_lanes == 64
+                                  ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << live_lanes) - 1;
+      w_sub(lanes, j) = m;
+      joined_from[j] = lanes;
+    }
+    const Word* gv = good.values().data();
+
+    stems.clear();
+    words.clear();
+    hits.clear();
+    for (std::size_t g = 0; g < live.size(); ++g) {
       const auto& lf = live[g];
-      s.stem_words.assign(lf.size(), 0);
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < lf.size(); ++i) {
-        if (static_cast<std::size_t>(first_detected[lf[i]]) / 64 > b) continue;
-        s.stem_words[i] = local_stem_word<1>(*k_, faults_[lf[i]], gv, lanes,
-                                             &evals);
-        acc |= s.stem_words[i];
+      const std::size_t w0 = words.size();
+      Word acc = w_zero<Word>();
+      for (const std::uint32_t f : lf) {
+        const std::size_t jb = static_cast<std::size_t>(first_detected[f]) / 64;
+        if (jb >= b0 + nb) continue;  // joins at a later group
+        const Word sw = local_stem_word<W>(
+            *k_, faults_[f], gv, joined_from[jb > b0 ? jb - b0 : 0], &evals);
+        if (!w_any(sw)) continue;
+        words.emplace_back(f, sw);
+        acc |= sw;
       }
-      if (!acc) continue;
-      hits.clear();
-      if (!propagate_stem<1>(*k_, group_stem_[g], acc, gv, lanes, s, &evals,
-                             &hits))
-        continue;
-      for (std::size_t i = 0; i < lf.size(); ++i) {
-        const std::uint64_t sw = s.stem_words[i];
-        if (!sw) continue;
-        diffs.clear();
-        for (const auto& [gate, d] : hits)
-          if (const std::uint64_t w = sw & d)
-            for (const std::uint32_t o : po_of[gate]) diffs.push_back({o, w});
-        if (!diffs.empty()) visit(b, lf[i], diffs);
+      if (!w_any(acc)) continue;
+      const std::size_t h0 = hits.size();
+      const Word obs =
+          propagate_stem<W>(*k_, group_stem_[g], acc, gv, lanes, s, &evals,
+                            &hits);
+      std::size_t keep = w0;
+      for (std::size_t i = w0; i < words.size(); ++i)
+        if (w_any(words[i].second & obs)) words[keep++] = words[i];
+      words.resize(keep);
+      if (keep > w0)
+        stems.push_back({words.size(), hits.size()});
+      else
+        hits.resize(h0);
+    }
+
+    // Visits block by block, each in stem-group then live order.
+    for (std::size_t j = 0; j < nb; ++j) {
+      std::size_t w = 0, h = 0;
+      for (const Stem& st : stems) {
+        for (; w < st.words_end; ++w) {
+          const std::uint64_t sw = w_sub(words[w].second, j);
+          if (!sw) continue;
+          diffs.clear();
+          for (std::size_t i = h; i < st.hits_end; ++i)
+            if (const std::uint64_t d = sw & w_sub(hits[i].second, j))
+              for (const std::uint32_t o : po_of[hits[i].first])
+                diffs.push_back({o, d});
+          if (!diffs.empty()) visit(b0 + j, words[w].first, diffs);
+        }
+        h = st.hits_end;
       }
     }
   }

@@ -196,7 +196,12 @@ class FaultSimulator {
   /// joins at its first-detection block (its diffs are zero before it).
   /// `visit` is called in ascending block order for each (block, fault) with
   /// any flipped output, each flipped output listed once; the words equal
-  /// output_diffs() lane for lane.  Single-threaded, 64-lane.
+  /// output_diffs() lane for lane.  Single-threaded.  The sweep runs
+  /// kMaxWordWidth blocks per pass (one good-machine pass and one cone
+  /// propagation per stem for 256 lanes in wide builds), buffers the
+  /// group's stem words and PO hits, and then visits its blocks one by one
+  /// in the order a 64-lane sweep does, so the visits do not depend on the
+  /// build's word width.
   void output_diff_sweep(std::span<const PatternBlock> blocks,
                          std::size_t patterns,
                          std::span<const std::int64_t> first_detected,

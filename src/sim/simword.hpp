@@ -17,6 +17,7 @@
 //   w_zero<Word>()   all-zero word
 //   w_broadcast<Word>(m)  every sub-word = m (invert masks are 0 or ~0)
 //   w_first_lane(x)  index of the lowest set lane (x must be non-zero)
+//   w_sub(x, j)      64-lane sub-word j (x itself at W=1)
 //
 // Lane L of sub-word j is pattern lane j*64 + L; pattern blocks are grouped
 // so that lane index == pattern offset within the group (see WideSimT).
@@ -101,6 +102,18 @@ inline unsigned w_first_lane(const WideWord<W>& v) {
   for (unsigned i = 0; i < W; ++i)
     if (v.w[i]) return i * 64 + static_cast<unsigned>(std::countr_zero(v.w[i]));
   return W * 64;  // unreachable under the precondition
+}
+
+/// 64-lane sub-word j of a word; at W=1 the word itself (j is 0).
+inline std::uint64_t& w_sub(std::uint64_t& v, unsigned) { return v; }
+inline std::uint64_t w_sub(const std::uint64_t& v, unsigned) { return v; }
+template <unsigned W>
+inline std::uint64_t& w_sub(WideWord<W>& v, unsigned j) {
+  return v.w[j];
+}
+template <unsigned W>
+inline std::uint64_t w_sub(const WideWord<W>& v, unsigned j) {
+  return v.w[j];
 }
 
 /// Widest word width compiled into this build (in 64-lane units).

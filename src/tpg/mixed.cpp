@@ -235,6 +235,11 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
   std::vector<std::int64_t> applied_fd(first_detected.size());
   MisrAudit::Deltas topoff_deltas;
   std::size_t at = 0;  // stream patterns so far
+  // The golden signature of the stream's first `signed_blocks` blocks under
+  // fold `signed_fold`, carried from point to point while the fold stays.
+  std::uint64_t state = 0;
+  std::size_t signed_blocks = 0;
+  MisrSpec signed_fold;
   for (SignOffPoint* p : order) {
     const auto t0 = WallClock::now();
     MixedSchemeResult& r = *p->r;
@@ -273,7 +278,15 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
     c.degree = opt.lfsr_degree;
     c.cut_outputs = outs;
     c.misr = m;
-    c.golden = misr_signature(k, tblocks, m, misr_signature(k, stream, m, 0));
+    if (m != signed_fold) {
+      state = 0;
+      signed_blocks = 0;
+      signed_fold = m;
+    }
+    state = misr_signature(k, std::span(stream).subspan(signed_blocks), m,
+                           state);
+    signed_blocks = stream.size();
+    c.golden = misr_signature(k, tblocks, m, state);
     r.solve_seconds += seconds_since(t0);
   }
 }

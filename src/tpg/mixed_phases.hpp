@@ -124,10 +124,13 @@ struct SignOffPoint {
 /// pick_misr_fold() over exactly the faults the point's stream detects
 /// (prefix detections plus `hits`), toggles the top-off out again, and
 /// takes the golden signature under the chosen fold, chained over the kept
-/// segments and the top-off.  By MISR linearity every point's fold and
-/// golden equal choose_misr_fold() and misr_signature() over its whole
-/// applied stream.  Sets r->comp's enabled, degree, cut_outputs, misr and
-/// golden; adds each point's step of the pass to its r->solve_seconds.
+/// segments and the top-off: the register state over the LFSR stream is
+/// carried on from the previous point while the chosen fold stays the same,
+/// and recomputed from cycle 0 when it changes.  By MISR linearity every
+/// point's fold and golden equal choose_misr_fold() and misr_signature()
+/// over its whole applied stream.  Sets r->comp's enabled, degree,
+/// cut_outputs, misr and golden; adds each point's step of the pass to its
+/// r->solve_seconds.
 /// Points may come in any order, at distinct lengths.
 void sign_off(const SimKernel& k, const FaultSimulator& fsim,
               const MixedTpgOptions& opt, const MisrSpec& base,

@@ -448,6 +448,27 @@ void test_audit_clean_circuit() {
   CHECK(choose_misr_fold(fsim, k, blocks, n, fr.first_detected, m).fold.empty());
 }
 
+void test_audit_partial_byte_degrees() {
+  // The audit scores folds through byte tables of the stage operators;
+  // degrees that are not whole bytes leave a partial top table (4 bits at
+  // K=12, 1 bit at K=17) whose bits must count like any other.  c880s' 26
+  // outputs share stages at both degrees, and some maps escape at each.
+  const Netlist cut = make_iscas85("c880s");
+  const SimKernel k(cut);
+  const std::size_t n = 512;
+  const auto blocks = Lfsr::maximal(24, 5).blocks(cut.input_count(), n);
+  FaultSimulator fsim(k);
+  const FaultSimResult fr = fsim.run(blocks);
+  for (const unsigned K : {12u, 17u}) {
+    MisrSpec m;
+    m.degree = K;
+    m.taps = Lfsr::primitive_taps(K);
+    const std::string what = "c880s K=" + std::to_string(K);
+    check_audit_against_brute_force(what.c_str(), k, fsim, blocks, n,
+                                    fr.first_detected, m);
+  }
+}
+
 // --- One-pass sign-off vs independent per-point composition ---------------
 
 // A point's applied stream built one next_pattern at a time: its LFSR
@@ -626,6 +647,7 @@ int main() {
   test_audit_c432s_degree8_aliases();
   test_audit_c880s_sweep_point();
   test_audit_clean_circuit();
+  test_audit_partial_byte_degrees();
   test_sweep_sign_off_matches_independent();
   return bist_test::summary();
 }

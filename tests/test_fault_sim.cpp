@@ -1,8 +1,10 @@
 // Fault model + PPSFP simulator checks: collapsing fires and is exact on
 // C17, coverage curves are monotone on every ISCAS surrogate, exhaustive
 // patterns detect every C17 fault, dropping does not change detection, and
-// the stem-shared per-output diffs match the per-fault oracle.
+// the stem-shared per-output diffs match the per-fault oracle at both sweep
+// widths.
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -17,6 +19,67 @@
 #include "tpg/lfsr.hpp"
 
 using namespace bist;
+
+namespace {
+
+// output_diff_sweep derives fault f's output diffs as stem_word(f) & D_o
+// from one cone propagation per stem per block group; output_diffs
+// propagates f alone.  They must agree on every (fault, block, output):
+// zero before the block holding first_detected[f] (where the fault joins)
+// and for faults the stream does not detect, exact from that block on,
+// including on a partial last block.  Visits come in ascending block order.
+void check_diff_sweep(const char* what, const SimKernel& k,
+                      FaultSimulator& sim, std::span<const PatternBlock> blocks,
+                      std::size_t pats,
+                      std::span<const std::int64_t> first_detected) {
+  const std::size_t n_outs = k.outputs().size();
+  const std::size_t n_blocks = blocks.size();
+  std::vector<std::uint64_t> got(sim.faults().size() * n_blocks * n_outs, 0);
+  std::size_t visits = 0;
+  bool ordered = true;
+  std::size_t last_block = 0;
+  sim.output_diff_sweep(
+      blocks, pats, first_detected,
+      [&](std::size_t b, std::uint32_t f,
+          std::span<const FaultSimulator::OutputDiff> diffs) {
+        ++visits;
+        if (b < last_block) ordered = false;
+        last_block = b;
+        CHECK(!diffs.empty());
+        for (const auto& d : diffs) {
+          CHECK(d.lanes != 0);
+          std::uint64_t& slot = got[(f * n_blocks + b) * n_outs + d.output];
+          CHECK_EQ(slot, std::uint64_t{0});  // each output listed once
+          slot = d.lanes;
+        }
+      });
+  CHECK(ordered);
+  CHECK(visits > 0);
+  KernelSim good(k);
+  std::vector<std::uint64_t> want(n_outs);
+  std::size_t mismatches = 0;
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    good.simulate(blocks[b]);
+    const std::uint64_t lanes = blocks[b].lane_mask();
+    for (std::size_t f = 0; f < sim.faults().size(); ++f) {
+      sim.output_diffs(sim.faults()[f], good.values(), lanes, want);
+      const std::int64_t fd = first_detected[f];
+      const bool joined = fd >= 0 && fd < std::int64_t(pats) &&
+                          b >= std::size_t(fd) / 64;
+      for (std::size_t o = 0; o < n_outs; ++o) {
+        const std::uint64_t g = got[(f * n_blocks + b) * n_outs + o];
+        // A fault the stream leaves undetected must never flip an output.
+        if (g != (joined ? want[o] : 0) || (fd < 0 && want[o])) ++mismatches;
+      }
+    }
+  }
+  if (mismatches)
+    std::printf("%s: %zu stem-shared output diff mismatches\n", what,
+                mismatches);
+  CHECK_EQ(mismatches, std::size_t{0});
+}
+
+}  // namespace
 
 int main() {
   // --- C17: exact fault accounting --------------------------------------
@@ -183,61 +246,28 @@ int main() {
   }
 
   // --- Stem-shared per-output diffs == per-fault full-cone oracle ---------
-  // output_diff_sweep derives fault f's output diffs as stem_word(f) & D_o
-  // from one cone propagation per stem per block; output_diffs propagates
-  // f alone.  They must agree on every (fault, block, output), including
-  // zero before a fault's first-detection block and on the partial last
-  // block (1000 patterns = 15 full blocks + 40 lanes).
+  // 1000 patterns = 15 full blocks + 40 lanes (a partial last block);
+  // 130 patterns = 3 blocks (one group short of kMaxWordWidth blocks);
+  // 256 = exactly one wide group; 300 = a wide group plus a partial block.
   for (const char* name : {"c432s", "c880s", "c1355s"}) {
     const Netlist n = make_iscas85(name);
     const SimKernel k(n);
     FaultSimulator sim(k);
-    const std::size_t pats = 1000;
-    const auto blocks = Lfsr::maximal(24, 7).blocks(n.input_count(), pats);
-    const FaultSimResult r = sim.run(blocks);
-    const std::size_t n_outs = k.outputs().size();
-    const std::size_t n_blocks = blocks.size();
-    std::vector<std::uint64_t> got(sim.faults().size() * n_blocks * n_outs, 0);
-    std::size_t visits = 0;
-    bool ordered = true;
-    std::size_t last_block = 0;
-    sim.output_diff_sweep(
-        blocks, pats, r.first_detected,
-        [&](std::size_t b, std::uint32_t f,
-            std::span<const FaultSimulator::OutputDiff> diffs) {
-          ++visits;
-          if (b < last_block) ordered = false;
-          last_block = b;
-          CHECK(!diffs.empty());
-          for (const auto& d : diffs) {
-            CHECK(d.lanes != 0);
-            std::uint64_t& slot = got[(f * n_blocks + b) * n_outs + d.output];
-            CHECK_EQ(slot, std::uint64_t{0});  // each output listed once
-            slot = d.lanes;
-          }
-        });
-    CHECK(ordered);
-    CHECK(visits > 0);
-    KernelSim good(k);
-    std::vector<std::uint64_t> want(n_outs);
-    std::size_t mismatches = 0;
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      good.simulate(blocks[b]);
-      const std::uint64_t lanes = blocks[b].lane_mask();
-      for (std::size_t f = 0; f < sim.faults().size(); ++f) {
-        sim.output_diffs(sim.faults()[f], good.values(), lanes, want);
-        const bool audited = r.first_detected[f] >= 0;
-        for (std::size_t o = 0; o < n_outs; ++o) {
-          const std::uint64_t g = got[(f * n_blocks + b) * n_outs + o];
-          // Undetected faults are outside the sweep and never flip an output.
-          if (g != (audited ? want[o] : 0) || (!audited && want[o])) ++mismatches;
-        }
-      }
+    for (const std::size_t pats : {1000u, 130u, 256u, 300u}) {
+      const auto blocks = Lfsr::maximal(24, 7).blocks(n.input_count(), pats);
+      const FaultSimResult r = sim.run(blocks);
+      const std::string what = std::string(name) + " @" + std::to_string(pats);
+      check_diff_sweep(what.c_str(), k, sim, blocks, pats, r.first_detected);
+      if (pats != 1000) continue;
+      // First detections pushed into blocks 1..4, so faults join in the
+      // middle of wide groups and the first group starts at block 1.
+      std::vector<std::int64_t> late = r.first_detected;
+      for (std::size_t f = 0; f < late.size(); ++f)
+        if (late[f] >= 0)
+          late[f] = std::max<std::int64_t>(late[f], 64 * (1 + f % 4) + 7);
+      check_diff_sweep((what + " late joins").c_str(), k, sim, blocks, pats,
+                       late);
     }
-    if (mismatches)
-      std::printf("%s: %zu stem-shared output diff mismatches\n", name,
-                  mismatches);
-    CHECK_EQ(mismatches, std::size_t{0});
   }
 
   return bist_test::summary();

@@ -1,7 +1,8 @@
 #pragma once
 // Minimal single-binary test support: CHECK macros accumulate failures, each
 // test executable's main() ends with `return bist_test::summary();` which
-// ctest interprets via the exit code.
+// ctest interprets via the exit code.  FAIL lines are flushed as they are
+// printed, so a later crash cannot lose them from a redirected stdout.
 
 #include <cstdio>
 #include <sstream>
@@ -25,6 +26,7 @@ inline int summary() {
     if (!(cond)) {                                                       \
       ++bist_test::failures;                                             \
       std::printf("FAIL %s:%d: %s\n", __FILE__, __LINE__, #cond);        \
+      std::fflush(stdout);                                               \
     }                                                                    \
   } while (0)
 
@@ -39,6 +41,7 @@ inline int summary() {
       os_ << "FAIL " << __FILE__ << ":" << __LINE__ << ": " << #a        \
           << " == " << #b << " (" << va_ << " vs " << vb_ << ")";        \
       std::puts(os_.str().c_str());                                      \
+      std::fflush(stdout);                                               \
     }                                                                    \
   } while (0)
 
@@ -55,5 +58,6 @@ inline int summary() {
       ++bist_test::failures;                                             \
       std::printf("FAIL %s:%d: expected throw: %s\n", __FILE__,          \
                   __LINE__, #expr);                                      \
+      std::fflush(stdout);                                               \
     }                                                                    \
   } while (0)
