@@ -291,14 +291,6 @@ std::size_t CompressedTopoff::fallback_rows() const {
   return n;
 }
 
-std::vector<std::uint32_t> CompressedTopoff::offsets_used() const {
-  std::vector<std::uint32_t> offs;
-  for (const SeedEvent& e : seeds) offs.push_back(e.offset);
-  std::sort(offs.begin(), offs.end());
-  offs.erase(std::unique(offs.begin(), offs.end()), offs.end());
-  return offs;
-}
-
 RowCompression compress_cube(std::span<const Ternary> cube, unsigned degree,
                              std::uint64_t taps,
                              const std::function<bool()>& free_bit) {

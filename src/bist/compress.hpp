@@ -248,8 +248,6 @@ struct CompressedTopoff {
 
   std::uint64_t seed_rom_bits() const { return seeds.size() * degree; }
   std::size_t fallback_rows() const;
-  /// Distinct reseed offsets in use, ascending (one load mux per offset).
-  std::vector<std::uint32_t> offsets_used() const;
   bool operator==(const CompressedTopoff&) const = default;
 };
 

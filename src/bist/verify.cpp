@@ -152,8 +152,7 @@ WrapperVerification verify_wrapper(const Netlist& wrapper, const Netlist& cut,
                                    const BistPlan& plan,
                                    const MixedSchemeResult& point,
                                    const FaultSimOptions& fopt,
-                                   const Deadline* deadline) {
-  const Deadline* dl = deadline ? deadline : fopt.deadline;
+                                   const Deadline* dl) {
   const unsigned D = plan.lfsr_degree;
   const std::size_t total = plan.test_time;
   const std::size_t L = plan.lfsr_patterns;
@@ -324,9 +323,7 @@ WrapperVerification verify_wrapper(const Netlist& wrapper, const Netlist& cut,
   // the numerators (LFSR-phase detections + tail detections by the stored
   // set) agree integer for integer, and the doubles divide out identically.
   FaultSimulator fsim(ck);
-  FaultSimOptions fo = fopt;
-  fo.deadline = dl;
-  const FaultSimResult fr = fsim.run(blocks, fo);
+  const FaultSimResult fr = fsim.run(blocks, fopt, dl);
   if (!fr.status.ok()) {
     v.seeds_identical = false;
     v.signature_identical = false;

@@ -120,9 +120,9 @@ struct WrapperVerification {
 /// scheduled point (the MixedSchemeResult the plan was chosen from, i.e.
 /// sweep.points[plan.point_index]).  `fopt` only selects the fault-sim
 /// engine configuration; detection results are engine-invariant.
-/// `deadline` (falling back to fopt.deadline when null) is polled once per
-/// 64-cycle frame and threaded into the coverage fault-sim pass.  Throws
-/// std::runtime_error when an expected wrapper net is missing.
+/// `deadline` is polled once per 64-cycle frame and threaded into the
+/// coverage fault-sim pass.  Throws std::runtime_error when an expected
+/// wrapper net is missing.
 WrapperVerification verify_wrapper(const Netlist& wrapper, const Netlist& cut,
                                    const BistPlan& plan,
                                    const MixedSchemeResult& point,

@@ -135,23 +135,6 @@ std::vector<GateId> append_alu_slices(Netlist& n, std::span<const GateId> a,
   return outs;
 }
 
-Netlist make_ripple_adder(unsigned bits) {
-  if (bits == 0) throw std::invalid_argument("adder: bits == 0");
-  Netlist n("adder" + std::to_string(bits));
-  std::vector<GateId> a, b;
-  for (unsigned i = 0; i < bits; ++i) a.push_back(n.add_input("a" + std::to_string(i)));
-  for (unsigned i = 0; i < bits; ++i) b.push_back(n.add_input("b" + std::to_string(i)));
-  GateId carry = n.add_input("cin");
-  for (unsigned i = 0; i < bits; ++i) {
-    const auto fa = append_full_adder(n, a[i], b[i], carry);
-    n.add_output(fa.sum);
-    carry = fa.carry;
-  }
-  n.add_output(carry);
-  n.freeze();
-  return n;
-}
-
 Netlist make_array_multiplier(unsigned bits) {
   if (bits < 2) throw std::invalid_argument("multiplier: bits < 2");
   Netlist n("mult" + std::to_string(bits));
@@ -208,17 +191,6 @@ Netlist make_array_multiplier(unsigned bits) {
       bit_at[w] = n.add_gate(GateType::Xor, {pp[0][0], pp[0][0]});
     n.add_output(bit_at[w]);
   }
-  n.freeze();
-  return n;
-}
-
-Netlist make_parity_tree(unsigned width) {
-  if (width < 2) throw std::invalid_argument("parity: width < 2");
-  Netlist n("parity" + std::to_string(width));
-  std::vector<GateId> leaves;
-  for (unsigned i = 0; i < width; ++i)
-    leaves.push_back(n.add_input("x" + std::to_string(i)));
-  n.add_output(append_xor_tree(n, std::move(leaves)));
   n.freeze();
   return n;
 }

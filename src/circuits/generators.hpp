@@ -1,9 +1,8 @@
 #pragma once
 // Parameterized structural circuit generators.  These are the building
 // blocks from which the ISCAS85 surrogate family is assembled (see
-// iscas85_family.hpp) and are also useful stand-alone test articles:
-// ripple adders, array multipliers, parity/ECC trees, comparator-style
-// random-pattern-resistant blocks, and random logic clouds.
+// iscas85_family.hpp): array multipliers, ECC trees, comparator-style
+// random-pattern-resistant blocks, ALU slices and random logic clouds.
 
 #include <cstdint>
 #include <vector>
@@ -13,16 +12,9 @@
 
 namespace bist {
 
-/// n-bit ripple-carry adder: PIs a[0..n-1], b[0..n-1], cin; POs sum + cout.
-Netlist make_ripple_adder(unsigned bits);
-
 /// n x n array multiplier (AND partial products + FA/HA reduction built from
 /// 2-input gates).  PIs a[0..n-1], b[0..n-1]; POs p[0..2n-1].  c6288-like.
 Netlist make_array_multiplier(unsigned bits);
-
-/// Parity tree over `width` inputs (XOR reduction); c499-flavoured when
-/// combined with the ECC generator below.
-Netlist make_parity_tree(unsigned width);
 
 /// 32-bit single-error-correction style circuit: k data bits in, syndrome
 /// XOR trees + correction ANDs out.  Shaped after C499/C1355.

@@ -1,7 +1,6 @@
 #include "fault/fault_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 
@@ -498,59 +497,17 @@ void FaultSimulator::output_diff_sweep(
 }
 
 FaultSimResult FaultSimulator::run(std::span<const PatternBlock> blocks,
-                                   const FaultSimOptions& opt) {
-  if (!opt.ffr) return run_legacy(blocks, opt);
-#if BIST_WIDE_WORDS
-  if (opt.word_width == kMaxWordWidth) return run_ffr<kMaxWordWidth>(blocks, opt);
-#endif
-  return run_ffr<1>(blocks, opt);
-}
-
-FaultSimResult FaultSimulator::run_legacy(std::span<const PatternBlock> blocks,
-                                          const FaultSimOptions& opt) {
-  FaultSimResult r;
-  r.total_faults = total_faults_;
-  r.sim_faults = faults_.size();
-  r.total_weight = total_weight_;
-  r.first_detected.assign(faults_.size(), -1);
-
-  KernelSim good(*k_);
-  std::vector<std::uint32_t> live(faults_.size());
-  std::iota(live.begin(), live.end(), 0u);
-
-  std::size_t base = 0;
-  for (const PatternBlock& blk : blocks) {
-    if (opt.deadline && opt.deadline->should_stop()) {
-      r.status = opt.deadline->stop_status("fault_sim");
-      break;  // r describes the base-pattern prefix that did run, exactly
-    }
-    good.simulate(blk);
-    const std::uint64_t lanes = blk.lane_mask();
-    const std::uint64_t* gv = good.values().data();
-    for (std::size_t i = 0; i < live.size();) {
-      const std::uint32_t fidx = live[i];
-      const std::uint64_t det =
-          propagate_fault(faults_[fidx], gv, lanes, &r.faulty_gate_evals);
-      if (det) {
-        r.first_detected[fidx] =
-            static_cast<std::int64_t>(base) + std::countr_zero(det);
-        ++r.detected;
-        r.detected_weight += weights_[fidx];
-        live[i] = live.back();
-        live.pop_back();
-        continue;
-      }
-      ++i;
-    }
-    base += blk.count;
-  }
-  r.patterns = base;
-  return r;
+                                   const FaultSimOptions& opt,
+                                   const Deadline* deadline) {
+  if (opt.word_width == kMaxWordWidth)
+    return run_ffr<kMaxWordWidth>(blocks, opt, deadline);
+  return run_ffr<1>(blocks, opt, deadline);
 }
 
 template <unsigned W>
 FaultSimResult FaultSimulator::run_ffr(std::span<const PatternBlock> blocks,
-                                       const FaultSimOptions& opt) {
+                                       const FaultSimOptions& opt,
+                                       const Deadline* deadline) {
   using Word = SimWord<W>;
   FaultSimResult r;
   r.total_faults = total_faults_;
@@ -593,8 +550,8 @@ FaultSimResult FaultSimulator::run_ffr(std::span<const PatternBlock> blocks,
     // single group's good-machine + stem-stage cost, and the check touches
     // nothing the detection math depends on, so a stopped run is the exact
     // prefix of an uninterrupted one.
-    if (opt.deadline && opt.deadline->should_stop()) {
-      r.status = opt.deadline->stop_status("fault_sim");
+    if (deadline && deadline->should_stop()) {
+      r.status = deadline->stop_status("fault_sim");
       break;
     }
     const std::size_t nb = WideSimT<W>::group_size(blocks, bi);

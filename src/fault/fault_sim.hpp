@@ -57,16 +57,6 @@ struct FaultSimOptions {
   /// Pattern word width in 64-lane units (1 or kMaxWordWidth); unsupported
   /// widths clamp to 1.
   unsigned word_width = 1;
-  /// FFR stem-sharing engine (the default).  false selects the legacy
-  /// per-fault full-cone propagation path — single-threaded, 64-lane — kept
-  /// as the differential-testing reference.
-  bool ffr = true;
-  /// Cooperative deadline/cancel, polled once per pattern-block group (so
-  /// stop latency is bounded by one group's propagation cost).  A run that
-  /// stops early returns the exact prefix result of the blocks it finished
-  /// — bit-identical to an uninterrupted run over those patterns — with
-  /// result.status recording why it stopped.  nullptr = never stops.
-  const Deadline* deadline = nullptr;
 };
 
 struct FaultSimResult {
@@ -139,9 +129,15 @@ class FaultSimulator {
   /// Run over the pattern blocks with fault dropping.  Repeatable: each
   /// call starts from the full fault list.  Detection results
   /// (first_detected, counts, weights) are bit-identical across every
-  /// (threads, word_width, ffr) combination.
+  /// (threads, word_width) combination.  `deadline` (cooperative
+  /// deadline/cancel, nullptr = never stops) is polled once per pattern-block
+  /// group, so stop latency is bounded by one group's propagation cost.  A
+  /// run that stops early returns the exact prefix result of the blocks it
+  /// finished — bit-identical to an uninterrupted run over those patterns —
+  /// with result.status recording why it stopped.
   FaultSimResult run(std::span<const PatternBlock> blocks,
-                     const FaultSimOptions& opt = {});
+                     const FaultSimOptions& opt = {},
+                     const Deadline* deadline = nullptr);
 
   /// Restriction of `full` (a result of run() on this simulator) to its
   /// first `length` patterns: bit-identical to what run() over only those
@@ -156,7 +152,8 @@ class FaultSimulator {
 
   /// Lanes of `good_values` (a KernelSim values() array for the current
   /// block, kernel-index space) on which fault f is detected at some primary
-  /// output.  Building block for pattern verification and static compaction.
+  /// output, by one full-cone propagation of f alone.  Building block for
+  /// pattern verification, and the per-fault reference for run().
   std::uint64_t detect_lanes(const Fault& f,
                              std::span<const std::uint64_t> good_values,
                              std::uint64_t lane_mask) {
@@ -198,10 +195,9 @@ class FaultSimulator {
   /// any flipped output, each flipped output listed once; the words equal
   /// output_diffs() lane for lane.  Single-threaded.  The sweep runs
   /// kMaxWordWidth blocks per pass (one good-machine pass and one cone
-  /// propagation per stem for 256 lanes in wide builds), buffers the
-  /// group's stem words and PO hits, and then visits its blocks one by one
-  /// in the order a 64-lane sweep does, so the visits do not depend on the
-  /// build's word width.
+  /// propagation per stem for 256 lanes), buffers the group's stem words and
+  /// PO hits, and then visits its blocks one by one in the order a 64-lane
+  /// sweep does.
   void output_diff_sweep(std::span<const PatternBlock> blocks,
                          std::size_t patterns,
                          std::span<const std::int64_t> first_detected,
@@ -213,11 +209,9 @@ class FaultSimulator {
                                 std::uint64_t* po_diffs = nullptr);
   void init_scratch();
   void build_stem_groups();
-  FaultSimResult run_legacy(std::span<const PatternBlock> blocks,
-                            const FaultSimOptions& opt);
   template <unsigned W>
   FaultSimResult run_ffr(std::span<const PatternBlock> blocks,
-                         const FaultSimOptions& opt);
+                         const FaultSimOptions& opt, const Deadline* deadline);
 
   const SimKernel* k_;
   std::vector<Fault> faults_;
@@ -237,8 +231,8 @@ class FaultSimulator {
   // worker count changes), so repeated runs don't pay thread spawn cost.
   std::unique_ptr<WorkerPool> pool_;
 
-  // Legacy-path per-fault propagation scratch in kernel-index space, reset
-  // via touched_list_ after each fault (also backs detect_lanes()).
+  // Per-fault propagation scratch of detect_lanes() and output_diffs() in
+  // kernel-index space, reset via touched_list_ after each fault.
   std::vector<std::uint64_t> fval_;
   std::vector<char> touched_;
   std::vector<KIndex> touched_list_;

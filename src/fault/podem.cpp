@@ -8,16 +8,6 @@
 
 namespace bist {
 
-std::string_view podem_status_name(PodemStatus s) {
-  switch (s) {
-    case PodemStatus::Detected: return "detected";
-    case PodemStatus::Redundant: return "redundant";
-    case PodemStatus::Aborted: return "aborted";
-    case PodemStatus::Cancelled: return "cancelled";
-  }
-  return "?";
-}
-
 PodemScan::PodemScan(const SimKernel& k)
     : k_(&k),
       cone_lanes_(k.gate_count(), 0),
@@ -303,7 +293,8 @@ PodemResult Podem::result(unsigned l, PodemStatus s) const {
 }
 
 void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
-                std::span<PodemResult> results, const PodemOptions& opt) {
+                std::span<PodemResult> results, const PodemOptions& opt,
+                const Deadline* deadline) {
   limit_ = opt.backtrack_limit;
   unsigned busy = 0;
   for (unsigned l = 0; l < PairSim::kLanes; ++l) busy += claim(l, faults, next);
@@ -312,7 +303,7 @@ void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
     // and a node in every busy lane, far above the poll, so cancellation
     // latency is one node while an undeadlined search is untouched — the
     // poll reads a clock and a flag, never search state.
-    if (opt.deadline && opt.deadline->should_stop()) {
+    if (deadline && deadline->should_stop()) {
       for (unsigned l = 0; l < PairSim::kLanes; ++l)
         if (lanes_[l].slot != kIdle) {
           results[lanes_[l].slot] = result(l, PodemStatus::Cancelled);
@@ -331,10 +322,11 @@ void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
   }
 }
 
-PodemResult Podem::generate(const Fault& f, const PodemOptions& opt) {
+PodemResult Podem::generate(const Fault& f, const PodemOptions& opt,
+                            const Deadline* deadline) {
   PodemResult r;
   std::atomic<std::size_t> next{0};
-  run({&f, 1}, next, {&r, 1}, opt);
+  run({&f, 1}, next, {&r, 1}, opt, deadline);
   return r;
 }
 
@@ -350,9 +342,10 @@ PodemBatch::~PodemBatch() = default;
 unsigned PodemBatch::workers() const { return pool_->workers(); }
 
 std::vector<PodemResult> PodemBatch::generate(std::span<const Fault> faults,
-                                              const PodemOptions& opt) {
+                                              const PodemOptions& opt,
+                                              const Deadline* deadline) {
   std::vector<PodemResult> results(faults.size());
-  if (opt.deadline) {
+  if (deadline) {
     // Pre-mark every slot Cancelled so faults never claimed once the
     // deadline fires read as "no verdict" rather than the default status.
     // Claimed faults overwrite their slot (with Cancelled if the deadline
@@ -362,7 +355,7 @@ std::vector<PodemResult> PodemBatch::generate(std::span<const Fault> faults,
   }
   std::atomic<std::size_t> next{0};
   pool_->run([&](unsigned wid) {
-    engines_[wid]->run(faults, next, results, opt);
+    engines_[wid]->run(faults, next, results, opt, deadline);
   });
   return results;
 }

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -57,20 +56,12 @@ enum class PodemStatus : std::uint8_t {
               ///< be cached or counted as a search outcome
 };
 
-std::string_view podem_status_name(PodemStatus s);
-
 struct PodemOptions {
   /// Backtracks (decision reversals) allowed per fault before aborting.
   /// Detection saturates at a few hundred on the surrogate family; proofs of
   /// redundancy through reconvergent XOR/multiplier logic are the budget
   /// eaters and abort instead (see BENCH JSON podem.aborted per circuit).
   std::uint32_t backtrack_limit = 1000;
-  /// Cooperative deadline/cancel, polled once per step of an engine (one
-  /// pass, one scan and one node in every busy lane).  When it fires, every
-  /// search in flight returns PodemStatus::Cancelled and no further fault is
-  /// started; verdicts reached before the stop are untouched and
-  /// bit-identical to an undeadlined run.  nullptr = never stops.
-  const Deadline* deadline = nullptr;
 };
 
 struct PodemResult {
@@ -155,12 +146,20 @@ class PodemScan {
 /// never on the faults searched before it, beside it, or in which lane.
 /// run() starts every lane afresh, even after a throw or a cancellation.
 /// The engine carries no RNG; the search is fully deterministic.
+///
+/// Every entry point takes an optional cooperative deadline/cancel
+/// (nullptr = never stops), polled once per step of the engine (one pass,
+/// one scan and one node in every busy lane).  When it fires, every search
+/// in flight returns PodemStatus::Cancelled and no further fault is started;
+/// verdicts reached before the stop are untouched and bit-identical to an
+/// undeadlined run.
 class Podem {
  public:
   explicit Podem(const SimKernel& k);
 
   /// One fault: a batch of one.
-  PodemResult generate(const Fault& f, const PodemOptions& opt = {});
+  PodemResult generate(const Fault& f, const PodemOptions& opt = {},
+                       const Deadline* deadline = nullptr);
 
   /// Search faults until none is left: each free lane claims the next fault
   /// index from `next` (which several engines may share) and writes the
@@ -168,7 +167,8 @@ class Podem {
   /// claimed search still in flight gets a Cancelled result and no further
   /// fault is claimed.  Throws std::out_of_range on a fault with a bad pin.
   void run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
-           std::span<PodemResult> results, const PodemOptions& opt);
+           std::span<PodemResult> results, const PodemOptions& opt,
+           const Deadline* deadline = nullptr);
 
  private:
   static constexpr std::size_t kIdle = ~std::size_t{0};
@@ -229,9 +229,10 @@ class PodemBatch {
   unsigned workers() const;
 
   /// One verdict per fault, input order; see the class comment.  Under a
-  /// deadline, faults never claimed read Cancelled.
+  /// deadline (polled as in Podem), faults never claimed read Cancelled.
   std::vector<PodemResult> generate(std::span<const Fault> faults,
-                                    const PodemOptions& opt = {});
+                                    const PodemOptions& opt = {},
+                                    const Deadline* deadline = nullptr);
 
  private:
   std::unique_ptr<WorkerPool> pool_;

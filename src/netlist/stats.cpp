@@ -1,7 +1,6 @@
 #include "netlist/stats.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace bist {
 
@@ -23,14 +22,6 @@ NetlistStats compute_stats(const Netlist& n) {
   }
   s.avg_fanin = s.gates ? static_cast<double>(fanin_sum) / s.gates : 0.0;
   return s;
-}
-
-std::string NetlistStats::to_string() const {
-  std::ostringstream os;
-  os << "inputs=" << inputs << " outputs=" << outputs << " gates=" << gates
-     << " depth=" << depth << " avg_fanin=" << avg_fanin
-     << " max_fanin=" << max_fanin << " max_fanout=" << max_fanout;
-  return os.str();
 }
 
 }  // namespace bist

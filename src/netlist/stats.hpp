@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 
 #include "netlist/netlist.hpp"
 
@@ -20,8 +19,6 @@ struct NetlistStats {
   std::size_t max_fanin = 0;
   std::size_t max_fanout = 0;
   std::array<std::size_t, 11> by_type{};  ///< indexed by GateType
-
-  std::string to_string() const;
 };
 
 NetlistStats compute_stats(const Netlist& n);

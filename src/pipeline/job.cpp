@@ -306,10 +306,10 @@ JobReport run_plan_job(const JobSpec& spec) {
           sweep_s >= 0 ? Deadline::after(sweep_s) : Deadline();
       sweep_dl.observe(spec.cancel).heartbeat(spec.heartbeat);
 
-      MixedTpgOptions topt = spec.tpg;
-      topt.deadline = (sweep_s >= 0 || spec.cancel) ? &sweep_dl : nullptr;
       const SimKernel kernel(cut);
-      rep.sweep = run_mixed_sweep(kernel, spec.sweep_lengths, topt);
+      rep.sweep = run_mixed_sweep(
+          kernel, spec.sweep_lengths, spec.tpg,
+          (sweep_s >= 0 || spec.cancel) ? &sweep_dl : nullptr);
       have_sweep = true;
 
       // Publish — full-fidelity results only (see sweep_is_canonical).  A

@@ -75,9 +75,8 @@ struct JobSpec {
   std::string name;        ///< circuit/job name, used in reports and matching
   std::string bench_text;  ///< .bench source; parsed inside the job
   std::vector<std::size_t> sweep_lengths;
-  /// Mixed-scheme knobs for the sweep stage.  The `deadline` field is
-  /// ignored — deadlines are owned by the job (see below) so one Deadline
-  /// covers the whole pipeline consistently.
+  /// Mixed-scheme knobs for the sweep stage.  Deadlines are owned by the
+  /// job (see below) so one Deadline covers the whole pipeline consistently.
   MixedTpgOptions tpg;
   ScheduleOptions schedule;
   BenchLimits limits;  ///< parse-stage input validation caps

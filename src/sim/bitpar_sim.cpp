@@ -79,13 +79,6 @@ void BitParSim::simulate(const PatternBlock& block) {
   }
 }
 
-std::vector<std::uint64_t> BitParSim::output_words() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(n_->output_count());
-  for (GateId o : n_->outputs()) out.push_back(values_[o]);
-  return out;
-}
-
 BitVec simulate_single(const Netlist& n, const BitVec& pattern) {
   BitParSim sim(n);
   sim.simulate(pack_patterns({&pattern, 1}, n.input_count()));

@@ -48,9 +48,6 @@ class BitParSim {
   std::uint64_t value(GateId g) const { return values_[g]; }
   std::span<const std::uint64_t> values() const { return values_; }
 
-  /// Output words in primary-output order.
-  std::vector<std::uint64_t> output_words() const;
-
   const Netlist& netlist() const { return *n_; }
 
  private:

@@ -222,17 +222,7 @@ void WideSimT<W>::simulate(std::span<const PatternBlock> blocks,
   }
 }
 
-template <unsigned W>
-std::vector<typename WideSimT<W>::Word> WideSimT<W>::output_words() const {
-  std::vector<Word> out;
-  out.reserve(k_->outputs().size());
-  for (KIndex o : k_->outputs()) out.push_back(values_[o]);
-  return out;
-}
-
 template class WideSimT<1>;
-#if BIST_WIDE_WORDS
 template class WideSimT<4>;
-#endif
 
 }  // namespace bist

@@ -244,9 +244,6 @@ class WideSimT {
   /// All values, kernel-index space.
   std::span<const Word> values() const { return values_; }
 
-  /// Output words in primary-output order.
-  std::vector<Word> output_words() const;
-
   const SimKernel& kernel() const { return *k_; }
 
  private:
@@ -255,9 +252,7 @@ class WideSimT {
 };
 
 extern template class WideSimT<1>;
-#if BIST_WIDE_WORDS
 extern template class WideSimT<4>;
-#endif
 
 /// The 64-lane simulator every pre-wide-word call site was written against.
 using KernelSim = WideSimT<1>;

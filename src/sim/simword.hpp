@@ -21,18 +21,10 @@
 //
 // Lane L of sub-word j is pattern lane j*64 + L; pattern blocks are grouped
 // so that lane index == pattern offset within the group (see WideSimT).
-//
-// BIST_WIDE_WORDS (CMake option, default ON) gates the W>1 instantiations;
-// with it off the engines clamp every width request to 1 and no wide code is
-// compiled.
 
 #include <bit>
 #include <cstdint>
 #include <type_traits>
-
-#ifndef BIST_WIDE_WORDS
-#define BIST_WIDE_WORDS 1
-#endif
 
 namespace bist {
 
@@ -116,7 +108,7 @@ inline std::uint64_t w_sub(const WideWord<W>& v, unsigned j) {
   return v.w[j];
 }
 
-/// Widest word width compiled into this build (in 64-lane units).
-inline constexpr unsigned kMaxWordWidth = BIST_WIDE_WORDS ? 4u : 1u;
+/// Widest word width the engines instantiate (in 64-lane units).
+inline constexpr unsigned kMaxWordWidth = 4;
 
 }  // namespace bist

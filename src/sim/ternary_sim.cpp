@@ -55,14 +55,7 @@ Ternary fold_gate(GateType t, std::size_t nin, In in) {
 
 }  // namespace
 
-TernarySim::TernarySim(const Netlist& n)
-    : owned_kernel_(std::make_unique<SimKernel>(n)), k_(owned_kernel_.get()) {
-  init();
-}
-
-TernarySim::TernarySim(const SimKernel& k) : k_(&k) { init(); }
-
-void TernarySim::init() {
+TernarySim::TernarySim(const SimKernel& k) : k_(&k) {
   const std::uint32_t* off = k_->fanin_offset_data();
   values_.assign(k_->gate_count(), Ternary::VX);
   assigned_.assign(k_->gate_count(), Ternary::VX);

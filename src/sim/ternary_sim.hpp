@@ -18,7 +18,6 @@
 // force -> set_input -> unforce round-trips back to the assigned value.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -37,10 +36,8 @@ inline Ternary t_not(Ternary a) {
 /// support (used to inject the fault site value in the faulty machine).
 class TernarySim {
  public:
-  /// Compiles its own SimKernel from the netlist (the eval loop runs over the
-  /// flat kernel arrays, not the per-gate heap representation).
-  explicit TernarySim(const Netlist& n);
-  /// Share an existing kernel (must outlive the simulator).
+  /// Runs over an existing kernel's flat arrays (the kernel must outlive the
+  /// simulator).
   explicit TernarySim(const SimKernel& k);
 
   /// Reset every signal to X and clear all forces and input assignments.
@@ -76,7 +73,6 @@ class TernarySim {
   const SimKernel& kernel() const { return *k_; }
 
  private:
-  void init();  ///< shared constructor tail: size scratch, validate, eval
   void force_at(KIndex k, Ternary v);
   void unforce_at(KIndex k);
   void force_pin_at(KIndex k, unsigned pin, Ternary v);
@@ -84,7 +80,6 @@ class TernarySim {
   void propagate_from(KIndex k);
   Ternary compute(KIndex k) const;
 
-  std::unique_ptr<SimKernel> owned_kernel_;  // set by the Netlist constructor
   const SimKernel* k_;
   // All per-gate state below is in kernel-index space.
   std::vector<Ternary> values_;

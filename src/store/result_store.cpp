@@ -21,9 +21,9 @@ Digest128 sweep_cache_key(const Netlist& n,
 
 void hash_tpg_options(Hasher& h, const MixedTpgOptions& opt) {
   // lfsr_patterns is skipped (the sweep's lengths drive the stream);
-  // fsim/podem_threads are skipped (engine-invariant results); deadline is
-  // skipped (only Complete Ok sweeps are published or journaled, so
-  // deadline shaping can never reach a record).
+  // fsim/podem_threads are skipped (engine-invariant results).  Deadlines
+  // are no option: only Complete Ok sweeps are published or journaled, so
+  // deadline shaping can never reach a record.
   h.u32(opt.lfsr_degree);
   h.u64(opt.lfsr_seed);
   h.u32(opt.podem.backtrack_limit);

@@ -124,8 +124,8 @@ std::vector<TopoffHit> topoff_phases(
 
   // Compaction and final accounting on one fault simulator over the tail.
   // The back end always runs to completion (its work is bounded by the
-  // top-off set): a deadline on opt.fsim must not silently truncate either
-  // pass, or the point would claim a coverage it cannot prove.
+  // top-off set), so neither pass takes a deadline: a truncated pass would
+  // let the point claim a coverage it cannot prove.
   const auto t1 = WallClock::now();
   FaultSimResult tr;  // the kept set against the tail
   if (!r.topoff.empty()) {
@@ -137,8 +137,6 @@ std::vector<TopoffHit> topoff_phases(
     }
     FaultSimulator tailsim(k, std::move(tail_faults), lr.total_faults,
                            std::move(tail_w));
-    FaultSimOptions fo = opt.fsim;
-    fo.deadline = nullptr;
 
     // Reverse-order compaction: simulated backwards, the first pattern to
     // detect a target is the last one in application order that covers it,
@@ -146,7 +144,7 @@ std::vector<TopoffHit> topoff_phases(
     // it detects a target no later kept pattern covers.
     const std::size_t n = r.topoff.size();
     const std::vector<BitVec> rev(r.topoff.rbegin(), r.topoff.rend());
-    const FaultSimResult cr = tailsim.run(pack_all(rev, width), fo);
+    const FaultSimResult cr = tailsim.run(pack_all(rev, width), opt.fsim);
     std::vector<char> keep(n, 0);
     for (std::size_t j = 0; j < tail.size(); ++j)
       if (verdicts[j]->status == PodemStatus::Detected &&
@@ -164,7 +162,7 @@ std::vector<TopoffHit> topoff_phases(
 
     // Final accounting: the emitted set against the whole tail, so
     // incidental detections (random fill catching aborted faults) count.
-    tr = tailsim.run(pack_all(r.topoff, width), fo);
+    tr = tailsim.run(pack_all(r.topoff, width), opt.fsim);
   }
   r.topoff_patterns = r.topoff.size();
   r.final_coverage =
@@ -293,9 +291,10 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
 
 }  // namespace mixed_phase
 
-MixedSchemeResult run_mixed_tpg(const SimKernel& k, const MixedTpgOptions& opt) {
+MixedSchemeResult run_mixed_tpg(const SimKernel& k, const MixedTpgOptions& opt,
+                                const Deadline* deadline) {
   FaultSimulator fsim(k);
-  return run_mixed_tpg(k, fsim, opt);
+  return run_mixed_tpg(k, fsim, opt, deadline);
 }
 
 namespace {
@@ -307,8 +306,8 @@ std::vector<mixed_phase::TopoffHit> run_topoff(const SimKernel& k,
                                                FaultSimulator& fsim,
                                                const FaultSimResult& lr,
                                                const MixedTpgOptions& opt,
+                                               const Deadline* dl,
                                                MixedSchemeResult& r) {
-  const Deadline* dl = opt.deadline;
   // LFSR-resistant faults, ascending sim-fault indices.
   const std::vector<std::uint32_t> tail = lr.tail_at(lr.patterns);
 
@@ -318,9 +317,8 @@ std::vector<mixed_phase::TopoffHit> run_topoff(const SimKernel& k,
   tail_faults.reserve(tail.size());
   for (const std::uint32_t idx : tail) tail_faults.push_back(fsim.faults()[idx]);
   PodemBatch batch(k, opt.podem_threads);
-  PodemOptions po = opt.podem;
-  if (dl) po.deadline = dl;
-  const std::vector<PodemResult> verdicts = batch.generate(tail_faults, po);
+  const std::vector<PodemResult> verdicts =
+      batch.generate(tail_faults, opt.podem, dl);
   r.podem_seconds = seconds_since(t1);
   const bool podem_cut =
       std::any_of(verdicts.begin(), verdicts.end(), [](const PodemResult& v) {
@@ -349,21 +347,21 @@ std::vector<mixed_phase::TopoffHit> run_topoff(const SimKernel& k,
 }  // namespace
 
 MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt) {
+                                const MixedTpgOptions& opt,
+                                const Deadline* deadline) {
   MixedSchemeResult r;
   const std::size_t width = k.inputs().size();
 
   // --- Phase 1: pseudo-random LFSR patterns -------------------------------
   const auto t0 = WallClock::now();
-  FaultSimOptions fo = opt.fsim;
-  if (opt.deadline) fo.deadline = opt.deadline;  // reaches the hot loop
   Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-  const FaultSimResult lr = fsim.run(lfsr.blocks(width, opt.lfsr_patterns), fo);
+  const FaultSimResult lr =
+      fsim.run(lfsr.blocks(width, opt.lfsr_patterns), opt.fsim, deadline);
   r.lfsr_seconds = seconds_since(t0);
 
   mixed_phase::SignOffPoint point{&r, {}};
   if (lr.status.ok()) {
-    point.hits = run_topoff(k, fsim, lr, opt, r);
+    point.hits = run_topoff(k, fsim, lr, opt, deadline, r);
   } else {
     // Truncated pseudo-random phase: everything computed so far is the
     // exact prefix run; stop here as a degraded LFSR-only point at the

@@ -67,12 +67,6 @@ struct MixedTpgOptions {
   /// faults they target are exactly the ones a pseudo-random-only audit can
   /// never check.
   bool compress = true;
-  /// Cooperative deadline/cancel for the whole scheme, threaded into the
-  /// fault-sim pass (per block group) and PODEM (once per engine step: one
-  /// pass, one scan and one search node in every busy lane).
-  /// When it fires, the run degrades instead of failing: see
-  /// MixedSchemeResult::state.  nullptr = never stops.
-  const Deadline* deadline = nullptr;
 };
 
 /// How much of a mixed-scheme evaluation actually ran — the anytime ladder
@@ -142,12 +136,18 @@ struct MixedSchemeResult {
 };
 
 /// Run the mixed scheme on a compiled circuit.  Deterministic for a given
-/// kernel + options.
+/// kernel + options.  `deadline` (cooperative deadline/cancel, nullptr =
+/// never stops) is threaded into the fault-sim pass (per block group) and
+/// PODEM (once per engine step: one pass, one scan and one search node in
+/// every busy lane).  When it fires, the run degrades instead of failing:
+/// see MixedSchemeResult::state.
 MixedSchemeResult run_mixed_tpg(const SimKernel& k,
-                                const MixedTpgOptions& opt = {});
+                                const MixedTpgOptions& opt = {},
+                                const Deadline* deadline = nullptr);
 
 /// Same, reusing a prebuilt FaultSimulator (skips fault re-enumeration).
 MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt);
+                                const MixedTpgOptions& opt,
+                                const Deadline* deadline = nullptr);
 
 }  // namespace bist

@@ -10,14 +10,16 @@ namespace bist {
 
 MixedSweepResult run_mixed_sweep(const SimKernel& k,
                                  std::span<const std::size_t> lengths,
-                                 const MixedTpgOptions& opt) {
+                                 const MixedTpgOptions& opt,
+                                 const Deadline* dl) {
   FaultSimulator fsim(k);
-  return run_mixed_sweep(k, fsim, lengths, opt);
+  return run_mixed_sweep(k, fsim, lengths, opt, dl);
 }
 
 MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
                                  std::span<const std::size_t> lengths,
-                                 const MixedTpgOptions& opt) {
+                                 const MixedTpgOptions& opt,
+                                 const Deadline* dl) {
   MixedSweepResult sr;
   sr.lengths.assign(lengths.begin(), lengths.end());
   sr.width = k.inputs().size();
@@ -26,14 +28,11 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
   const std::size_t lmax = *std::max_element(lengths.begin(), lengths.end());
 
   // --- One LFSR fault-sim pass amortized over every candidate length ------
-  const Deadline* dl = opt.deadline;
   FaultSimResult full;
   {
     const auto t0 = WallClock::now();
-    FaultSimOptions fo = opt.fsim;
-    if (dl) fo.deadline = dl;
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-    full = fsim.run(lfsr.blocks(width, lmax), fo);
+    full = fsim.run(lfsr.blocks(width, lmax), opt.fsim, dl);
     sr.stats.lfsr_seconds = seconds_since(t0);
   }
 
@@ -90,9 +89,7 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
         miss.push_back(idx);
         miss_faults.push_back(fsim.faults()[idx]);
       }
-    PodemOptions po = opt.podem;
-    if (dl) po.deadline = dl;
-    std::vector<PodemResult> fresh = batch.generate(miss_faults, po);
+    std::vector<PodemResult> fresh = batch.generate(miss_faults, opt.podem, dl);
     bool cut = false;
     for (std::size_t j = 0; j < miss.size(); ++j) {
       // A Cancelled slot carries no verdict: never cache it — a later
@@ -144,11 +141,9 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     MixedSchemeResult& r = by_order.back();
     const StageStatus why = r.status;
     r = MixedSchemeResult{};
-    FaultSimOptions fo = opt.fsim;
-    fo.deadline = nullptr;
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
     const auto t0 = WallClock::now();
-    full = fsim.run(lfsr.blocks(width, lmin), fo);  // the floor's own pass
+    full = fsim.run(lfsr.blocks(width, lmin), opt.fsim);  // the floor's own pass
     r.lfsr_seconds = seconds_since(t0);
     mixed_phase::finish_lfsr_only(full, r, why);
   }

@@ -83,22 +83,25 @@ struct MixedSweepResult {
 /// stream).  Deterministic for a given kernel + options at every thread
 /// count.
 ///
-/// Anytime contract under opt.deadline: the deadline is polled per sweep
-/// point and threaded into the shared LFSR pass and every PODEM batch.  When
-/// it fires, points already finished stay Complete (bit-identical to an
-/// uninterrupted sweep), the in-flight and remaining points degrade to
-/// LfsrOnly where their exact LFSR prefix is available and Skipped where it
-/// is not, and if NOTHING usable survived (deadline beat even the shared
-/// pass) a bounded undeadlined fault-sim floor at min(lengths) produces one
-/// exact LfsrOnly point — the sweep always returns at least one point a
-/// scheduler can select and a wrapper can prove.
+/// Anytime contract under `deadline` (cooperative deadline/cancel, nullptr =
+/// never stops): it is polled per sweep point and threaded into the shared
+/// LFSR pass and every PODEM batch.  When it fires, points already finished
+/// stay Complete (bit-identical to an uninterrupted sweep), the in-flight
+/// and remaining points degrade to LfsrOnly where their exact LFSR prefix is
+/// available and Skipped where it is not, and if NOTHING usable survived
+/// (deadline beat even the shared pass) a bounded undeadlined fault-sim
+/// floor at min(lengths) produces one exact LfsrOnly point — the sweep
+/// always returns at least one point a scheduler can select and a wrapper
+/// can prove.
 MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
                                  std::span<const std::size_t> lengths,
-                                 const MixedTpgOptions& opt = {});
+                                 const MixedTpgOptions& opt = {},
+                                 const Deadline* deadline = nullptr);
 
 /// Convenience overload owning its FaultSimulator.
 MixedSweepResult run_mixed_sweep(const SimKernel& k,
                                  std::span<const std::size_t> lengths,
-                                 const MixedTpgOptions& opt = {});
+                                 const MixedTpgOptions& opt = {},
+                                 const Deadline* deadline = nullptr);
 
 }  // namespace bist

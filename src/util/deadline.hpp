@@ -2,14 +2,15 @@
 // Cooperative deadlines and cancellation for the compute pipeline.
 //
 // Every long-running stage (fault simulation, PODEM, the mixed-scheme
-// sweep) accepts an optional `const Deadline*` through its options struct
-// and polls it at a bounded cadence — per pattern-block group, per PODEM
-// decision, per sweep point — so cancellation latency is bounded by one
-// unit of that granularity and a stage never has to be killed from
-// outside.  A stage that stops early reports how far it got through a
-// StageStatus carried in its result; the work it *did* complete is
-// bit-identical to the same prefix of an uninterrupted run (the checks
-// read the clock and a flag, never any state the computation depends on).
+// sweep, synthesis, verification) takes an optional trailing
+// `const Deadline*` argument, never an options field, and polls it at a
+// bounded cadence — per pattern-block group, per PODEM step, per sweep
+// point — so cancellation latency is bounded by one unit of that
+// granularity and a stage never has to be killed from outside.  A stage
+// that stops early reports how far it got through a StageStatus carried in
+// its result; the work it *did* complete is bit-identical to the same
+// prefix of an uninterrupted run (the checks read the clock and a flag,
+// never any state the computation depends on).
 //
 // Deadline is a value type: a monotonic-clock expiry (steady_clock, so
 // wall-clock adjustments cannot fire or un-fire it) plus an optional

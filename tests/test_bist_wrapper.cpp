@@ -364,9 +364,8 @@ int main() {
     Deadline d = Deadline::after_checks(0);
     MixedTpgOptions opt;
     opt.compress = compress;
-    opt.deadline = &d;
     const std::vector<std::size_t> lengths{100, 300};
-    const MixedSweepResult sw = run_mixed_sweep(k, lengths, opt);
+    const MixedSweepResult sw = run_mixed_sweep(k, lengths, opt, &d);
     const BistPlan plan = schedule_bist(sw, cut.input_count());
     CHECK(plan.degraded);
     CHECK_EQ(plan.test_time, std::size_t{100});

@@ -581,11 +581,9 @@ void test_sweep_sign_off_matches_independent() {
   bool mixed_states = false;
   for (const std::uint64_t polls : {0ull, 40ull, 150ull, 1000ull}) {
     Deadline d = Deadline::after_checks(polls);
-    MixedTpgOptions o = opt;
-    o.deadline = &d;
-    const MixedSweepResult dl = run_mixed_sweep(k, fsim, lengths, o);
+    const MixedSweepResult dl = run_mixed_sweep(k, fsim, lengths, opt, &d);
     const std::size_t signed_off = check_sign_off("c880s deadlined", k, fsim,
-                                                  o, dl, base);
+                                                  opt, dl, base);
     if (polls == 0) CHECK_EQ(signed_off, std::size_t{1});
     bool complete = false, lfsr_only = false;
     for (const MixedSchemeResult& r : dl.points) {

@@ -5,10 +5,13 @@
 //    status; the per-stem member lists partition the netlist.
 // 2. Differential: FaultSimResult detection results (first_detected,
 //    coverage curves, detected_weight) are bit-identical across threads in
-//    {1, 2, 8} and word widths in {1, 4} vs. the legacy per-fault seed-path
-//    engine, on the full ISCAS85 surrogate family; faulty_gate_evals is
-//    thread-count-invariant at fixed width.
+//    {1, 2, 8} and word widths in {1, 4} vs. a per-fault reference (every
+//    fault propagated alone through its whole cone with detect_lanes, one
+//    64-pattern block at a time), on the full ISCAS85 surrogate family;
+//    faulty_gate_evals is thread-count-invariant at fixed width.
 
+#include <bit>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -59,6 +62,35 @@ void check_ffr_decomposition(const SimKernel& k) {
   }
 }
 
+// The reference engine: every live fault propagated on its own with
+// detect_lanes, block by block, and dropped at its first detection.
+FaultSimResult reference_run(const SimKernel& k, FaultSimulator& fsim,
+                             std::span<const PatternBlock> blocks,
+                             std::size_t total_faults) {
+  FaultSimResult r;
+  r.total_faults = total_faults;
+  r.sim_faults = fsim.faults().size();
+  r.total_weight = std::accumulate(fsim.weights().begin(),
+                                   fsim.weights().end(), std::uint64_t{0});
+  r.first_detected.assign(r.sim_faults, -1);
+  KernelSim good(k);
+  for (const PatternBlock& blk : blocks) {
+    good.simulate(blk);
+    for (std::size_t f = 0; f < r.sim_faults; ++f) {
+      if (r.first_detected[f] >= 0) continue;
+      const std::uint64_t det =
+          fsim.detect_lanes(fsim.faults()[f], good.values(), blk.lane_mask());
+      if (!det) continue;
+      r.first_detected[f] =
+          static_cast<std::int64_t>(r.patterns) + std::countr_zero(det);
+      ++r.detected;
+      r.detected_weight += fsim.weights()[f];
+    }
+    r.patterns += blk.count;
+  }
+  return r;
+}
+
 bool same_detection(const FaultSimResult& a, const FaultSimResult& b) {
   bool ok = true;
   ok = ok && a.total_faults == b.total_faults;
@@ -84,11 +116,8 @@ int main() {
     Lfsr lfsr = Lfsr::maximal(32, 0xACE1);
     const auto blocks = lfsr.blocks(n.input_count(), 512);
 
-    FaultSimOptions ref_opt;
-    ref_opt.ffr = false;  // legacy per-fault seed path
-    const FaultSimResult ref = fsim.run(blocks, ref_opt);
-    CHECK_EQ(ref.threads, 1u);
-    CHECK_EQ(ref.word_width, 1u);
+    const FaultSimResult ref =
+        reference_run(k, fsim, blocks, enumerate_faults(n).size());
     CHECK(ref.detected > 0u);
 
     std::uint64_t evals_by_width[2] = {0, 0};
@@ -100,7 +129,7 @@ int main() {
         const FaultSimResult r = fsim.run(blocks, opt);
         CHECK(same_detection(ref, r));
         CHECK_EQ(r.threads, threads);
-        CHECK_EQ(r.word_width, BIST_WIDE_WORDS ? width : 1u);
+        CHECK_EQ(r.word_width, width);
         // Work measure is a deterministic function of (engine, width):
         // partitioning across workers must not change it.
         const unsigned wslot = width == 1 ? 0 : 1;
@@ -111,8 +140,8 @@ int main() {
     }
   }
 
-  // The FFR engine must also agree with legacy on an explicit sub-list with
-  // weights (the tail-fault path run_mixed_tpg exercises).
+  // The FFR engine must also agree with the reference on an explicit
+  // sub-list with weights (the tail-fault path run_mixed_tpg exercises).
   {
     const Netlist n = make_iscas85("c432s");
     const SimKernel k(n);
@@ -124,9 +153,7 @@ int main() {
     FaultSimulator part(k, sub, 2 * sub.size(), w);
     Lfsr lfsr = Lfsr::maximal(32, 0xBEEF);
     const auto blocks = lfsr.blocks(n.input_count(), 256);
-    FaultSimOptions ref_opt;
-    ref_opt.ffr = false;
-    const FaultSimResult ref = part.run(blocks, ref_opt);
+    const FaultSimResult ref = reference_run(k, part, blocks, 2 * sub.size());
     FaultSimOptions opt;
     opt.threads = 8;
     opt.word_width = 4;

@@ -232,11 +232,9 @@ static void test_fault_sim_deadline_prefix() {
 
   // An immediate deadline stops before any block: zero patterns, status set.
   {
-    FaultSimOptions o;
     Deadline d = Deadline::immediate();
-    o.deadline = &d;
     FaultSimulator f2(k);
-    const FaultSimResult r = f2.run(stream, o);
+    const FaultSimResult r = f2.run(stream, {}, &d);
     CHECK(r.status.code == StageCode::DeadlineExceeded);
     CHECK_EQ(r.patterns, 0u);
     CHECK_EQ(r.detected, 0u);
@@ -246,11 +244,9 @@ static void test_fault_sim_deadline_prefix() {
   // uninterrupted run: same detection indices and counts, for the patterns
   // that actually ran.
   {
-    FaultSimOptions o;
     Deadline d = Deadline::after_checks(2);
-    o.deadline = &d;
     FaultSimulator f2(k);
-    const FaultSimResult r = f2.run(stream, o);
+    const FaultSimResult r = f2.run(stream, {}, &d);
     CHECK(r.status.code == StageCode::DeadlineExceeded);
     CHECK(r.patterns > 0);
     CHECK(r.patterns < total);
@@ -264,14 +260,12 @@ static void test_fault_sim_deadline_prefix() {
 
   // Cancellation reports Cancelled, not DeadlineExceeded.
   {
-    FaultSimOptions o;
     CancelToken tok;
     tok.cancel();
     Deadline d;
     d.observe(&tok);
-    o.deadline = &d;
     FaultSimulator f2(k);
-    const FaultSimResult r = f2.run(stream, o);
+    const FaultSimResult r = f2.run(stream, {}, &d);
     CHECK(r.status.code == StageCode::Cancelled);
     CHECK_EQ(r.patterns, 0u);
   }
@@ -290,10 +284,8 @@ static void test_podem_cancellation() {
 
   // Expired deadline: every slot is Cancelled — no fabricated verdicts.
   {
-    PodemOptions o;
     Deadline d = Deadline::immediate();
-    o.deadline = &d;
-    const std::vector<PodemResult> r = batch.generate(faults, o);
+    const std::vector<PodemResult> r = batch.generate(faults, {}, &d);
     CHECK_EQ(r.size(), faults.size());
     for (const PodemResult& v : r) CHECK(v.status == PodemStatus::Cancelled);
   }
@@ -307,12 +299,10 @@ static void test_podem_cancellation() {
   for (const PodemResult& v : base) ample += 4 * v.decisions;
   std::size_t done = 0, cancelled = 0;
   for (const std::uint64_t polls : {std::uint64_t(1), std::uint64_t(64), ample}) {
-    PodemOptions o;
     Deadline d = Deadline::after_checks(polls);
-    o.deadline = &d;
     Podem solo(k);  // single engine: deterministic completion order
     for (std::size_t i = 0; i < faults.size(); ++i) {
-      const PodemResult v = solo.generate(faults[i], o);
+      const PodemResult v = solo.generate(faults[i], {}, &d);
       if (v.status == PodemStatus::Cancelled) {
         ++cancelled;
         continue;
@@ -347,10 +337,8 @@ static void test_podem_cancellation() {
   bool cut_in_flight = false;
   for (const std::uint64_t polls : {2, 8, 32, 128, 512}) {
     for (PodemBatch* b : {&solo_batch, &batch}) {
-      PodemOptions o = lim;
       Deadline d = Deadline::after_checks(polls);
-      o.deadline = &d;
-      const std::vector<PodemResult> r = b->generate(tail, o);
+      const std::vector<PodemResult> r = b->generate(tail, lim, &d);
       std::size_t finished = 0, in_flight = 0;
       for (std::size_t i = 0; i < tail.size(); ++i) {
         if (r[i].status == PodemStatus::Cancelled) {
@@ -417,8 +405,7 @@ static void test_sweep_generous_deadline_identity() {
   CHECK(base.status.ok());
 
   Deadline d = Deadline::after(1e9);
-  opt.deadline = &d;
-  const MixedSweepResult dl = run_mixed_sweep(k, lengths, opt);
+  const MixedSweepResult dl = run_mixed_sweep(k, lengths, opt, &d);
   CHECK(dl.status.ok());
   CHECK_EQ(dl.points.size(), base.points.size());
   for (std::size_t i = 0; i < base.points.size(); ++i) {
@@ -440,10 +427,8 @@ static void test_sweep_midflight_degradation() {
   // LfsrOnly points carry the exact LFSR prefix data, something schedulable
   // always survives, and the sweep-level status reflects the cut.
   for (const std::uint64_t polls : {0ull, 1ull, 8ull, 512ull, 100000ull}) {
-    MixedTpgOptions o;
     Deadline d = Deadline::after_checks(polls);
-    o.deadline = &d;
-    const MixedSweepResult sw = run_mixed_sweep(k, lengths, o);
+    const MixedSweepResult sw = run_mixed_sweep(k, lengths, opt, &d);
     CHECK_EQ(sw.points.size(), lengths.size());
     bool usable = false;
     bool cut = false;
