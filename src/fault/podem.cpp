@@ -121,7 +121,7 @@ void PodemScan::scan(const PairSim& sim) {
 }
 
 Podem::Podem(const SimKernel& k)
-    : k_(&k), sim_(k), scan_(k), lanes_(PairSim::kLanes) {
+    : k_(&k), check_(k), sim_(k), scan_(k), lanes_(PairSim::kLanes) {
   pi_ordinal_.assign(k.gate_count(), ~0u);
   for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
     pi_ordinal_[k.inputs()[i]] = i;
@@ -211,13 +211,26 @@ void Podem::backtrace(unsigned l, KIndex g, Ternary v, std::uint32_t* pi_idx,
   *pv = v;
 }
 
-// Load the next unclaimed fault into lane l; false (lane idle) when none is
-// left.
+void Podem::prove(std::span<const Fault> faults,
+                  std::span<const std::uint32_t> group,
+                  std::span<PodemResult> results, std::span<char> proven) {
+  for (const std::uint32_t i : group)
+    if (check_.untestable(faults[i])) {
+      results[i] = PodemResult{};  // Redundant, no search
+      proven[i] = 1;
+    }
+}
+
+// Load the next unclaimed fault the pre-pass left open into lane l; false
+// (lane idle) when none is left.
 bool Podem::claim(unsigned l, std::span<const Fault> faults,
+                  std::span<const char> proven,
                   std::atomic<std::size_t>& next) {
   Lane& ln = lanes_[l];
   ln.slot = kIdle;
-  const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+  std::size_t i;
+  do i = next.fetch_add(1, std::memory_order_relaxed);
+  while (i < faults.size() && proven[i]);
   if (i >= faults.size()) {
     sim_.load(l, kNoGate, -1, Ternary::VX);
     scan_.load(l, kNoGate, -1, Ternary::VX);
@@ -293,11 +306,12 @@ PodemResult Podem::result(unsigned l, PodemStatus s) const {
 }
 
 void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
-                std::span<PodemResult> results, const PodemOptions& opt,
-                const Deadline* deadline) {
+                std::span<PodemResult> results, std::span<const char> proven,
+                const PodemOptions& opt, const Deadline* deadline) {
   limit_ = opt.backtrack_limit;
   unsigned busy = 0;
-  for (unsigned l = 0; l < PairSim::kLanes; ++l) busy += claim(l, faults, next);
+  for (unsigned l = 0; l < PairSim::kLanes; ++l)
+    busy += claim(l, faults, proven, next);
   while (busy) {
     // Cooperative stop, polled once per step: a step is a full pass, a scan
     // and a node in every busy lane, far above the poll, so cancellation
@@ -317,7 +331,7 @@ void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
       PodemStatus verdict;
       if (lanes_[l].slot == kIdle || !step(l, &verdict)) continue;
       results[lanes_[l].slot] = result(l, verdict);
-      if (!claim(l, faults, next)) --busy;
+      if (!claim(l, faults, proven, next)) --busy;
     }
   }
 }
@@ -325,13 +339,20 @@ void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
 PodemResult Podem::generate(const Fault& f, const PodemOptions& opt,
                             const Deadline* deadline) {
   PodemResult r;
+  if (deadline && deadline->should_stop()) {
+    r.status = PodemStatus::Cancelled;
+    return r;
+  }
+  const std::uint32_t only = 0;
+  char proven = 0;
+  prove({&f, 1}, {&only, 1}, {&r, 1}, {&proven, 1});
   std::atomic<std::size_t> next{0};
-  run({&f, 1}, next, {&r, 1}, opt, deadline);
+  run({&f, 1}, next, {&r, 1}, {&proven, 1}, opt, deadline);
   return r;
 }
 
 PodemBatch::PodemBatch(const SimKernel& k, unsigned threads)
-    : pool_(std::make_unique<WorkerPool>(threads)) {
+    : k_(&k), pool_(std::make_unique<WorkerPool>(threads)) {
   engines_.reserve(pool_->workers());
   for (unsigned w = 0; w < pool_->workers(); ++w)
     engines_.push_back(std::make_unique<Podem>(k));
@@ -353,9 +374,32 @@ std::vector<PodemResult> PodemBatch::generate(std::span<const Fault> faults,
     // undeadlined run by the engine's reuse contract.
     for (PodemResult& r : results) r.status = PodemStatus::Cancelled;
   }
+  // The pre-pass, one stem group at a time: fault indices ordered by
+  // (stem, index), cut where the stem changes.
+  std::vector<std::pair<KIndex, std::uint32_t>> keyed(faults.size());
+  for (std::uint32_t i = 0; i < faults.size(); ++i)
+    keyed[i] = {k_->stem_of(k_->index_of(faults[i].gate)), i};
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::uint32_t> order(faults.size());
+  std::vector<std::size_t> begin;
+  for (std::size_t j = 0; j < keyed.size(); ++j) {
+    if (j == 0 || keyed[j].first != keyed[j - 1].first) begin.push_back(j);
+    order[j] = keyed[j].second;
+  }
+  begin.push_back(order.size());
+  std::vector<char> proven(faults.size(), 0);
+  parallel_for(*pool_, begin.size() - 1, 1,
+               [&](unsigned wid, std::size_t g, std::size_t) {
+                 if (deadline && deadline->should_stop()) return;
+                 engines_[wid]->prove(
+                     faults,
+                     std::span(order).subspan(begin[g], begin[g + 1] - begin[g]),
+                     results, proven);
+               });
+
   std::atomic<std::size_t> next{0};
   pool_->run([&](unsigned wid) {
-    engines_[wid]->run(faults, next, results, opt, deadline);
+    engines_[wid]->run(faults, next, results, proven, opt, deadline);
   });
   return results;
 }

@@ -25,6 +25,11 @@
 // fault redundant.  Searches that hit the backtrack limit are reported
 // Aborted, separately from Redundant.
 //
+// Before any search, a RedundancyCheck (fault/redundancy.hpp) tries to prove
+// each fault untestable by implication alone; a proven fault is never
+// searched and reads Redundant with 0 backtracks and 0 decisions.  So
+// Redundant is either that implication proof or an exhausted search.
+//
 // The frame stack is the depth-first recursion unrolled, and the scan
 // computes exactly the per-lane checks of a one-search-at-a-time PODEM, so
 // every lane takes exactly that search's decisions: a lane's values depend
@@ -39,6 +44,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "fault/redundancy.hpp"
 #include "sim/kernel.hpp"
 #include "sim/pair_sim.hpp"
 #include "util/deadline.hpp"
@@ -49,7 +55,7 @@ class WorkerPool;
 
 enum class PodemStatus : std::uint8_t {
   Detected,   ///< test cube found (and verified by the lock-step machines)
-  Redundant,  ///< search space exhausted: no test exists
+  Redundant,  ///< implication conflict or search space exhausted: no test
   Aborted,    ///< backtrack limit hit before a verdict
   Cancelled,  ///< deadline/cancel fired mid-search: NO verdict — unlike
               ///< Aborted this says nothing about the fault and must never
@@ -148,9 +154,10 @@ class PodemScan {
 /// The engine carries no RNG; the search is fully deterministic.
 ///
 /// Every entry point takes an optional cooperative deadline/cancel
-/// (nullptr = never stops), polled once per step of the engine (one pass,
-/// one scan and one node in every busy lane).  When it fires, every search
-/// in flight returns PodemStatus::Cancelled and no further fault is started;
+/// (nullptr = never stops), polled once per stem group of the implication
+/// pre-pass and once per step of the engine (one pass, one scan and one
+/// node in every busy lane).  When it fires, every search in flight
+/// returns PodemStatus::Cancelled and no further fault is started;
 /// verdicts reached before the stop are untouched and bit-identical to an
 /// undeadlined run.
 class Podem {
@@ -161,14 +168,24 @@ class Podem {
   PodemResult generate(const Fault& f, const PodemOptions& opt = {},
                        const Deadline* deadline = nullptr);
 
+  /// The implication pre-pass over faults[i] for each i in `group` (faults
+  /// that share a stem check fastest back to back): each fault the check
+  /// proves untestable gets a Redundant result (0 backtracks, 0 decisions)
+  /// in results[i] and proven[i] = 1.  Throws std::out_of_range on a fault
+  /// with a bad pin.
+  void prove(std::span<const Fault> faults,
+             std::span<const std::uint32_t> group,
+             std::span<PodemResult> results, std::span<char> proven);
+
   /// Search faults until none is left: each free lane claims the next fault
-  /// index from `next` (which several engines may share) and writes the
-  /// verdict to that slot of `results`.  When the deadline fires, every
-  /// claimed search still in flight gets a Cancelled result and no further
-  /// fault is claimed.  Throws std::out_of_range on a fault with a bad pin.
+  /// index from `next` (which several engines may share) that `proven` does
+  /// not flag and writes the verdict to that slot of `results`.  When the
+  /// deadline fires, every claimed search still in flight gets a Cancelled
+  /// result and no further fault is claimed.  Throws std::out_of_range on a
+  /// fault with a bad pin.
   void run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
-           std::span<PodemResult> results, const PodemOptions& opt,
-           const Deadline* deadline = nullptr);
+           std::span<PodemResult> results, std::span<const char> proven,
+           const PodemOptions& opt, const Deadline* deadline = nullptr);
 
  private:
   static constexpr std::size_t kIdle = ~std::size_t{0};
@@ -188,7 +205,7 @@ class Podem {
   };
 
   bool claim(unsigned l, std::span<const Fault> faults,
-             std::atomic<std::size_t>& next);
+             std::span<const char> proven, std::atomic<std::size_t>& next);
   bool step(unsigned l, PodemStatus* verdict);
   PodemResult result(unsigned l, PodemStatus s) const;
   bool objective(unsigned l, KIndex* gate, Ternary* v) const;
@@ -197,6 +214,7 @@ class Podem {
                  Ternary* pv) const;
 
   const SimKernel* k_;
+  RedundancyCheck check_;
   PairSim sim_;
   PodemScan scan_;
   std::vector<std::uint32_t> pi_ordinal_;  // kernel idx -> PI index, ~0 if not PI
@@ -209,9 +227,10 @@ class Podem {
 /// (pool threads + per-engine kernel-sized scratch) is paid once per batch
 /// object, which is what a sweep over many candidate LFSR lengths needs.
 ///
-/// generate() hands faults out one at a time from a shared cursor: a lane
-/// that finishes claims the next unclaimed fault, whichever worker it
-/// belongs to (per-fault cost is heavily skewed: an easy detection takes a
+/// generate() first runs the implication pre-pass, handing the faults out
+/// by stem group, then searches the faults it left open, handed out one at
+/// a time from a shared cursor: a lane that finishes claims the next
+/// unclaimed fault, whichever worker it belongs to (per-fault cost is heavily skewed: an easy detection takes a
 /// few nodes while a redundancy proof or abort burns the whole backtrack
 /// budget).  Each verdict lands in its fault's slot of the returned vector.
 /// Combined with the engine's reuse contract, the result is in input order
@@ -229,12 +248,13 @@ class PodemBatch {
   unsigned workers() const;
 
   /// One verdict per fault, input order; see the class comment.  Under a
-  /// deadline (polled as in Podem), faults never claimed read Cancelled.
+  /// deadline (polled as in Podem), faults never reached read Cancelled.
   std::vector<PodemResult> generate(std::span<const Fault> faults,
                                     const PodemOptions& opt = {},
                                     const Deadline* deadline = nullptr);
 
  private:
+  const SimKernel* k_;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<Podem>> engines_;  // one per worker
 };

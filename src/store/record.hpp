@@ -27,14 +27,17 @@
 namespace bist {
 
 inline constexpr std::uint32_t kStoreMagic = 0x42535452u;  // "BSTR"
-/// Bump whenever the serialized payload layout changes; old records then
-/// read as BadVersion and are quarantined rather than misdecoded.
+/// Bump whenever the serialized payload layout changes, or the engine that
+/// fills it changes what a cold run writes; old records then read as
+/// BadVersion and are quarantined rather than misdecoded or replayed.
 /// v2: StageCode gained the Rejected terminal status (widens the valid
 /// enum range the payload decoder accepts).  v3: JobReport carries the
 /// synth stage's accounting; the copied solve_seconds fields are gone.
 /// v4: a sweep point no longer carries its LFSR-phase FaultSimResult, and
-/// no wall-clock field or PODEM worker-count echo is persisted.
-inline constexpr std::uint32_t kStoreFormatVersion = 4;
+/// no wall-clock field or PODEM worker-count echo is persisted.  v5: same
+/// layout, but PODEM's implication pre-pass proves Redundant many faults a
+/// v4 record holds as Aborted, so a v4 hit would not equal a cold run.
+inline constexpr std::uint32_t kStoreFormatVersion = 5;
 inline constexpr std::size_t kRecordHeaderSize = 40;
 
 enum class RecordCheck : std::uint8_t {

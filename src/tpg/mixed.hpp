@@ -4,7 +4,9 @@
 //   LFSR phase        maximal-length LFSR patterns through the PPSFP fault
 //                     simulator -> first detections + undetected tail
 //   top-off phase     PODEM test cube per tail fault (redundant and aborted
-//                     faults classified separately), X bits random-filled
+//                     faults classified separately: Redundant comes from
+//                     the engine's implication proof or from an exhausted
+//                     search), X bits random-filled
 //   verification      every filled pattern re-checked by the PPSFP
 //                     propagate against its target fault
 //   compaction        the top-off set fault-simulated in reverse over the
@@ -85,8 +87,10 @@ struct MixedSchemeResult {
   std::size_t lfsr_patterns = 0;
   std::size_t tail_faults = 0;     ///< undetected after the LFSR phase
   std::size_t podem_detected = 0;  ///< tail faults with a generated test
+  /// Proven untestable: by implication before any search, or by an
+  /// exhausted search.
   std::size_t redundant = 0;
-  std::size_t aborted = 0;
+  std::size_t aborted = 0;  ///< backtrack limit hit, no verdict
   std::uint64_t podem_backtracks = 0;
   std::uint64_t podem_decisions = 0;
   std::size_t topoff_before_compaction = 0;

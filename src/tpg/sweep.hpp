@@ -17,7 +17,10 @@
 //   parallel PODEM     tail faults are partitioned across a persistent
 //                      PodemBatch (per-worker engines, dynamic grain-1
 //                      chunking, fixed-fault-order reduction), so verdicts
-//                      are bit-identical for every thread count
+//                      are bit-identical for every thread count; its
+//                      implication pre-pass proves most untestable faults
+//                      Redundant before any search, the rest of Redundant
+//                      being exhausted searches
 //   cube caching       lengths are swept descending, so the tail only grows
 //                      from point to point; a cube, redundancy proof, or
 //                      aborted verdict generated when a fault first enters

@@ -1,11 +1,11 @@
 // PODEM golden tests on C17 (every collapsed fault testable, sensitization
-// conditions of a hand-analyzed fault, redundancy recognition, abort
-// reporting) plus the property test: every cube PODEM emits is confirmed by
+// conditions of a hand-analyzed fault, redundancy recognition by the
+// implication pre-pass and by search, abort reporting) plus the property test: every cube PODEM emits is confirmed by
 // the PPSFP fault simulator to detect its target fault — under both all-0
 // and all-1 completion of the don't-care bits.  A checked-in digest pins the
 // search bit for bit (status, cube, backtracks, decisions of every LFSR-tail
-// fault on three surrogates), so an implication-engine change that alters a
-// single decision fails here — through the lane-parallel batch at 1 and 2
+// fault on three surrogates), so a pre-pass or implication-engine change
+// that alters a single verdict or decision fails here — through the lane-parallel batch at 1 and 2
 // threads and every lane occupancy, and through one fault at a time — and a
 // batch reused over a shuffled fault order must reproduce the in-order
 // per-fault results.  The lane-mask scan (PodemScan) is checked lane by
@@ -24,6 +24,7 @@
 #include "fault/fault.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/podem.hpp"
+#include "fault/redundancy.hpp"
 #include "hand_circuit.hpp"
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
@@ -373,11 +374,41 @@ int main() {
         det.cube.size() == n.input_count())
       CHECK_EQ(int(det.cube[0]), int(Ternary::V0));  // needs a = 0
 
-    // Proving redundancy takes at least one backtrack, so a zero backtrack
-    // budget must abort instead of claiming redundancy.
+    // o s-a-1 needs o = 0, hence a = 0 and nb = 0, and nb = NOT a: the
+    // implication pre-pass proves it before any search, whatever the budget.
     PodemOptions strict;
     strict.backtrack_limit = 0;
-    const PodemResult ab = podem.generate({o, -1, 1}, strict);
+    const PodemResult pr = podem.generate({o, -1, 1}, strict);
+    CHECK_EQ(int(pr.status), int(PodemStatus::Redundant));
+    CHECK_EQ(pr.backtracks, 0u);
+    CHECK_EQ(pr.decisions, 0u);
+  }
+
+  // x = AND(XOR(a, b), XNOR(a, b)) is constant 0, but x = 1 implies only
+  // that both parities are 1, which direct implication cannot refute: the
+  // pre-pass leaves x s-a-0 to the search.  Proving it by search takes at
+  // least one backtrack, so a zero backtrack budget must abort instead of
+  // claiming redundancy.
+  {
+    Netlist n("parity_and");
+    const GateId a = n.add_input("a");
+    const GateId b = n.add_input("b");
+    const GateId p = n.add_gate(GateType::Xor, {a, b}, "p");
+    const GateId q = n.add_gate(GateType::Xnor, {a, b}, "q");
+    const GateId x = n.add_gate(GateType::And, {p, q}, "x");
+    n.add_output(x);
+    n.freeze();
+    const SimKernel k(n);
+    const Fault xsa0{x, -1, 0};
+    RedundancyCheck check(k);
+    CHECK(!check.untestable(xsa0));
+    Podem podem(k);
+    const PodemResult full = podem.generate(xsa0);
+    CHECK_EQ(int(full.status), int(PodemStatus::Redundant));
+    CHECK(full.backtracks >= 1);
+    PodemOptions strict;
+    strict.backtrack_limit = 0;
+    const PodemResult ab = podem.generate(xsa0, strict);
     CHECK_EQ(int(ab.status), int(PodemStatus::Aborted));
     CHECK(ab.backtracks >= 1);
   }
@@ -416,8 +447,9 @@ int main() {
   // --- the search, pinned bit for bit ----------------------------------
   // One digest over every PodemResult of the 512-pattern LFSR tails of
   // c432s, c880s and c1355s at backtrack limits 50 and 0.  The value was
-  // recorded with the two-TernarySim implication engine; any engine must
-  // reproduce it, since implication never decides what the search does.
+  // recorded with the implication pre-pass of fault/redundancy.hpp in front
+  // of the lane-parallel search; any change to the pre-pass's rules or to a
+  // search decision moves it.
   // It must hold through PodemBatch at 1 and 2 threads, with the tail
   // handed over in batches of 1, 15, 16 and 17 faults and whole (partial,
   // full and refilled lanes), and through Podem::generate one fault at a
@@ -425,7 +457,7 @@ int main() {
   // and the same batch over a shuffled order (faults meeting other lane
   // neighbours) must return the same result for every fault.
   {
-    const std::string pin("33fe0b6759e316efdf0f4067cf623838");
+    const std::string pin("79aa6fe6149676fa7aa1e26c38cc59a8");
     const std::size_t chunks[] = {1, 15, 16, 17, 0};  // 0: the whole tail
     std::vector<Hasher> batch_h(2 * std::size(chunks));
     Hasher solo_h;

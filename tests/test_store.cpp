@@ -385,7 +385,7 @@ JobReport synthetic_report() {
   return r;
 }
 
-// The store format, pinned: kStoreFormatVersion 4 as written by the field
+// The store format, pinned: kStoreFormatVersion 5 as written by the field
 // walk in store/serialize.cpp.  A layout change must bump
 // kStoreFormatVersion and re-pin both digests in the same change.
 void test_format_pin() {
@@ -394,6 +394,7 @@ void test_format_pin() {
   const std::vector<std::uint8_t> sw = serialize_sweep(r.sweep);
   const Digest128 rep_digest = Hasher().bytes(rep.data(), rep.size()).digest();
   const Digest128 sw_digest = Hasher().bytes(sw.data(), sw.size()).digest();
+  CHECK_EQ(kStoreFormatVersion, 5u);
   CHECK_EQ(rep_digest.hex(), std::string("545267ba3662d80a7ad7f5ad88bc0a43"));
   CHECK_EQ(sw_digest.hex(), std::string("7eb332dda5f8bf99ed12b199aecf1bb1"));
   CHECK_EQ(rep.size(), std::size_t{1082});
