@@ -25,8 +25,8 @@
 //                the sweep (a divergence fails the run) and reported as the
 //                naive/sweep speedup.
 //   mixed_tpg    the sweep's longest point (--patterns with the default
-//                lengths); its per-phase lfsr/podem/compact/solve_seconds
-//                come from the naive run at that length.
+//                lengths), timed by the naive run at that length; the
+//                sweep's phase timings are in mixed_sweep.
 //   bist_plan    the scheduled knee of the length-vs-ROM trade-off (under an
 //                optional --budget test-time cap), the synthesized wrapper
 //                (written as wrapper_<circuit>.bench) and its inductive
@@ -41,7 +41,7 @@
 // to a degraded (LFSR-only) plan, and the wrapper is still synthesized and
 // self-verified; a synth or verify stopped by J shows as bist_plan.status.
 // Because results are then wall-clock-shaped, the job runs exactly once and
-// the naive loop is skipped (mixed_tpg's timing fields are then 0).  The run
+// the naive loop is skipped (mixed_tpg's seconds_best is then 0).  The run
 // exits nonzero on any job Error (a wrapper that mismatches its plan is one)
 // and on any top-off pattern that failed its fault-sim check.
 //
@@ -206,32 +206,6 @@ std::string json_str(const std::string& s) {
   }
   os << '"';
   return os.str();
-}
-
-// Per-point equality of the result fields (timings excepted) — the sweep
-// engine's contract is that these are bit-identical to the naive loop.
-bool same_scheme_point(const bist::MixedSchemeResult& a,
-                       const bist::MixedSchemeResult& b) {
-  bool ok = true;
-  ok = ok && a.lfsr_patterns == b.lfsr_patterns;
-  ok = ok && a.tail_faults == b.tail_faults;
-  ok = ok && a.podem_detected == b.podem_detected;
-  ok = ok && a.redundant == b.redundant;
-  ok = ok && a.aborted == b.aborted;
-  ok = ok && a.podem_backtracks == b.podem_backtracks;
-  ok = ok && a.podem_decisions == b.podem_decisions;
-  ok = ok && a.topoff_before_compaction == b.topoff_before_compaction;
-  ok = ok && a.topoff_patterns == b.topoff_patterns;
-  ok = ok && a.topoff == b.topoff;
-  ok = ok && a.comp == b.comp;
-  ok = ok && a.lfsr_coverage == b.lfsr_coverage;
-  ok = ok && a.lfsr_coverage_weighted == b.lfsr_coverage_weighted;
-  ok = ok && a.final_coverage == b.final_coverage;
-  ok = ok && a.final_coverage_weighted == b.final_coverage_weighted;
-  ok = ok && a.all_verified == b.all_verified;
-  ok = ok && a.redundant_faults == b.redundant_faults;
-  ok = ok && a.aborted_faults == b.aborted_faults;
-  return ok;
 }
 
 }  // namespace
@@ -888,7 +862,7 @@ int run_bench(int argc, char** argv) {
           naive_secs += naive_point_secs.back();
         }
         for (std::size_t p = 0; p < sweep_lengths.size(); ++p)
-          if (!same_scheme_point(rep.sweep.points[p], naive[p])) {
+          if (rep.sweep.points[p] != naive[p]) {
             std::cerr << name << ": sweep point results diverge from the "
                          "naive per-point loop!\n";
             return 1;
@@ -924,14 +898,13 @@ int run_bench(int argc, char** argv) {
       }
     }
 
-    // mixed_tpg is the sweep's longest point; its timing fields come from
-    // the naive run at that length (0 when the naive loop was skipped).
+    // mixed_tpg is the sweep's longest point, timed by the naive run at that
+    // length (0 when the naive loop was skipped).
     const std::size_t longest = static_cast<std::size_t>(
         std::max_element(sweep_lengths.begin(), sweep_lengths.end()) -
         sweep_lengths.begin());
-    const bist::MixedSchemeResult untimed;
-    const bist::MixedSchemeResult& mr = have_sweep ? sw.points[longest] : untimed;
-    const bist::MixedSchemeResult& mt = naive.empty() ? untimed : naive[longest];
+    const bist::MixedSchemeResult none;
+    const bist::MixedSchemeResult& mr = have_sweep ? sw.points[longest] : none;
     const double msecs = naive.empty() ? 0 : naive_point_secs[longest];
     const int naive_reps = anytime ? 0 : 1;
 
@@ -945,10 +918,7 @@ int run_bench(int argc, char** argv) {
                 << " aborted), coverage "
                 << bist::format_fixed(100 * mr.lfsr_coverage, 2) << "% -> "
                 << bist::format_fixed(100 * mr.final_coverage, 2) << "%"
-                << " (" << bist::format_fixed(msecs, 2) << "s: lfsr "
-                << bist::format_fixed(mt.lfsr_seconds, 2) << " podem "
-                << bist::format_fixed(mt.podem_seconds, 2) << " compact "
-                << bist::format_fixed(mt.compact_seconds, 2) << ")"
+                << " (" << bist::format_fixed(msecs, 2) << "s)"
                 << (mr.all_verified ? "" : " [VERIFY FAILED]") << "\n";
       if (!mr.status.ok())
         std::cout << name << ": mixed scheme degraded to "
@@ -1078,13 +1048,7 @@ int run_bench(int argc, char** argv) {
          << json_str(std::string(bist::stage_code_name(mr.status.code)))
          << ",\n"
          << "        \"reps\": " << naive_reps << ",\n"
-         << "        \"seconds_best\": " << json_num(msecs) << ",\n"
-         << "        \"lfsr_seconds\": " << json_num(mt.lfsr_seconds) << ",\n"
-         << "        \"podem_seconds\": " << json_num(mt.podem_seconds) << ",\n"
-         << "        \"compact_seconds\": " << json_num(mt.compact_seconds)
-         << ",\n"
-         << "        \"solve_seconds\": " << json_num(mt.solve_seconds)
-         << "\n      }";
+         << "        \"seconds_best\": " << json_num(msecs) << "\n      }";
     }
     if (have_sweep) {
       js << ",\n      \"mixed_sweep\": {\n        \"lengths\": [";

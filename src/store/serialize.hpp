@@ -31,9 +31,10 @@
 // resumed and cold batches byte for byte.
 //
 // Only results are persisted.  The in-memory wall-clock fields
-// (MixedSchemeResult and MixedSweepStats *_seconds, StageReport::seconds,
-// JobReport::seconds) and the MixedSweepStats::podem_threads echo are not
-// written, so a decoded sweep or report reads them as their defaults.
+// (MixedSweepStats *_seconds, StageReport::seconds, JobReport::seconds) and
+// the MixedSweepStats::podem_threads echo are not written, so a decoded
+// sweep or report reads them as their defaults; a MixedSchemeResult has no
+// wall-clock field, so a decoded point `==` the point that was written.
 
 #include <cstdint>
 #include <span>

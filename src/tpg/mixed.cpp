@@ -64,7 +64,7 @@ std::vector<TopoffHit> topoff_phases(
     const SimKernel& k, FaultSimulator& fsim, const FaultSimResult& lr,
     std::span<const std::uint32_t> tail,
     std::span<const PodemResult* const> verdicts, const MixedTpgOptions& opt,
-    MixedSchemeResult& r) {
+    MixedSchemeResult& r, MixedSweepStats& stats) {
   const auto t0 = WallClock::now();
   take_lfsr_phase(lr, r);
   r.tail_faults = tail.size();
@@ -120,7 +120,8 @@ std::vector<TopoffHit> topoff_phases(
   r.topoff_before_compaction = r.topoff.size();
   if (!r.topoff.empty())
     r.all_verified = verify_batched(k, fsim, r.topoff, target);
-  r.podem_seconds += seconds_since(t0);
+  stats.podem_seconds += seconds_since(t0) - solve;
+  stats.solve_seconds += solve;
 
   // Compaction and final accounting on one fault simulator over the tail.
   // The back end always runs to completion (its work is bounded by the
@@ -174,8 +175,7 @@ std::vector<TopoffHit> topoff_phases(
           ? double(lr.detected_weight + tr.detected_weight) /
                 double(lr.total_weight)
           : 0.0;
-  r.compact_seconds += seconds_since(t1);
-  r.solve_seconds = solve;
+  stats.compact_seconds += seconds_since(t1);
 
   // Seed schedules renumbered to the kept rows; the MISR half of comp is
   // sign_off()'s.
@@ -239,7 +239,6 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
   std::size_t signed_blocks = 0;
   MisrSpec signed_fold;
   for (SignOffPoint* p : order) {
-    const auto t0 = WallClock::now();
     MixedSchemeResult& r = *p->r;
     const std::size_t len = r.lfsr_patterns;
 
@@ -285,89 +284,42 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
                            state);
     signed_blocks = stream.size();
     c.golden = misr_signature(k, tblocks, m, state);
-    r.solve_seconds += seconds_since(t0);
   }
 }
 
 }  // namespace mixed_phase
 
-MixedSchemeResult run_mixed_tpg(const SimKernel& k, const MixedTpgOptions& opt,
-                                const Deadline* deadline) {
+MixedSchemeResult run_mixed_tpg(const SimKernel& k,
+                                const MixedTpgOptions& opt) {
   FaultSimulator fsim(k);
-  return run_mixed_tpg(k, fsim, opt, deadline);
+  return run_mixed_tpg(k, fsim, opt);
 }
 
-namespace {
+MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
+                                const MixedTpgOptions& opt) {
+  MixedSchemeResult r;
 
-// Phases 2+ of run_mixed_tpg after a complete LFSR phase `lr`: PODEM per
-// tail fault, then the top-off back end.  Returns what the kept top-off set
-// detects (empty when the point degrades).
-std::vector<mixed_phase::TopoffHit> run_topoff(const SimKernel& k,
-                                               FaultSimulator& fsim,
-                                               const FaultSimResult& lr,
-                                               const MixedTpgOptions& opt,
-                                               const Deadline* dl,
-                                               MixedSchemeResult& r) {
-  // LFSR-resistant faults, ascending sim-fault indices.
+  // --- Phase 1: pseudo-random LFSR patterns -------------------------------
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  const FaultSimResult lr =
+      fsim.run(lfsr.blocks(k.inputs().size(), opt.lfsr_patterns), opt.fsim);
+
+  // --- Phase 2: PODEM per LFSR-resistant fault, ascending sim-fault index --
   const std::vector<std::uint32_t> tail = lr.tail_at(lr.patterns);
-
-  // --- Phase 2: PODEM per tail fault --------------------------------------
-  const auto t1 = WallClock::now();
   std::vector<Fault> tail_faults;
   tail_faults.reserve(tail.size());
   for (const std::uint32_t idx : tail) tail_faults.push_back(fsim.faults()[idx]);
   PodemBatch batch(k, opt.podem_threads);
   const std::vector<PodemResult> verdicts =
-      batch.generate(tail_faults, opt.podem, dl);
-  r.podem_seconds = seconds_since(t1);
-  const bool podem_cut =
-      std::any_of(verdicts.begin(), verdicts.end(), [](const PodemResult& v) {
-        return v.status == PodemStatus::Cancelled;
-      });
-  if (podem_cut) {
-    // Some searches were cut off mid-flight: their slots carry no verdict,
-    // so the whole top-off phase is withdrawn rather than emitted partially
-    // (a partial top-off could not reproduce an independent run anyway).
-    mixed_phase::finish_lfsr_only(
-        lr, r,
-        dl ? dl->stop_status("podem")
-           : StageStatus::cancelled("podem: verdicts cancelled"));
-    return {};
-  }
+      batch.generate(tail_faults, opt.podem);
 
   // --- Phases 3+: fill, verify, compact, account --------------------------
-  // Once every verdict is in, the back end runs to completion: its work is
-  // bounded by the top-off set and the emitted point must be able to prove
-  // the coverage it claims.
   std::vector<const PodemResult*> vp(verdicts.size());
   for (std::size_t i = 0; i < verdicts.size(); ++i) vp[i] = &verdicts[i];
-  return mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
-}
+  MixedSweepStats untimed;  // a single point reports no timings
+  mixed_phase::SignOffPoint point{
+      &r, mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r, untimed)};
 
-}  // namespace
-
-MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt,
-                                const Deadline* deadline) {
-  MixedSchemeResult r;
-  const std::size_t width = k.inputs().size();
-
-  // --- Phase 1: pseudo-random LFSR patterns -------------------------------
-  const auto t0 = WallClock::now();
-  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
-  const FaultSimResult lr =
-      fsim.run(lfsr.blocks(width, opt.lfsr_patterns), opt.fsim, deadline);
-  r.lfsr_seconds = seconds_since(t0);
-
-  mixed_phase::SignOffPoint point{&r, {}};
-  if (lr.status.ok()) {
-    point.hits = run_topoff(k, fsim, lr, opt, deadline, r);
-  } else {
-    // Truncated pseudo-random phase: everything computed so far is the
-    // exact prefix run; stop here as a degraded LFSR-only point at the
-    // length that actually ran.
-    mixed_phase::finish_lfsr_only(lr, r, lr.status);
-  }
   // --- Sign-off: the sweep's pass with this one point ---------------------
   if (opt.compress)
     mixed_phase::sign_off(k, fsim, opt, misr_spec_for(k.outputs().size()),

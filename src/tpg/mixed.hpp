@@ -24,7 +24,9 @@
 // the compressed test data, and the achieved coverage under both
 // fault-accounting conventions.  The LFSR phase's per-fault detail (the
 // FaultSimResult) is an intermediate: it feeds the top-off phases and is
-// not kept on the point.
+// not kept on the point.  A point is a plain value with no wall-clock
+// field, so two points compare with `==`; a sweep's phase timings live in
+// MixedSweepStats (tpg/sweep.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -115,21 +117,6 @@ struct MixedSchemeResult {
   double final_coverage_weighted = 0.0;
   /// True iff every emitted pattern was confirmed to detect its target fault.
   bool all_verified = true;
-  /// Wall-clock phase breakdown: pseudo-random phase (LFSR stream + fault
-  /// simulation; sweep points share one pass, timed in MixedSweepStats),
-  /// deterministic phase (PODEM generation + X-fill + pattern
-  /// verification), and back end (compaction + final tail accounting only).
-  /// Sweep points report only the work actually done for that point (cache
-  /// hits cost no PODEM time).  In memory only: the store does not persist
-  /// the timing fields, so a store hit or a manifest replay reads 0.
-  double lfsr_seconds = 0.0;
-  double podem_seconds = 0.0;
-  double compact_seconds = 0.0;
-  /// Compression-layer wall-clock: the GF(2) reseeding solves (the X-fill of
-  /// a compressed point, so also inside podem_seconds) plus the point's MISR
-  /// sign-off — fold audit and golden signature, in no other field; for a
-  /// sweep point, its step of the sweep's shared sign-off pass.
-  double solve_seconds = 0.0;
   /// Anytime ladder position (Complete unless a deadline/cancel fired) and
   /// why a non-Complete state was reached.  For a Complete point `status`
   /// is Ok and every field is bit-identical to an undeadlined run; for
@@ -137,21 +124,19 @@ struct MixedSchemeResult {
   /// exact and topoff is empty; for Skipped nothing is valid.
   PointState state = PointState::Complete;
   StageStatus status;
+
+  bool operator==(const MixedSchemeResult&) const = default;
 };
 
-/// Run the mixed scheme on a compiled circuit.  Deterministic for a given
-/// kernel + options.  `deadline` (cooperative deadline/cancel, nullptr =
-/// never stops) is threaded into the fault-sim pass (per block group) and
-/// PODEM (once per engine step: one pass, one scan and one search node in
-/// every busy lane).  When it fires, the run degrades instead of failing:
-/// see MixedSchemeResult::state.
+/// Run the mixed scheme on a compiled circuit, to completion.  Deterministic
+/// for a given kernel + options; the result `==` run_mixed_sweep's point at
+/// opt.lfsr_patterns.  Deadlines and the anytime ladder belong to
+/// run_mixed_sweep.
 MixedSchemeResult run_mixed_tpg(const SimKernel& k,
-                                const MixedTpgOptions& opt = {},
-                                const Deadline* deadline = nullptr);
+                                const MixedTpgOptions& opt = {});
 
 /// Same, reusing a prebuilt FaultSimulator (skips fault re-enumeration).
 MixedSchemeResult run_mixed_tpg(const SimKernel& k, FaultSimulator& fsim,
-                                const MixedTpgOptions& opt,
-                                const Deadline* deadline = nullptr);
+                                const MixedTpgOptions& opt);
 
 }  // namespace bist

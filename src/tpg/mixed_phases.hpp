@@ -2,7 +2,8 @@
 // Internal building blocks of the mixed scheme's deterministic back end and
 // its MISR sign-off, shared between run_mixed_tpg (one LFSR length) and
 // run_mixed_sweep (many candidate lengths over one LFSR pass).  Everything
-// here is a pure function of its inputs, which is what makes the sweep's
+// here is a pure function of its inputs (the wall-clock that topoff_phases
+// adds to MixedSweepStats aside), which is what makes the sweep's
 // reuse of cached PODEM verdicts bit-identical to an independent per-length
 // run: only the tail membership and the fill-stream replay depend on the
 // LFSR length.
@@ -17,6 +18,7 @@
 #include "fault/podem.hpp"
 #include "sim/kernel.hpp"
 #include "tpg/mixed.hpp"
+#include "tpg/sweep.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
@@ -81,16 +83,16 @@ struct TopoffHit {
 /// Compaction and accounting run on one FaultSimulator over the tail
 /// (opt.fsim's engine, no deadline): compaction simulates the top-off set in
 /// reverse and keeps each target's first detecting pattern, and the
-/// accounting pass simulates the kept set.  Adds the fill+verify wall-clock
-/// to r.podem_seconds, the compaction+accounting wall-clock to
-/// r.compact_seconds, and sets r.solve_seconds to the GF(2) reseeding
-/// solves' share of the fill.  Returns the tail faults the kept set detects,
+/// accounting pass simulates the kept set.  Adds the GF(2) reseeding
+/// solves' wall-clock to stats.solve_seconds, the rest of the fill+verify
+/// to stats.podem_seconds and the compaction+accounting to
+/// stats.compact_seconds.  Returns the tail faults the kept set detects,
 /// sign_off()'s input for the top-off.
 std::vector<TopoffHit> topoff_phases(
     const SimKernel& k, FaultSimulator& fsim, const FaultSimResult& lr,
     std::span<const std::uint32_t> tail,
     std::span<const PodemResult* const> verdicts, const MixedTpgOptions& opt,
-    MixedSchemeResult& r);
+    MixedSchemeResult& r, MixedSweepStats& stats);
 
 /// Downgrade a result whose pseudo-random phase ran (possibly truncated) but
 /// whose top-off did not: `lr` is the LFSR phase's result for the prefix
@@ -129,8 +131,7 @@ struct SignOffPoint {
 /// and recomputed from cycle 0 when it changes.  By MISR linearity every
 /// point's fold and golden equal choose_misr_fold() and misr_signature()
 /// over its whole applied stream.  Sets r->comp's enabled, degree,
-/// cut_outputs, misr and golden; adds each point's step of the pass to its
-/// r->solve_seconds.
+/// cut_outputs, misr and golden.
 /// Points may come in any order, at distinct lengths.
 void sign_off(const SimKernel& k, const FaultSimulator& fsim,
               const MixedTpgOptions& opt, const MisrSpec& base,

@@ -104,13 +104,12 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     }
     sr.stats.podem_calls += miss.size();
     sr.stats.podem_cache_hits += tail.size() - miss.size();
-    r.podem_seconds = seconds_since(t1);
+    sr.stats.podem_seconds += seconds_since(t1);  // a cut search ran too
     if (cut) {
       mixed_phase::finish_lfsr_only(
           lr, r,
           dl ? dl->stop_status("mixed_sweep")
              : StageStatus::cancelled("mixed_sweep: podem cancelled"));
-      sr.stats.podem_seconds += r.podem_seconds;  // the cut search ran
       by_order.push_back(std::move(r));
       continue;
     }
@@ -118,10 +117,7 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     std::vector<const PodemResult*> vp(tail.size());
     for (std::size_t i = 0; i < tail.size(); ++i) vp[i] = &cache[tail[i]];
     hits[by_order.size()] =
-        mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r);
-    sr.stats.podem_seconds += r.podem_seconds;
-    sr.stats.compact_seconds += r.compact_seconds;
-    sr.stats.solve_seconds += r.solve_seconds;
+        mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r, sr.stats);
     by_order.push_back(std::move(r));
   }
 
@@ -144,7 +140,7 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
     const auto t0 = WallClock::now();
     full = fsim.run(lfsr.blocks(width, lmin), opt.fsim);  // the floor's own pass
-    r.lfsr_seconds = seconds_since(t0);
+    sr.stats.lfsr_seconds += seconds_since(t0);
     mixed_phase::finish_lfsr_only(full, r, why);
   }
 

@@ -36,11 +36,12 @@
 // stream: a running MISR fold-audit accumulator takes each stream segment
 // once, and a point's own top-off is added to it only while its fold is
 // chosen (mixed_phase::sign_off).  Every per-point
-// MixedSchemeResult is bit-identical to run_mixed_tpg at that length —
-// tails, cube sets, verdicts, top-off patterns, compressed test data, and
-// both coverage conventions — at every thread count (timing fields
-// excepted); the differential guarantee is enforced by
-// tests/test_mixed_sweep.cpp and the bench's naive-vs-sweep cross-check.
+// MixedSchemeResult is bit-identical (`==`) to run_mixed_tpg at that
+// length — tails, cube sets, verdicts, top-off patterns, compressed test
+// data, and both coverage conventions — at every thread count; the
+// differential guarantee is enforced by tests/test_mixed_sweep.cpp and the
+// bench's naive-vs-sweep cross-check.  Points carry no timings: the sweep's
+// phase wall-clock is in MixedSweepStats.
 
 #include <cstdint>
 #include <span>
@@ -50,22 +51,26 @@
 
 namespace bist {
 
-/// Sweep-level counters and timings (per-point fields live in each
+/// Sweep-level counters and timings (per-point results live in each
 /// MixedSchemeResult).  Only the two PODEM counters are persisted by the
 /// store; the worker count and the timings are in-memory echoes of the run
 /// that computed the sweep, so a store hit or a manifest replay reads the
-/// defaults.
+/// defaults.  The four timings are disjoint steady-clock slices of the
+/// sweep's wall clock.
 struct MixedSweepStats {
   std::size_t podem_calls = 0;       ///< engine invocations (cache misses)
   std::size_t podem_cache_hits = 0;  ///< verdicts served by the cube cache
   unsigned podem_threads = 1;        ///< resolved PODEM worker count
-  double lfsr_seconds = 0.0;     ///< the one shared max-length fault-sim pass
-  double podem_seconds = 0.0;    ///< all points: generation + fill + verify
+  /// The shared max-length fault-sim pass (plus the anytime floor's pass
+  /// when it runs).
+  double lfsr_seconds = 0.0;
+  /// All points: PODEM generation, plus X-fill and verification less the
+  /// seed solves.
+  double podem_seconds = 0.0;
   double compact_seconds = 0.0;  ///< all points: compaction + accounting
-  /// The compression layer: every point's GF(2) reseeding solves (inside
-  /// podem_seconds, whose X-fill they are) plus the one shared sign-off
-  /// pass — fold audits and golden signatures of every Complete and LfsrOnly
-  /// point, counted once and in no other field.
+  /// The compression layer: every point's GF(2) reseeding solves plus the
+  /// one shared sign-off pass — fold audits and golden signatures of every
+  /// Complete and LfsrOnly point, counted once.
   double solve_seconds = 0.0;
 };
 

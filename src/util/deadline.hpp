@@ -51,6 +51,7 @@ struct StageStatus {
   std::string message;  ///< empty unless the code wants context
 
   bool ok() const { return code == StageCode::Ok; }
+  bool operator==(const StageStatus&) const = default;
   static StageStatus error(std::string msg) {
     return {StageCode::Error, std::move(msg)};
   }

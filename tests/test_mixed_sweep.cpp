@@ -43,29 +43,6 @@ bool same_lfsr_result(const FaultSimResult& a, const FaultSimResult& b) {
   return ok;
 }
 
-bool same_point(const MixedSchemeResult& a, const MixedSchemeResult& b) {
-  bool ok = true;
-  ok = ok && a.lfsr_patterns == b.lfsr_patterns;
-  ok = ok && a.tail_faults == b.tail_faults;
-  ok = ok && a.podem_detected == b.podem_detected;
-  ok = ok && a.redundant == b.redundant;
-  ok = ok && a.aborted == b.aborted;
-  ok = ok && a.podem_backtracks == b.podem_backtracks;
-  ok = ok && a.podem_decisions == b.podem_decisions;
-  ok = ok && a.topoff_before_compaction == b.topoff_before_compaction;
-  ok = ok && a.topoff_patterns == b.topoff_patterns;
-  ok = ok && a.topoff == b.topoff;  // exact emitted pattern bits
-  ok = ok && a.comp == b.comp;
-  ok = ok && a.redundant_faults == b.redundant_faults;
-  ok = ok && a.aborted_faults == b.aborted_faults;
-  ok = ok && a.lfsr_coverage == b.lfsr_coverage;
-  ok = ok && a.lfsr_coverage_weighted == b.lfsr_coverage_weighted;
-  ok = ok && a.final_coverage == b.final_coverage;
-  ok = ok && a.final_coverage_weighted == b.final_coverage_weighted;
-  ok = ok && a.all_verified == b.all_verified;
-  return ok;
-}
-
 }  // namespace
 
 int main() {
@@ -139,7 +116,7 @@ int main() {
       CHECK_EQ(sw.lengths.size(), lengths.size());
       for (std::size_t p = 0; p < lengths.size(); ++p) {
         CHECK_EQ(sw.lengths[p], lengths[p]);
-        CHECK(same_point(sw.points[p], ref[p]));
+        CHECK(sw.points[p] == ref[p]);
       }
       // Each distinct fault is generated at most once across the sweep: the
       // calls are exactly the largest tail (the one at the min length), and
@@ -171,7 +148,7 @@ int main() {
     const MixedSchemeResult ref = run_mixed_tpg(k, fsim, o);
     for (const unsigned threads : {2u, 8u}) {
       o.podem_threads = threads;
-      CHECK(same_point(run_mixed_tpg(k, fsim, o), ref));
+      CHECK(run_mixed_tpg(k, fsim, o) == ref);
     }
   }
 

@@ -383,17 +383,6 @@ static void test_podem_cancellation() {
 // Anytime sweep: degraded plans schedule, synthesize, and verify
 // ---------------------------------------------------------------------------
 
-static bool points_identical(const MixedSchemeResult& a,
-                             const MixedSchemeResult& b) {
-  return a.lfsr_patterns == b.lfsr_patterns && a.tail_faults == b.tail_faults &&
-         a.podem_detected == b.podem_detected && a.redundant == b.redundant &&
-         a.aborted == b.aborted && a.topoff_patterns == b.topoff_patterns &&
-         a.topoff == b.topoff && a.lfsr_coverage == b.lfsr_coverage &&
-         a.final_coverage == b.final_coverage &&
-         a.final_coverage_weighted == b.final_coverage_weighted &&
-         a.all_verified == b.all_verified;
-}
-
 static void test_sweep_generous_deadline_identity() {
   const Netlist n = make_iscas85("c432s");
   const SimKernel k(n);
@@ -410,7 +399,7 @@ static void test_sweep_generous_deadline_identity() {
   CHECK_EQ(dl.points.size(), base.points.size());
   for (std::size_t i = 0; i < base.points.size(); ++i) {
     CHECK(dl.points[i].state == PointState::Complete);
-    CHECK(points_identical(dl.points[i], base.points[i]));
+    CHECK(dl.points[i] == base.points[i]);
   }
 }
 
@@ -436,7 +425,7 @@ static void test_sweep_midflight_degradation() {
       const MixedSchemeResult& p = sw.points[i];
       if (p.state == PointState::Complete) {
         CHECK(p.status.ok());
-        CHECK(points_identical(p, base.points[i]));
+        CHECK(p == base.points[i]);
         usable = true;
       } else if (p.state == PointState::LfsrOnly) {
         cut = true;
@@ -483,7 +472,9 @@ static void test_zero_deadline_full_family_degraded() {
     s.sweep_deadline_s = 1e-9;
     specs.push_back(std::move(s));
   }
-  const std::vector<JobReport> reps = run_job_batch(specs, 4);
+  BatchOptions bo;
+  bo.threads = 4;
+  const std::vector<JobReport> reps = run_job_batch(specs, bo).reports;
   CHECK_EQ(reps.size(), specs.size());
   for (const JobReport& r : reps) {
     CHECK(r.status.code == StageCode::DeadlineExceeded);
@@ -525,7 +516,9 @@ static bool reports_payload_equal(const JobReport& a, const JobReport& b) {
 
 static void test_job_stage_containment() {
   const std::vector<JobSpec> specs = containment_specs();
-  const std::vector<JobReport> base = run_job_batch(specs, 4);
+  BatchOptions bo;
+  bo.threads = 4;
+  const std::vector<JobReport> base = run_job_batch(specs, bo).reports;
   CHECK_EQ(base.size(), specs.size());
   for (const JobReport& r : base) {
     CHECK(r.status.ok());
@@ -541,7 +534,7 @@ static void test_job_stage_containment() {
   const char* stages[] = {"parse", "sweep", "schedule", "synth", "verify"};
   for (std::size_t si = 0; si < 5; ++si) {
     set_injected_failure(stages[si], "c432s");
-    const std::vector<JobReport> reps = run_job_batch(specs, 4);
+    const std::vector<JobReport> reps = run_job_batch(specs, bo).reports;
     clear_injected_failure();
     CHECK_EQ(reps.size(), specs.size());
     for (std::size_t j = 0; j < reps.size(); ++j) {
@@ -571,7 +564,7 @@ static void test_job_stage_containment() {
 
   // The batch machinery is reusable after every injected round and yields
   // the failure-free result again.
-  const std::vector<JobReport> again = run_job_batch(specs, 4);
+  const std::vector<JobReport> again = run_job_batch(specs, bo).reports;
   for (std::size_t j = 0; j < again.size(); ++j)
     CHECK(reports_payload_equal(again[j], base[j]));
 }

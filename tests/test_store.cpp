@@ -243,8 +243,7 @@ void test_serializer_roundtrip() {
   // Determinism makes serialized equality the equality oracle: a lossless
   // round trip re-serializes to the exact same bytes.
   CHECK(serialize_sweep(back) == bytes);
-  CHECK_EQ(back.points.size(), sw.points.size());
-  CHECK(back.points[0].topoff == sw.points[0].topoff);
+  CHECK(back.points == sw.points);
   CHECK_EQ(back.stats.podem_calls, sw.stats.podem_calls);
 
   // Bounds checking: any truncation must throw, not read wild.
