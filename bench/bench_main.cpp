@@ -29,7 +29,8 @@
 //                sweep's phase timings are in mixed_sweep.
 //   bist_plan    the scheduled knee of the length-vs-ROM trade-off (under an
 //                optional --budget test-time cap), the synthesized wrapper
-//                (written as wrapper_<circuit>.bench) and its inductive
+//                (written as wrapper_<circuit>.bench under --wrapper-dir;
+//                the JSON records the file name alone) and its inductive
 //                self-verification, which must reproduce the scheduled point
 //                exactly (wrapper_matches_plan).  --plot adds the
 //                coverage-vs-length and ROM-vs-length curves.
@@ -55,19 +56,20 @@
 // encoding of the same top-off set, and the empirical aliasing audit
 // (aliasing_escapes must be 0 for wrapper_matches_plan to hold).
 //
-// Batch (jobs) mode: --jobs switches to the fault-tolerant pipeline driver
-// (run_job_batch) — one JobSpec per circuit, the same job_spec the classic
-// mode runs.  --cache-dir DIR (implies --jobs) attaches the durable
-// content-addressed ResultStore: sweep results are served from / published
-// to DIR, corrupt records quarantine and recompute, and the batch journals
-// completed jobs to DIR/batch.manifest so --resume replays them after a
-// crash (kill -9 mid-batch, rerun with --resume: finished circuits come
-// back from the journal, the interrupted one recomputes, usually from the
-// sweep cache).  A replayed job reports 0 for its stage and job seconds:
-// the journal keeps results, not timings.  --retries N arms bounded
-// deterministic retry for transient stage failures.  Jobs mode emits BENCH
-// JSON {"bench": "job_batch", ...} with per-job cache/stage/attempt detail
-// and aggregate cache_stats, and exits nonzero if any job ends in an Error
+// Batch (jobs) mode: --jobs submits one JobSpec per circuit — the same
+// job_spec the classic mode runs — to a JobService (the executor --serve
+// runs too) and drains it; reports come back in --circuits order.
+// --cache-dir DIR (implies --jobs) attaches the durable content-addressed
+// ResultStore: sweep results are served from / published to DIR, corrupt
+// records quarantine and recompute, and the service journals completed jobs
+// to DIR/batch.manifest so --resume replays them after a crash (kill -9
+// mid-batch, rerun with --resume: finished circuits come back from the
+// journal, the interrupted one recomputes, usually from the sweep cache).
+// A replayed job reports 0 for its stage and job seconds: the journal keeps
+// results, not timings.  --retries N arms bounded deterministic retry for
+// transient stage failures.  Jobs mode emits BENCH JSON
+// {"bench": "job_batch", ...} with per-job cache/stage/attempt detail and
+// aggregate cache_stats, and exits nonzero if any job ends in an Error
 // status.
 //
 // Usage: bench_fault_sim [--patterns N] [--reps N] [--threads N] [--width W]
@@ -94,6 +96,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -191,9 +194,9 @@ std::string json_num(double v) {
   return os.str();
 }
 
-// The wrapper path is the one user-supplied string interpolated into the
-// JSON; escape it so e.g. --wrapper-dir values with quotes or backslashes
-// cannot break the output.
+// Circuit names, wrapper file names and status messages reach the JSON from
+// the command line and the spool; escape them so quotes, backslashes or
+// control characters cannot break the output.
 std::string json_str(const std::string& s) {
   std::ostringstream os;
   os << '"';
@@ -263,9 +266,21 @@ bool write_text(const std::string& path, const std::string& text) {
   return bool(f);
 }
 
-// Where every mode writes a job's wrapper netlist (JobReport::wrapper_bench).
-std::string wrapper_path(const std::string& dir, const std::string& name) {
-  return dir + "/wrapper_" + name + ".bench";
+// Where every mode writes a job's wrapper netlist (JobReport::wrapper_bench):
+// wrapper_<name>.bench under `dir`.  Returns the file name the JSON records
+// — without `dir`, so a report reads the same wherever it was written — or
+// "" when the job built no wrapper; nullopt, after an error line, when the
+// file could not be written (every mode then exits 1).
+std::optional<std::string> write_wrapper(const std::string& dir,
+                                         const bist::JobReport& rep) {
+  if (rep.wrapper_bench.empty()) return std::string();
+  std::string file = "wrapper_" + rep.name + ".bench";
+  const std::string path = (std::filesystem::path(dir) / file).string();
+  if (!write_text(path, rep.wrapper_bench)) {
+    std::cerr << "error: could not write " << path << "\n";
+    return std::nullopt;
+  }
+  return file;
 }
 
 // The named stage of a job report; a stage the job never reached (or a job
@@ -316,6 +331,36 @@ std::string job_report_json(const bist::JobReport& rep) {
   return js.str();
 }
 
+// The JobService knobs --jobs and --serve share: the worker count, and the
+// store and the journal `manifest_name` side by side under --cache-dir.  A
+// run without --cache-dir is uncached (and --resume has nothing to replay
+// from).  `store` backs opt.store and must outlive the service.
+struct ServiceSetup {
+  bist::ServiceOptions opt;
+  std::unique_ptr<bist::ResultStore> store;  // null when uncached
+};
+
+ServiceSetup service_setup(const JobModeConfig& cfg,
+                           const std::string& manifest_name) {
+  ServiceSetup s;
+  s.opt.threads = cfg.threads;
+  s.opt.resume = cfg.resume;
+  if (!cfg.cache_dir.empty()) {
+    bist::StoreOptions so;
+    so.dir = cfg.cache_dir;
+    s.store = std::make_unique<bist::ResultStore>(std::move(so));
+    s.opt.store = s.store.get();
+    s.opt.manifest_path = cfg.cache_dir + "/" + manifest_name;
+  } else if (cfg.resume) {
+    std::cerr << "note: --resume without --cache-dir has no manifest to "
+                 "replay; running cold\n";
+  }
+  return s;
+}
+
+// --jobs: submit every circuit's spec to a JobService, then drain it.  The
+// queue holds the whole corpus, so nothing is shed, and one client at one
+// priority makes intake FIFO.
 int run_job_mode(const JobModeConfig& cfg) {
   std::vector<bist::JobSpec> specs;
   specs.reserve(cfg.names.size());
@@ -323,26 +368,38 @@ int run_job_mode(const JobModeConfig& cfg) {
     specs.push_back(
         job_spec(cfg, name, bist::write_bench(bist::make_iscas85(name))));
 
-  // The store and the manifest live side by side under --cache-dir; a batch
-  // without one runs uncached (and --resume has nothing to replay from).
-  std::unique_ptr<bist::ResultStore> store;
-  bist::BatchOptions bo;
-  bo.threads = cfg.threads;
-  bo.resume = cfg.resume;
-  if (!cfg.cache_dir.empty()) {
-    bist::StoreOptions so;
-    so.dir = cfg.cache_dir;
-    store = std::make_unique<bist::ResultStore>(std::move(so));
-    bo.store = store.get();
-    bo.manifest_path = cfg.cache_dir + "/batch.manifest";
-  } else if (cfg.resume) {
-    std::cerr << "note: --resume without --cache-dir has no manifest to "
-                 "replay; running cold\n";
-  }
-
+  ServiceSetup setup = service_setup(cfg, "batch.manifest");
+  setup.opt.queue_limit = std::max<std::size_t>(1, specs.size());
+  std::vector<bist::JobReport> done;  // completion order
   const auto t0 = Clock::now();
-  const bist::BatchResult batch = bist::run_job_batch(specs, bo);
+  bist::JobService svc(setup.opt, [&](const bist::JobReport& rep) {
+    done.push_back(rep);  // sink calls are serialized by the service
+  });
+  for (const bist::JobSpec& spec : specs) {
+    const bist::SubmitCode code = svc.submit(spec).code;
+    if (code != bist::SubmitCode::Accepted &&
+        code != bist::SubmitCode::Replayed) {
+      std::cerr << "error: " << spec.name << " was "
+                << bist::submit_code_name(code) << "\n";
+      return 1;
+    }
+  }
+  svc.drain(-1);
   const double batch_secs = seconds_since(t0);
+
+  // Back to spec order.  Specs that share a name are the same spec (job_spec
+  // builds it from the name alone), so which duplicate fills which slot
+  // changes nothing.
+  std::vector<bist::JobReport> reports;
+  reports.reserve(specs.size());
+  for (const bist::JobSpec& spec : specs) {
+    const auto it =
+        std::find_if(done.begin(), done.end(), [&](const bist::JobReport& r) {
+          return r.name == spec.name;
+        });
+    reports.push_back(std::move(*it));
+    done.erase(it);
+  }
 
   bool any_error = false;
   std::uint64_t retry_attempts = 0;  // extra tries beyond the first, all stages
@@ -351,15 +408,10 @@ int run_job_mode(const JobModeConfig& cfg) {
      << ",\n  \"retries\": " << cfg.retries
      << ",\n  \"resume\": " << json_bool(cfg.resume)
      << ",\n  \"jobs\": [\n";
-  for (std::size_t i = 0; i < batch.reports.size(); ++i) {
-    const bist::JobReport& rep = batch.reports[i];
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const bist::JobReport& rep = reports[i];
     any_error = any_error || rep.status.code == bist::StageCode::Error;
-
-    if (!rep.wrapper_bench.empty() && !cfg.wrapper_dir.empty()) {
-      const std::string wf = wrapper_path(cfg.wrapper_dir, rep.name);
-      if (!write_text(wf, rep.wrapper_bench))
-        std::cerr << "warning: could not write " << wf << "\n";
-    }
+    if (!write_wrapper(cfg.wrapper_dir, rep)) return 1;
 
     const char* source = rep.cache.manifest ? "manifest"
                          : rep.cache.hit    ? "cache"
@@ -378,14 +430,14 @@ int run_job_mode(const JobModeConfig& cfg) {
       retry_attempts += sr.attempts > 0 ? sr.attempts - 1 : 0;
     js << (i ? ",\n" : "") << "    " << job_report_json(rep);
   }
+  const std::uint64_t replayed = svc.health().replayed;
   const bist::StoreStats ss =
-      store ? store->stats() : bist::StoreStats{};
+      setup.store ? setup.store->stats() : bist::StoreStats{};
   js << "\n  ],\n  \"cache_stats\": {\"sweep_hits\": " << ss.hits
      << ", \"sweep_misses\": " << ss.misses << ", \"stored\": " << ss.stores
      << ", \"store_failures\": " << ss.store_failures
      << ", \"quarantined\": " << ss.quarantined
-     << ", \"manifest_loaded\": " << batch.manifest_loaded
-     << ", \"manifest_hits\": " << batch.manifest_hits
+     << ", \"manifest_hits\": " << replayed
      << ", \"retry_attempts\": " << retry_attempts
      << "},\n  \"seconds\": " << json_num(batch_secs) << "\n}\n";
 
@@ -393,12 +445,11 @@ int run_job_mode(const JobModeConfig& cfg) {
     std::cerr << "error: could not write " << cfg.out_path << "\n";
     return 1;
   }
-  std::cout << "batch: " << batch.reports.size() << " jobs in "
+  std::cout << "batch: " << reports.size() << " jobs in "
             << bist::format_fixed(batch_secs, 2) << "s — sweep cache "
             << ss.hits << " hits / " << ss.misses << " misses, " << ss.stores
             << " stored, " << ss.quarantined << " quarantined, manifest "
-            << batch.manifest_hits << "/" << batch.manifest_loaded
-            << " replayed, " << retry_attempts << " retries\n";
+            << replayed << " replayed, " << retry_attempts << " retries\n";
   std::cout << "wrote " << cfg.out_path << "\n";
   if (any_error) {
     std::cerr << "error: a job ended in an Error status\n";
@@ -473,26 +524,14 @@ int run_serve_mode(const ServeConfig& cfg) {
               << times << "\n";
   }
 
-  std::unique_ptr<bist::ResultStore> store;
-  bist::ServiceOptions so;
-  so.threads = cfg.job.threads;
+  ServiceSetup setup = service_setup(cfg.job, "service.manifest");
+  bist::ServiceOptions& so = setup.opt;
   so.queue_limit = cfg.queue_limit;
   so.watchdog_timeout_s = cfg.watchdog_ms / 1000.0;
   so.stuck_grace_s = cfg.grace_ms / 1000.0;
   so.quarantine_after = cfg.quarantine_after;
   so.health_path = cfg.health_path;
   so.health_period_s = cfg.health_period_ms / 1000.0;
-  so.resume = cfg.job.resume;
-  if (!cfg.job.cache_dir.empty()) {
-    bist::StoreOptions sto;
-    sto.dir = cfg.job.cache_dir;
-    store = std::make_unique<bist::ResultStore>(std::move(sto));
-    so.store = store.get();
-    so.manifest_path = cfg.job.cache_dir + "/service.manifest";
-  } else if (cfg.job.resume) {
-    std::cerr << "note: --resume without --cache-dir has no manifest to "
-                 "replay; running cold\n";
-  }
 
   std::ofstream stream(cfg.stream_path, std::ios::app);
   if (!stream) {
@@ -869,13 +908,10 @@ int run_bench(int argc, char** argv) {
           }
       }
 
-      if (!rep.wrapper_bench.empty()) {
-        wrapper_file = wrapper_path(cfg.wrapper_dir, name);
-        if (!write_text(wrapper_file, rep.wrapper_bench)) {
-          std::cerr << "error: could not write " << wrapper_file << "\n";
-          return 1;
-        }
-      }
+      const std::optional<std::string> written =
+          write_wrapper(cfg.wrapper_dir, rep);
+      if (!written) return 1;
+      wrapper_file = *written;
     }
 
     const bist::MixedSweepResult& sw = rep.sweep;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <system_error>
@@ -13,9 +12,7 @@
 #include "bist/synth.hpp"
 #include "fault/fault_sim.hpp"
 #include "sim/kernel.hpp"
-#include "store/manifest.hpp"
 #include "store/result_store.hpp"
-#include "util/parallel.hpp"
 #include "util/wallclock.hpp"
 
 namespace bist {
@@ -402,62 +399,6 @@ JobReport run_plan_job(const JobSpec& spec) {
   beat();
   rep.seconds = seconds_since(job_t0);
   return rep;
-}
-
-BatchResult run_job_batch(std::span<const JobSpec> specs,
-                          const BatchOptions& opt) {
-  BatchResult out;
-  out.reports.resize(specs.size());
-  if (specs.empty()) return out;
-
-  std::vector<Digest128> keys(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) keys[i] = job_key(specs[i]);
-
-  std::unique_ptr<BatchManifest> manifest;
-  std::vector<char> replayed(specs.size(), 0);
-  if (!opt.manifest_path.empty()) {
-    manifest = std::make_unique<BatchManifest>(opt.manifest_path, opt.ops);
-    if (opt.resume) {
-      out.manifest_loaded = manifest->load();
-      for (std::size_t i = 0; i < specs.size(); ++i)
-        if (const JobReport* prev = manifest->find(keys[i])) {
-          out.reports[i] = *prev;
-          out.reports[i].cache.manifest = true;
-          out.reports[i].cache.note = "replayed from batch manifest";
-          replayed[i] = 1;
-          ++out.manifest_hits;
-        }
-    } else {
-      // Fresh run: a stale journal would replay into the NEXT resume, so it
-      // is removed before the first checkpoint lands.
-      (opt.ops ? opt.ops : &FileOps::real())->remove_file(opt.manifest_path);
-    }
-  }
-
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    if (!replayed[i]) todo.push_back(i);
-  if (todo.empty()) return out;
-
-  WorkerPool pool(std::min<std::size_t>(resolve_threads(opt.threads),
-                                        todo.size()));
-  // Grain 1: jobs are few and heavy.  run_plan_job never throws, so a
-  // failing job fills its own report slot and the region always completes —
-  // one bad circuit cannot poison its neighbors or wedge the pool.  Each
-  // Ok job checkpoints to the manifest as it finishes (append is mutexed
-  // and fsync'd), so a SIGKILL at any instant loses at most in-flight jobs.
-  parallel_for(pool, todo.size(), 1,
-               [&](unsigned, std::size_t b, std::size_t e) {
-                 for (std::size_t t = b; t < e; ++t) {
-                   const std::size_t i = todo[t];
-                   JobSpec spec = specs[i];
-                   if (!spec.store) spec.store = opt.store;
-                   out.reports[i] = run_plan_job(spec);
-                   if (manifest && out.reports[i].status.ok())
-                     manifest->append(keys[i], out.reports[i]);
-                 }
-               });
-  return out;
 }
 
 }  // namespace bist

@@ -7,9 +7,9 @@
 // Failure containment is the point of this layer: a malformed netlist, a
 // logic error in one stage, or an injected fault (see set_injected_failure)
 // is caught at the stage boundary, recorded in the JobReport, and the job
-// returns normally — so run_job_batch can push many circuits through one
-// WorkerPool and a poisoned job can never take its neighbors (or the pool)
-// down with it.  Deadlines degrade instead of failing: a sweep cut short
+// returns normally — so JobService (service/) can push many circuits through
+// one WorkerPool and a poisoned job can never take its neighbors (or the
+// pool) down with it.  Deadlines degrade instead of failing: a sweep cut short
 // still yields a schedulable (possibly LFSR-only) plan and a verified
 // wrapper, per run_mixed_sweep's anytime contract.
 //
@@ -25,14 +25,14 @@
 //    RetryPolicy; deterministic failures (parse errors, logic bugs) fail
 //    fast on the first attempt, and deadline stops are never retried (the
 //    budget is already spent);
-//  - run_job_batch with a manifest path journals every completed-Ok job to
-//    an append-only checkpoint file, and with `resume` replays completed
-//    jobs from it — a SIGKILLed batch restarts from where it died.
+//  - JobService, given a manifest path, journals every completed-Ok job to
+//    an append-only checkpoint file (store/manifest), and with `resume`
+//    replays journaled jobs from it at admission — a SIGKILLed run restarts
+//    from where it died.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -169,36 +169,6 @@ Digest128 job_key(const JobSpec& spec);
 /// JobReport.  Deterministic result payloads for a given spec (timings and
 /// deadline-shaped outcomes excepted).
 JobReport run_plan_job(const JobSpec& spec);
-
-/// Batch-level durability knobs for run_job_batch.
-struct BatchOptions {
-  unsigned threads = 0;  ///< resolve_threads semantics
-  /// Default sweep store for every job whose spec carries none.  Not owned.
-  ResultStore* store = nullptr;
-  /// Append-only checkpoint journal of completed-Ok jobs; empty = none.
-  std::string manifest_path;
-  /// Replay completed jobs from the manifest instead of re-running them.
-  /// When false and a manifest path is set, a stale journal is removed so
-  /// the fresh run starts a fresh journal.
-  bool resume = false;
-  FileOps* ops = nullptr;  ///< manifest file ops; nullptr = FileOps::real()
-};
-
-struct BatchResult {
-  std::vector<JobReport> reports;  ///< in spec order
-  std::size_t manifest_loaded = 0; ///< journal entries recovered on resume
-  std::size_t manifest_hits = 0;   ///< jobs replayed without execution
-};
-
-/// Run many jobs over one WorkerPool (grain 1 — per-circuit cost is heavily
-/// skewed).  Reports land in spec order.  A failing job is contained by
-/// run_plan_job's no-throw contract, so one bad circuit never poisons its
-/// neighbors or the pool.  With a manifest path, every job that completes
-/// with an Ok status is journaled as it finishes; with `resume`, jobs whose
-/// key is already journaled are replayed (cache.manifest set) instead of
-/// re-run — the crash-safe restart path.
-BatchResult run_job_batch(std::span<const JobSpec> specs,
-                          const BatchOptions& opt);
 
 /// Fault-injection hook for the containment test suite.  After
 /// set_injected_failure("sweep", "c880"), the sweep stage of any job named

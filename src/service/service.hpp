@@ -3,13 +3,15 @@
 // backpressure, deterministic fairness, a liveness watchdog, graceful drain,
 // and restart recovery from the batch manifest.
 //
-// Where run_job_batch (pipeline/job) takes a frozen corpus and runs it to
-// completion, JobService accepts work forever: submissions arrive from any
-// thread, are admitted against a bounded queue, and execute on a persistent
-// WorkerPool while the caller moves on.  The design goal is that NOTHING a
-// client submits — malformed netlists, poisoned stages, wedged jobs, floods
-// far past capacity — can take the service down or silently lose an accepted
-// job.  Every submission produces exactly ONE report through the sink:
+// JobService is the one executor for many jobs: a frozen corpus (the
+// bench's --jobs submits every spec, then drains) and a stream of work that
+// never ends (--serve) run through the same admission, workers and journal.
+// Submissions arrive from any thread, are admitted against a bounded queue,
+// and execute on a persistent WorkerPool while the caller moves on.  The
+// design goal is that NOTHING a client submits — malformed netlists,
+// poisoned stages, wedged jobs, floods far past capacity — can take the
+// service down or silently lose an accepted job.  Every submission produces
+// exactly ONE report through the sink:
 //
 //   accepted  -> runs on a worker; report streamed on completion (Ok, Error,
 //                DeadlineExceeded, or Cancelled — including watchdog kills

@@ -1,7 +1,8 @@
 #pragma once
 // Batch manifest checkpoint: an append-only journal of completed JobReports
-// keyed by job hash, so a run_job_batch killed mid-corpus resumes from the
-// jobs that finished instead of starting over.
+// keyed by job hash, so a JobService run (a `--jobs` corpus or a long-lived
+// `--serve` process) killed mid-way resumes from the jobs that finished
+// instead of starting over.
 //
 // The file is a sequence of framed records (store/record) written with a
 // single fsync'd append each — appends are whole frames, so a crash can
@@ -14,8 +15,9 @@
 // keep the last occurrence.
 //
 // Thread safety: append() serializes under a mutex (many worker threads
-// finish jobs concurrently); load()/find() are for the single-threaded
-// setup phase before the batch fans out.
+// finish jobs concurrently) and touches only the file; load() is for the
+// single-threaded setup before any job runs, after which find() reads the
+// recovered entries concurrently with appends.
 
 #include <cstdint>
 #include <mutex>

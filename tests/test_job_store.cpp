@@ -2,11 +2,12 @@
 // (bit-identical to the computed sweep), corruption quarantined inside a job
 // that still completes Ok, bounded deterministic retry for transient stage
 // failures vs. fail-fast for deterministic ones, stripped report bytes that
-// do not depend on thread count or word width, and the batch manifest's
-// kill-and-resume contract — a resumed batch's reports are byte-identical
-// (volatile fields stripped) to a cold run's, and a torn manifest tail
-// replays everything before the tear.  The report's synth accounting equals
-// a direct synthesis of its plan and survives the codec and the manifest.
+// do not depend on thread count or word width, and the manifest's
+// kill-and-resume contract through JobService — a resumed run's reports are
+// byte-identical (volatile fields stripped) to a cold run's, a torn manifest
+// tail replays everything before the tear, and a fresh run drops a stale
+// journal.  The report's synth accounting equals a direct synthesis of its
+// plan and survives the codec and the manifest.
 
 #include <cstdint>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "store/record.hpp"
 #include "store/result_store.hpp"
 #include "store/serialize.hpp"
+#include "service_util.hpp"
 #include "test_util.hpp"
 #include "util/fileio.hpp"
 #include "util/hash.hpp"
@@ -47,13 +49,6 @@ const StageReport* find_stage(const JobReport& r, std::string_view name) {
   for (const StageReport& s : r.stages)
     if (s.name == name) return &s;
   return nullptr;
-}
-
-// Serialized job-report bytes with attempt/note/cache fields cleared: the
-// differential oracle for "same work, different run".
-std::vector<std::uint8_t> stripped_bytes(JobReport r) {
-  strip_volatile(r);
-  return serialize_job_report(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -205,38 +200,38 @@ void test_manifest_resume(ResultStore& store) {
   const std::string mp = "jobstore_manifest.bin";
   fs::remove(mp);
 
-  std::vector<JobSpec> specs = {make_spec("c17"), make_spec("c432s")};
+  const std::vector<JobSpec> specs = {make_spec("c17"), make_spec("c432s")};
 
   // Cold baseline: no store, no manifest.
-  BatchOptions cold_bo;
-  cold_bo.threads = 2;
-  const BatchResult cold = run_job_batch(specs, cold_bo);
-  CHECK_EQ(cold.reports.size(), 2u);
-  CHECK(cold.reports[0].status.ok() && cold.reports[1].status.ok());
+  ServiceOptions cold_opt;
+  cold_opt.threads = 2;
+  const std::vector<JobReport> cold = run_specs(specs, cold_opt);
+  CHECK_EQ(cold.size(), 2u);
+  CHECK(cold[0].status.ok() && cold[1].status.ok());
 
   // "Crashed" run: only the first job completed before the kill.
-  BatchOptions bo;
-  bo.threads = 2;
-  bo.store = &store;
-  bo.manifest_path = mp;
+  ServiceOptions opt;
+  opt.threads = 2;
+  opt.store = &store;
+  opt.manifest_path = mp;
   const std::vector<JobSpec> partial = {specs[0]};
-  const BatchResult before = run_job_batch(partial, bo);
-  CHECK(before.reports[0].status.ok());
-  CHECK_EQ(before.manifest_hits, 0u);
+  ServiceHealth h;
+  const std::vector<JobReport> before = run_specs(partial, opt, &h);
+  CHECK(before[0].status.ok());
+  CHECK_EQ(h.replayed, 0u);
+  CHECK_EQ(BatchManifest(mp).load(), 1u);  // the finished job is journaled
 
   // Resume: the finished job replays from the journal, the other computes.
-  bo.resume = true;
-  const BatchResult resumed = run_job_batch(specs, bo);
-  CHECK_EQ(resumed.manifest_loaded, 1u);
-  CHECK_EQ(resumed.manifest_hits, 1u);
-  CHECK(resumed.reports[0].cache.manifest);
-  CHECK(!resumed.reports[1].cache.manifest);
-  CHECK(resumed.reports[0].status.ok() && resumed.reports[1].status.ok());
+  opt.resume = true;
+  const std::vector<JobReport> resumed = run_specs(specs, opt, &h);
+  CHECK_EQ(h.replayed, 1u);
+  CHECK(resumed[0].cache.manifest);
+  CHECK(!resumed[1].cache.manifest);
+  CHECK(resumed[0].status.ok() && resumed[1].status.ok());
   // The kill-and-resume differential: byte-identical to the cold run once
   // timings/attempts/cache provenance are stripped.
   for (std::size_t i = 0; i < specs.size(); ++i)
-    CHECK(stripped_bytes(resumed.reports[i]) ==
-          stripped_bytes(cold.reports[i]));
+    CHECK(stripped_bytes(resumed[i]) == stripped_bytes(cold[i]));
 
   // Torn tail: garbage after the last intact frame (the SIGKILL shape).
   {
@@ -244,18 +239,17 @@ void test_manifest_resume(ResultStore& store) {
     CHECK(FileOps::real().append_file(mp, junk));
     BatchManifest m(mp);
     CHECK_EQ(m.load(), 2u);  // both completed jobs journaled before the tear
-    const BatchResult again = run_job_batch(specs, bo);
-    CHECK_EQ(again.manifest_hits, 2u);  // everything before the tear replays
+    const std::vector<JobReport> again = run_specs(specs, opt, &h);
+    CHECK_EQ(h.replayed, 2u);  // everything before the tear replays
     for (std::size_t i = 0; i < specs.size(); ++i)
-      CHECK(stripped_bytes(again.reports[i]) ==
-            stripped_bytes(cold.reports[i]));
+      CHECK(stripped_bytes(again[i]) == stripped_bytes(cold[i]));
   }
 
-  // Fresh (non-resume) batch with a manifest path starts a fresh journal.
+  // Fresh (non-resume) run with a manifest path starts a fresh journal.
   {
-    bo.resume = false;
-    const BatchResult fresh = run_job_batch(partial, bo);
-    CHECK_EQ(fresh.manifest_hits, 0u);
+    opt.resume = false;
+    run_specs(partial, opt, &h);
+    CHECK_EQ(h.replayed, 0u);
     BatchManifest m(mp);
     CHECK_EQ(m.load(), 1u);  // stale journal was removed, one new entry
   }

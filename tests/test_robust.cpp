@@ -2,8 +2,8 @@
 // parsing, Deadline/CancelToken semantics, anytime degradation of the sweep
 // (deadline-cut runs stay bit-identical for the work they completed and
 // always yield a schedulable, verifiable plan), per-stage fault
-// containment in the pipeline job layer, and a plan job over a gate wider
-// than 64 inputs.
+// containment in the pipeline job layer (jobs run through JobService), and
+// a plan job over a gate wider than 64 inputs.
 
 #include <cstdio>
 #include <cstring>
@@ -18,6 +18,7 @@
 #include "fault/podem.hpp"
 #include "netlist/bench_io.hpp"
 #include "pipeline/job.hpp"
+#include "service_util.hpp"
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
@@ -472,9 +473,9 @@ static void test_zero_deadline_full_family_degraded() {
     s.sweep_deadline_s = 1e-9;
     specs.push_back(std::move(s));
   }
-  BatchOptions bo;
-  bo.threads = 4;
-  const std::vector<JobReport> reps = run_job_batch(specs, bo).reports;
+  ServiceOptions opt;
+  opt.threads = 4;
+  const std::vector<JobReport> reps = run_specs(specs, opt);
   CHECK_EQ(reps.size(), specs.size());
   for (const JobReport& r : reps) {
     CHECK(r.status.code == StageCode::DeadlineExceeded);
@@ -505,20 +506,11 @@ static std::vector<JobSpec> containment_specs() {
   return specs;
 }
 
-static bool reports_payload_equal(const JobReport& a, const JobReport& b) {
-  return a.name == b.name && a.status.code == b.status.code &&
-         a.degraded == b.degraded && a.wrapper_ok == b.wrapper_ok &&
-         a.plan.lfsr_patterns == b.plan.lfsr_patterns &&
-         a.plan.topoff_patterns == b.plan.topoff_patterns &&
-         a.plan.final_coverage == b.plan.final_coverage &&
-         a.wrapper_bench == b.wrapper_bench;
-}
-
 static void test_job_stage_containment() {
   const std::vector<JobSpec> specs = containment_specs();
-  BatchOptions bo;
-  bo.threads = 4;
-  const std::vector<JobReport> base = run_job_batch(specs, bo).reports;
+  ServiceOptions opt;
+  opt.threads = 4;
+  const std::vector<JobReport> base = run_specs(specs, opt);
   CHECK_EQ(base.size(), specs.size());
   for (const JobReport& r : base) {
     CHECK(r.status.ok());
@@ -534,12 +526,12 @@ static void test_job_stage_containment() {
   const char* stages[] = {"parse", "sweep", "schedule", "synth", "verify"};
   for (std::size_t si = 0; si < 5; ++si) {
     set_injected_failure(stages[si], "c432s");
-    const std::vector<JobReport> reps = run_job_batch(specs, bo).reports;
+    const std::vector<JobReport> reps = run_specs(specs, opt);
     clear_injected_failure();
     CHECK_EQ(reps.size(), specs.size());
     for (std::size_t j = 0; j < reps.size(); ++j) {
       if (specs[j].name != "c432s") {
-        CHECK(reports_payload_equal(reps[j], base[j]));
+        CHECK(stripped_bytes(reps[j]) == stripped_bytes(base[j]));
         continue;
       }
       const JobReport& r = reps[j];
@@ -562,11 +554,11 @@ static void test_job_stage_containment() {
     }
   }
 
-  // The batch machinery is reusable after every injected round and yields
-  // the failure-free result again.
-  const std::vector<JobReport> again = run_job_batch(specs, bo).reports;
+  // Once the injection is cleared the service yields the failure-free
+  // result again.
+  const std::vector<JobReport> again = run_specs(specs, opt);
   for (std::size_t j = 0; j < again.size(); ++j)
-    CHECK(reports_payload_equal(again[j], base[j]));
+    CHECK(stripped_bytes(again[j]) == stripped_bytes(base[j]));
 }
 
 static void test_job_timeout_and_cancel() {

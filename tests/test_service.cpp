@@ -16,11 +16,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -32,6 +29,7 @@
 #include "service/service.hpp"
 #include "store/manifest.hpp"
 #include "store/serialize.hpp"
+#include "service_util.hpp"
 #include "test_util.hpp"
 #include "util/fileio.hpp"
 #include "util/hash.hpp"
@@ -52,52 +50,6 @@ JobSpec make_spec(const std::string& circuit, const std::string& name = {}) {
   s.retry.backoff_s = 0.0005;
   return s;
 }
-
-std::vector<std::uint8_t> stripped_bytes(JobReport r) {
-  strip_volatile(r);
-  return serialize_job_report(r);
-}
-
-// Thread-safe sink that records every streamed report in emission order.
-struct Collector {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<JobReport> reports;
-
-  void add(const JobReport& r) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      reports.push_back(r);
-    }
-    cv.notify_all();
-  }
-  JobService::Sink sink() {
-    return [this](const JobReport& r) { add(r); };
-  }
-  bool wait_count(std::size_t n, double timeout_s = 30.0) {
-    std::unique_lock<std::mutex> lk(mu);
-    return cv.wait_for(lk, std::chrono::duration<double>(timeout_s),
-                       [&] { return reports.size() >= n; });
-  }
-  std::size_t count() {
-    std::lock_guard<std::mutex> lk(mu);
-    return reports.size();
-  }
-  // Copy of the report for `name`; CHECK-fails (and returns empty) if absent.
-  JobReport find(std::string_view name) {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const JobReport& r : reports)
-      if (r.name == name) return r;
-    CHECK(!"report not found");
-    return {};
-  }
-  std::vector<std::string> names() {
-    std::lock_guard<std::mutex> lk(mu);
-    std::vector<std::string> out;
-    for (const JobReport& r : reports) out.push_back(r.name);
-    return out;
-  }
-};
 
 template <class Pred>
 bool wait_until(Pred pred, double timeout_s = 10.0) {
@@ -422,34 +374,28 @@ void test_file_fault_containment() {
   ops.fail_appends = true;  // every journal append fails
   ops.fail_writes = true;   // every health temp-file write fails
   {
-    Collector col;
     ServiceOptions o;
     o.threads = 1;
     o.manifest_path = mp;
     o.health_path = hp;
     o.health_period_s = 0.01;
     o.ops = &ops;
-    JobService svc(o, col.sink());
-    CHECK(svc.submit(make_spec("c17")).code == SubmitCode::Accepted);
-    CHECK(col.wait_count(1));
-    svc.drain(-1);
-    CHECK(col.find("c17").status.ok());  // the job itself is untouched
-    check_accounting(svc.health());
+    ServiceHealth h;
+    // The job itself is untouched.
+    CHECK(run_specs({make_spec("c17")}, o, &h)[0].status.ok());
+    CHECK_EQ(h.accepted, 1u);
+    check_accounting(h);
   }
   // The journal stayed cold, so a resume run re-executes instead of
   // replaying — degraded performance, full correctness.
   {
-    Collector col;
     ServiceOptions o;
     o.threads = 1;
     o.manifest_path = mp;
     o.resume = true;
-    JobService svc(o, col.sink());
-    CHECK(svc.submit(make_spec("c17")).code == SubmitCode::Accepted);
-    CHECK(col.wait_count(1));
-    svc.drain(-1);
-    CHECK(col.find("c17").status.ok());
-    CHECK(!col.find("c17").cache.manifest);
+    const JobReport r = run_specs({make_spec("c17")}, o)[0];
+    CHECK(r.status.ok());
+    CHECK(!r.cache.manifest);
   }
   fs::remove(mp);
   fs::remove(hp);
@@ -686,15 +632,13 @@ void test_health_snapshots() {
   const std::string hp = "service_health.json";
   fs::remove(hp);
   {
-    Collector col;
     ServiceOptions o;
     o.threads = 1;
     o.health_path = hp;
     o.health_period_s = 0.01;
-    JobService svc(o, col.sink());
-    CHECK(svc.submit(make_spec("c17")).code == SubmitCode::Accepted);
-    CHECK(col.wait_count(1));
-    svc.drain(-1);
+    ServiceHealth h;
+    run_specs({make_spec("c17")}, o, &h);
+    CHECK_EQ(h.accepted, 1u);
   }
   std::vector<std::uint8_t> bytes;
   CHECK(FileOps::real().read_file(hp, bytes));
