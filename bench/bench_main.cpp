@@ -82,7 +82,7 @@
 //                        [--jobs] [--cache-dir DIR] [--resume] [--retries N]
 //                        [--serve] [--spool DIR] [--stream FILE]
 //                        [--drain-ms N] [--queue-limit N] [--watchdog-ms N]
-//                        [--grace-ms N] [--quarantine-after N]
+//                        [--quarantine-after N]
 //                        [--health FILE] [--health-period-ms N]
 //                        [--chaos stage:circuit[:times[:transient|det]]]
 //                        [--out FILE] [--plot]
@@ -483,9 +483,13 @@ int run_job_mode(const JobModeConfig& cfg) {
 // SIGTERM/SIGINT trigger a graceful drain bounded by --drain-ms: in-flight
 // work is cancelled at the deadline, queued work is dropped WITH a report,
 // and the manifest journal under --cache-dir lets a restarted server
-// (--resume) replay completed jobs at admission.  --chaos
-// stage:circuit[:times[:transient|det]] arms the process-global fault
-// injection hook for chaos runs.  A health snapshot JSON is published
+// (--resume) replay completed jobs at admission.  --watchdog-ms N arms the
+// watchdog: a job is cancelled a fixed grace (kWatchdogGraceS) past its
+// timeout — --job-timeout-ms when set, which the job normally meets itself,
+// else N — and --quarantine-after K refuses a name after K such kills.
+// --chaos stage:circuit[:times[:transient|det]] arms the process-global
+// fault injection hook for chaos runs; a malformed spec (too few fields, or
+// a times that is not an int) exits 2.  A health snapshot JSON is published
 // atomically to --health every --health-period-ms and once more at exit.
 
 volatile std::sig_atomic_t g_stop_signal = 0;
@@ -499,7 +503,6 @@ struct ServeConfig {
   double health_period_ms = 500;
   std::size_t queue_limit = 64;
   double watchdog_ms = 0;
-  double grace_ms = 250;
   int quarantine_after = 3;
   double drain_ms = 5000;
   std::string chaos;  // stage:circuit[:times[:transient|det]]
@@ -512,11 +515,17 @@ int run_serve_mode(const ServeConfig& cfg) {
   if (!cfg.chaos.empty()) {
     std::vector<std::string> parts;
     for (auto tok : bist::split(cfg.chaos, ":")) parts.emplace_back(tok);
-    if (parts.size() < 2) {
+    int times = -1;
+    bool bad = parts.size() < 2;
+    if (!bad && parts.size() > 2) {
+      const char* last = parts[2].data() + parts[2].size();
+      const auto [end, ec] = std::from_chars(parts[2].data(), last, times);
+      bad = ec != std::errc() || end != last;
+    }
+    if (bad) {
       std::cerr << "error: --chaos wants stage:circuit[:times[:transient]]\n";
       return 2;
     }
-    const int times = parts.size() > 2 ? std::stoi(parts[2]) : -1;
     const bool transient = parts.size() > 3 && parts[3] == "transient";
     bist::set_injected_failure(parts[0], parts[1], times, transient);
     std::cout << "chaos: injecting " << (transient ? "transient" : "sticky")
@@ -528,7 +537,6 @@ int run_serve_mode(const ServeConfig& cfg) {
   bist::ServiceOptions& so = setup.opt;
   so.queue_limit = cfg.queue_limit;
   so.watchdog_timeout_s = cfg.watchdog_ms / 1000.0;
-  so.stuck_grace_s = cfg.grace_ms / 1000.0;
   so.quarantine_after = cfg.quarantine_after;
   so.health_path = cfg.health_path;
   so.health_period_s = cfg.health_period_ms / 1000.0;
@@ -736,8 +744,6 @@ int run_bench(int argc, char** argv) {
       serve.queue_limit = std::stoul(next());
     } else if (a == "--watchdog-ms") {
       serve.watchdog_ms = std::stod(next());
-    } else if (a == "--grace-ms") {
-      serve.grace_ms = std::stod(next());
     } else if (a == "--quarantine-after") {
       serve.quarantine_after = std::stoi(next());
     } else if (a == "--health") {
@@ -766,7 +772,7 @@ int run_bench(int argc, char** argv) {
                    "[--deadline-ms D] [--job-timeout-ms J] "
                    "[--jobs] [--cache-dir DIR] [--resume] [--retries N] "
                    "[--serve] [--spool DIR] [--stream FILE] [--drain-ms N] "
-                   "[--queue-limit N] [--watchdog-ms N] [--grace-ms N] "
+                   "[--queue-limit N] [--watchdog-ms N] "
                    "[--quarantine-after N] [--health FILE] "
                    "[--health-period-ms N] [--chaos stage:circuit[:n[:kind]]] "
                    "[--out FILE] [--plot]\n";

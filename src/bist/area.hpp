@@ -16,10 +16,9 @@
 //                         enough to evaluate at every sweep point; it prices
 //                         exactly the structure synthesize_bist_wrapper()
 //                         emits (the differential test asserts the totals
-//                         reconcile per block).  Two overloads: the legacy
-//                         fully decoded ROM architecture, and the compressed
-//                         architecture (LFSR reseeding + MISR) driven by a
-//                         CompressedTopoff.
+//                         reconcile per block), for the compressed
+//                         architecture (LFSR reseeding + MISR) and the
+//                         legacy fully decoded ROM alike.
 //
 // Storage is tracked separately from logic: `rom_bits` (decoded pattern bits
 // actually stored), `seed_rom_bits` (reseeding seeds x LFSR degree) and
@@ -87,22 +86,17 @@ struct BistArea {
   }
 };
 
-/// Closed-form estimate for a candidate point, legacy fully decoded ROM
-/// architecture.  `topoff` is the point's stored pattern set (its size and
-/// set-bit count price the ROM exactly; the decode/mux terms are
-/// structural).  `lfsr_patterns` is the pseudo-random phase length (it sizes
-/// the cycle counter together with the top-off count).  Deterministic pure
-/// function of its arguments.
-BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
-                            std::uint64_t lfsr_taps, std::size_t cut_inputs,
-                            std::span<const BitVec> topoff,
-                            std::size_t lfsr_patterns);
-
-/// Compressed-architecture overload: prices the reseeding datapath (seed-ROM
-/// OR planes, per-offset load muxes and selects), the decoded fallback rows,
-/// and the MISR (fold XORs sized by comp.cut_outputs, comparator sized by
-/// comp.golden) exactly as synthesize_bist_wrapper emits them.  Falls back
-/// to the legacy estimate when comp.enabled is false.
+/// Closed-form estimate for a candidate point.  `topoff` is the point's
+/// stored pattern set (its size and per-column set-bit counts price the
+/// decoded ROM exactly; the decode/mux terms are structural) and
+/// `lfsr_patterns` the pseudo-random phase length (it sizes the cycle counter
+/// together with the top-off count).  With comp.enabled it prices the
+/// reseeding datapath (seed-ROM OR planes, per-offset load muxes and
+/// selects), the decoded fallback rows and the MISR (fold XORs sized by
+/// comp.cut_outputs, comparator sized by comp.golden) exactly as
+/// synthesize_bist_wrapper emits them; a disabled `comp` (e.g.
+/// CompressedTopoff{}) is the legacy architecture — every row decoded, no
+/// seeds, no MISR.  Deterministic pure function of its arguments.
 BistArea estimate_bist_area(const AreaModel& m, unsigned lfsr_degree,
                             std::uint64_t lfsr_taps, std::size_t cut_inputs,
                             std::span<const BitVec> topoff,

@@ -203,39 +203,20 @@ JobReport run_plan_job(const JobSpec& spec) {
   rep.name = spec.name;
   const auto job_t0 = WallClock::now();
 
-  // Stage-boundary liveness beat for the service watchdog; the deadlines
-  // below additionally beat at every cooperative poll inside the engines.
-  const auto beat = [&] {
-    if (spec.heartbeat)
-      spec.heartbeat->store(WallClock::now().time_since_epoch().count(),
-                            std::memory_order_relaxed);
-  };
-  beat();
-
-  // Whole-job deadline: checked at stage boundaries, folded into the sweep
-  // deadline, and threaded into synth/verify.  An unset timeout still
-  // observes the cancel token.
+  // Whole-job deadline: checked at stage boundaries, tightened into the
+  // sweep deadline, and handed to synth/verify.  An unset timeout still
+  // observes the cancel token; with neither, the stages get nullptr and skip
+  // the polling entirely.
   Deadline job_dl = spec.job_timeout_s > 0 ? Deadline::after(spec.job_timeout_s)
                                            : Deadline();
-  job_dl.observe(spec.cancel).heartbeat(spec.heartbeat);
-
-  // Per-stage deadline from what is left of the whole-job budget; dl must
-  // outlive the stage body.  Returns nullptr when nothing limits the stage
-  // (so unlimited jobs skip the polling entirely).
-  const auto stage_deadline = [&](Deadline& dl) -> const Deadline* {
-    double remain_s = -1;
-    if (spec.job_timeout_s > 0)
-      remain_s = std::max(0.0, spec.job_timeout_s - seconds_since(job_t0));
-    dl = remain_s >= 0 ? Deadline::after(remain_s) : Deadline();
-    dl.observe(spec.cancel).heartbeat(spec.heartbeat);
-    return (remain_s >= 0 || spec.cancel) ? &dl : nullptr;
-  };
+  job_dl.observe(spec.cancel);
+  const Deadline* const stage_dl =
+      (spec.job_timeout_s > 0 || spec.cancel) ? &job_dl : nullptr;
 
   // Stage-boundary gate: when the job deadline/cancel has fired, the next
   // stage is recorded as stopped (not Error — the job was told to stop) and
   // the pipeline ends.
   const auto boundary_stop = [&](const char* stage) {
-    beat();
     if (!job_dl.should_stop()) return false;
     StageReport sr;
     sr.name = stage;
@@ -288,25 +269,16 @@ JobReport run_plan_job(const JobSpec& spec) {
         }
       }
 
-      // The sweep's anytime deadline is the tighter of the per-stage sweep
-      // deadline and what is left of the whole-job budget; either way it
-      // observes the external cancel.  run_mixed_sweep degrades rather than
-      // fails, so this stage only Errors on a genuine exception.
-      double remain_s = -1;
-      if (spec.job_timeout_s > 0)
-        remain_s = std::max(0.0, spec.job_timeout_s - seconds_since(job_t0));
-      double sweep_s = -1;
-      if (spec.sweep_deadline_s > 0) sweep_s = spec.sweep_deadline_s;
-      if (remain_s >= 0) sweep_s = sweep_s < 0 ? remain_s
-                                               : std::min(sweep_s, remain_s);
-      Deadline sweep_dl =
-          sweep_s >= 0 ? Deadline::after(sweep_s) : Deadline();
-      sweep_dl.observe(spec.cancel).heartbeat(spec.heartbeat);
-
+      // The sweep's anytime deadline is the job deadline, tightened by the
+      // per-stage sweep deadline when one is set.  run_mixed_sweep degrades
+      // rather than fails, so this stage only Errors on a genuine exception.
+      const Deadline sweep_dl = spec.sweep_deadline_s > 0
+                                    ? job_dl.within(spec.sweep_deadline_s)
+                                    : job_dl;
       const SimKernel kernel(cut);
       rep.sweep = run_mixed_sweep(
           kernel, spec.sweep_lengths, spec.tpg,
-          (sweep_s >= 0 || spec.cancel) ? &sweep_dl : nullptr);
+          spec.sweep_deadline_s > 0 ? &sweep_dl : stage_dl);
       have_sweep = true;
 
       // Publish — full-fidelity results only (see sweep_is_canonical).  A
@@ -348,9 +320,8 @@ JobReport run_plan_job(const JobSpec& spec) {
   if (have_plan && rep.stages.size() < 4 && !boundary_stop("synth")) {
     const bool ok =
         run_stage(rep, "synth", spec.name, spec.retry, job_dl, [&](StageReport&) {
-          Deadline dl;
           BistSynthResult syn =
-              synthesize_bist_wrapper(cut, rep.plan, stage_deadline(dl));
+              synthesize_bist_wrapper(cut, rep.plan, stage_dl);
           if (!syn.status.ok()) return syn.status;  // mid-stage soft stop
           rep.synth = {syn.actual, syn.bist_gates, syn.counter_bits,
                        syn.wrapper.gate_count()};
@@ -366,10 +337,9 @@ JobReport run_plan_job(const JobSpec& spec) {
   // --- verify --------------------------------------------------------------
   if (have_wrapper && rep.stages.size() < 5 && !boundary_stop("verify")) {
     run_stage(rep, "verify", spec.name, spec.retry, job_dl, [&](StageReport&) {
-      Deadline dl;
       rep.verification = verify_wrapper(
           wrapper, cut, rep.plan, rep.sweep.points[rep.plan.point_index],
-          spec.tpg.fsim, stage_deadline(dl));
+          spec.tpg.fsim, stage_dl);
       if (!rep.verification.status.ok())
         return rep.verification.status;  // mid-stage soft stop
       rep.wrapper_ok = rep.verification.ok();
@@ -396,7 +366,6 @@ JobReport run_plan_job(const JobSpec& spec) {
         break;
       }
   }
-  beat();
   rep.seconds = seconds_since(job_t0);
   return rep;
 }

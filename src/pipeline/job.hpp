@@ -30,9 +30,7 @@
 //    replays journaled jobs from it at admission — a SIGKILLed run restarts
 //    from where it died.
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -85,20 +83,15 @@ struct JobSpec {
   /// the job still produces a schedulable plan + verified wrapper, with
   /// overall status DeadlineExceeded and report.degraded set.
   double sweep_deadline_s = 0;
-  /// Whole-job wall-clock limit in seconds; <= 0 = none.  Checked at every
-  /// stage boundary, folded into the sweep's anytime deadline, and threaded
-  /// into synthesis and verification (which poll it mid-loop and stop with a
-  /// DeadlineExceeded stage status instead of blowing the budget).
+  /// Whole-job wall-clock limit in seconds; <= 0 = none.  One Deadline,
+  /// armed at job start, is checked at every stage boundary, bounds the
+  /// sweep's anytime deadline, and is handed as is to synthesis and
+  /// verification (which poll it mid-loop and stop with a DeadlineExceeded
+  /// stage status instead of blowing the budget).
   double job_timeout_s = 0;
-  /// Optional external cancel; observed by every deadline the job creates
-  /// and polled at stage boundaries.  Not owned; may be null.
+  /// Optional external cancel; observed by the job's deadline, so every
+  /// stage and stage boundary polls it.  Not owned; may be null.
   const CancelToken* cancel = nullptr;
-  /// Optional liveness heartbeat (steady-clock nanoseconds), written at every
-  /// stage boundary and — through the job's deadlines — at every cooperative
-  /// poll inside the engines.  The job-service watchdog reads it to detect a
-  /// wedged job (one that stopped polling).  Not owned; may be null; excluded
-  /// from job_key (it is observation plumbing, not a result-affecting input).
-  std::atomic<std::int64_t>* heartbeat = nullptr;
   /// Sweep-result cache consulted/published around the sweep stage (see the
   /// durability notes above).  Not owned; may be null (no caching).
   ResultStore* store = nullptr;

@@ -249,15 +249,12 @@ void JobService::worker_loop() {
       slot = std::make_shared<Inflight>();
       slot->name = qj.spec.name;
       slot->start = WallClock::now();
-      slot->heartbeat.store(slot->start.time_since_epoch().count(),
-                            std::memory_order_relaxed);
       slot->timeout_s = qj.spec.job_timeout_s > 0 ? qj.spec.job_timeout_s
                                                   : opt_.watchdog_timeout_s;
       inflight_[qj.ticket] = slot;
     }
-    // The service owns liveness and cancellation for jobs it runs.
+    // The service owns cancellation for jobs it runs.
     qj.spec.cancel = &slot->token;
-    qj.spec.heartbeat = &slot->heartbeat;
     if (!qj.spec.store) qj.spec.store = opt_.store;
 
     const Digest128 key = manifest_ ? job_key(qj.spec) : Digest128{};
@@ -293,7 +290,7 @@ void JobService::monitor_loop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(mon_mu_);
-      if (cv_monitor_.wait_for(lk, dsec(opt_.watchdog_poll_s),
+      if (cv_monitor_.wait_for(lk, dsec(kWatchdogPollS),
                                [&] { return monitor_stop_; }))
         return;  // drain writes the final snapshot after the join
     }
@@ -303,17 +300,10 @@ void JobService::monitor_loop() {
       for (auto& [ticket, slot] : inflight_) {
         (void)ticket;
         if (slot->killed || slot->timeout_s <= 0) continue;
-        const double elapsed = seconds_between(slot->start, now);
-        const auto hb_tp = WallClock::time_point(WallClock::duration(
-            slot->heartbeat.load(std::memory_order_relaxed)));
-        const double hb_age = seconds_between(hb_tp, now);
-        const double T = slot->timeout_s;
-        const double G = opt_.stuck_grace_s;
-        // Past the timeout and silent for the grace window => wedged (its
-        // own deadline would have stopped it within one poll otherwise);
-        // past timeout + grace => overdue regardless (belt and braces for
-        // a job that beats but never honors its deadline).
-        if (elapsed > T + G || (elapsed > T && hb_age > G)) {
+        // A job polling its own deadline has stopped by now; past timeout +
+        // grace it is overdue, whatever it is doing.
+        if (seconds_between(slot->start, now) >
+            slot->timeout_s + kWatchdogGraceS) {
           slot->killed = true;
           slot->token.cancel();
           ++watchdog_kills_;

@@ -1,6 +1,6 @@
 #pragma once
 // Resilient long-lived job service over run_plan_job: bounded intake with
-// backpressure, deterministic fairness, a liveness watchdog, graceful drain,
+// backpressure, deterministic fairness, a timeout watchdog, graceful drain,
 // and restart recovery from the batch manifest.
 //
 // JobService is the one executor for many jobs: a frozen corpus (the
@@ -30,12 +30,11 @@
 // inside a tier, FIFO per client.  A flood from one client delays only that
 // client once the tiers interleave.
 //
-// Watchdog.  Every running job carries a heartbeat atomic that the pipeline
-// beats at stage boundaries and at every cooperative deadline poll (see
-// JobSpec::heartbeat).  A monitor thread watches in-flight jobs and fires
-// the job's CancelToken when it is past its timeout AND has stopped beating
-// for the stuck-grace window — or unconditionally once the grace window
-// itself is exhausted past the timeout.  Jobs whose name accumulates
+// Watchdog.  A monitor thread scans in-flight jobs every kWatchdogPollS and
+// fires a job's CancelToken once it is kWatchdogGraceS past its timeout (the
+// job's own job_timeout_s, else ServiceOptions::watchdog_timeout_s).  A job
+// with its own timeout polls that deadline and stops itself within the
+// grace, so only a job that overruns is killed.  Jobs whose name accumulates
 // quarantine_after watchdog kills are quarantined: further submissions of
 // that name are rejected at admission (SubmitCode::Quarantined).
 //
@@ -55,7 +54,6 @@
 // of streamed reports matches a cold batch run byte for byte (volatile
 // fields stripped).
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -131,14 +129,17 @@ struct SubmitResult {
   std::uint64_t ticket = 0;  ///< admission sequence number (all outcomes)
 };
 
+/// Watchdog grace past a job's timeout before its cancel fires.
+inline constexpr double kWatchdogGraceS = 0.25;
+/// Watchdog scan cadence.
+inline constexpr double kWatchdogPollS = 0.02;
+
 struct ServiceOptions {
   unsigned threads = 0;        ///< worker count; resolve_threads semantics
   std::size_t queue_limit = 64;///< queue high-water mark (bounded intake)
   /// Watchdog timeout for jobs whose spec carries no job_timeout_s; <= 0
   /// leaves such jobs unwatched (they can still be cancelled by drain).
   double watchdog_timeout_s = 0;
-  double stuck_grace_s = 0.25; ///< heartbeat-silence window past the timeout
-  double watchdog_poll_s = 0.02;  ///< monitor scan cadence
   /// Watchdog kills of the same job name before it is quarantined; <= 0
   /// disables quarantine.
   int quarantine_after = 3;
@@ -195,10 +196,10 @@ class JobService {
   JobService& operator=(const JobService&) = delete;
 
   /// Admit one job (thread-safe, non-blocking).  The service owns the job's
-  /// cancellation and heartbeat: spec.cancel / spec.heartbeat are replaced
-  /// with service-managed instances, and spec.store defaults to the service
-  /// store when unset.  Rejected and replayed submissions emit their report
-  /// through the sink before this returns.
+  /// cancellation: spec.cancel is replaced with a service-managed token, and
+  /// spec.store defaults to the service store when unset.  Rejected and
+  /// replayed submissions emit their report through the sink before this
+  /// returns.
   SubmitResult submit(JobSpec spec, std::string client = {}, int priority = 0);
 
   /// Stop intake and run down the queue.  deadline_s < 0 waits forever;
@@ -218,7 +219,6 @@ class JobService {
   struct Inflight {
     std::string name;
     CancelToken token;
-    std::atomic<std::int64_t> heartbeat{0};
     WallClock::time_point start{};
     double timeout_s = 0;  ///< effective watchdog timeout; <= 0 unwatched
     bool killed = false;   ///< watchdog fired (once per job)

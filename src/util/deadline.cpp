@@ -28,10 +28,17 @@ Deadline Deadline::after_checks(std::uint64_t polls) {
   return d;
 }
 
+Deadline Deadline::within(double seconds) const {
+  Deadline d = *this;
+  const Deadline cap = after(seconds);
+  if (!d.has_expiry_ || cap.expiry_ < d.expiry_) {
+    d.has_expiry_ = true;
+    d.expiry_ = cap.expiry_;
+  }
+  return d;
+}
+
 bool Deadline::expired() const {
-  if (hb_)
-    hb_->store(WallClock::now().time_since_epoch().count(),
-               std::memory_order_relaxed);
   if (polls_left_) {
     // fetch_sub with saturation: once the budget is gone every further poll
     // reports expired without wrapping the counter.

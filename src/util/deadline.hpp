@@ -16,7 +16,10 @@
 // wall-clock adjustments cannot fire or un-fire it) plus an optional
 // CancelToken to observe.  A default-constructed Deadline never stops
 // anything, so `const Deadline* = nullptr` and `&Deadline{}` behave the
-// same and callers can thread one pointer through unconditionally.
+// same and callers can thread one pointer through unconditionally.  A poll
+// only reads: the clock, the token, and (test hook below) a poll counter.
+// A job hands its one whole-job Deadline to every stage; within() derives a
+// tighter copy (the sweep's own anytime deadline) that keeps its token.
 //
 // For deterministic tests there is a third trigger: after_checks(n)
 // expires on the (n+1)-th poll regardless of elapsed time, which lets a
@@ -101,15 +104,9 @@ class Deadline {
     return *this;
   }
 
-  /// Publish a liveness heartbeat to `hb` (steady-clock nanoseconds) on every
-  /// cooperative poll.  The job-service watchdog reads it to tell "past its
-  /// deadline but still polling" (the job's own deadline will stop it within
-  /// one poll interval) from "stopped polling" (wedged — cancel now).  May be
-  /// nullptr to detach; the atomic must outlive every poll.
-  Deadline& heartbeat(std::atomic<std::int64_t>* hb) {
-    hb_ = hb;
-    return *this;
-  }
+  /// A copy that also expires `seconds` of monotonic time from now: the
+  /// earlier of the two expiries wins.  Token and poll budget carry over.
+  Deadline within(double seconds) const;
 
   bool cancelled() const { return token_ && token_->cancelled(); }
   /// Clock/poll-count expiry only (cancellation is separate).
@@ -130,7 +127,6 @@ class Deadline {
   /// all copies counting against the same budget.
   std::shared_ptr<std::atomic<std::uint64_t>> polls_left_;
   const CancelToken* token_ = nullptr;
-  std::atomic<std::int64_t>* hb_ = nullptr;  ///< liveness sink, see heartbeat()
 };
 
 }  // namespace bist

@@ -82,7 +82,8 @@ int main() {
     const std::uint64_t taps = Lfsr::primitive_taps(32);
     const auto mk = [&](std::size_t t) {
       std::vector<BitVec> topoff(t, BitVec(16, true));
-      return estimate_bist_area(m, 32, taps, 16, topoff, 1024);
+      return estimate_bist_area(m, 32, taps, 16, topoff, 1024,
+                                CompressedTopoff{});
     };
     const BistArea a0 = mk(0), a4 = mk(4), a8 = mk(8);
     CHECK_EQ(a0.rom_bits, std::size_t{0});
@@ -96,7 +97,8 @@ int main() {
     AreaModel heavy_ff = m;
     heavy_ff.flipflop = 10.0;
     std::vector<BitVec> t4(4, BitVec(16, true));
-    const BistArea h = estimate_bist_area(heavy_ff, 32, taps, 16, t4, 1024);
+    const BistArea h = estimate_bist_area(heavy_ff, 32, taps, 16, t4, 1024,
+                                          CompressedTopoff{});
     CHECK(h.lfsr > a4.lfsr);
     CHECK_EQ(h.rom, a4.rom);
     CHECK_EQ(h.rom_bits, a4.rom_bits);

@@ -63,6 +63,17 @@ static void test_deadline_units() {
   CHECK(both.stop_status("here").code == StageCode::Cancelled);
   tok.reset();
   CHECK(Deadline().observe(&tok).stop_code() == StageCode::Ok);
+
+  // within(s): the earlier of the two expiries wins; the token carries over.
+  CHECK(Deadline::immediate().within(1e9).should_stop());
+  CHECK(Deadline::after(1e9).within(0).should_stop());
+  CHECK(!Deadline::after(1e9).within(1e9).should_stop());
+  CHECK(Deadline().within(0).should_stop());
+  CHECK(!Deadline().within(1e9).should_stop());
+  tok.cancel();
+  CHECK(Deadline().observe(&tok).within(1e9).stop_code() ==
+        StageCode::Cancelled);
+  tok.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -586,6 +597,21 @@ static void test_job_timeout_and_cancel() {
     t.cancel = &tok;
     const JobReport r = run_plan_job(t);
     CHECK(r.status.code == StageCode::Cancelled);
+  }
+
+  // The whole-job timeout bounds the sweep under a looser sweep deadline:
+  // the sweep stops itself (it would run for seconds) rather than finish.
+  {
+    JobSpec t = s;
+    t.name = "c7552s";
+    t.bench_text = write_bench(make_iscas85("c7552s"));
+    t.sweep_lengths = {256, 1024};
+    t.sweep_deadline_s = 1e9;
+    t.job_timeout_s = 0.02;
+    const JobReport r = run_plan_job(t);
+    CHECK(r.status.code == StageCode::DeadlineExceeded);
+    CHECK_EQ(r.stages.size(), 5u);
+    CHECK(r.stages[1].status.code == StageCode::DeadlineExceeded);
   }
 
   // A malformed netlist is an Error in the parse stage, never a throw.

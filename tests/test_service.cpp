@@ -3,7 +3,8 @@
 // matrix (deterministic / transient-healing / transient-exhausting across all
 // five pipeline stages), file-fault containment (failed manifest appends and
 // health publishes degrade, never crash), watchdog kills + quarantine
-// escalation, drain-always-terminates (clean and deadline-forced), and the
+// escalation (a job that meets its own deadline is never a kill),
+// drain-always-terminates (clean and deadline-forced), and the
 // kill-and-restart manifest replay differential.  The cross-cutting
 // invariants, checked after every scenario:
 //
@@ -409,8 +410,6 @@ void test_watchdog_and_quarantine() {
   ServiceOptions o;
   o.threads = 1;
   o.watchdog_timeout_s = 0.15;
-  o.stuck_grace_s = 0.1;
-  o.watchdog_poll_s = 0.01;
   o.quarantine_after = 2;
   JobService svc(o, col.sink());
 
@@ -426,7 +425,9 @@ void test_watchdog_and_quarantine() {
     const auto t0 = WallClock::now();
     CHECK(svc.submit(wedge).code == SubmitCode::Accepted);
     CHECK(col.wait_count(static_cast<std::size_t>(run), 10.0));
-    CHECK(seconds_since(t0) < 5.0);  // killed near timeout+grace, not 50s
+    // Killed at timeout + grace: never sooner, and not after 50s.
+    CHECK(seconds_since(t0) >= o.watchdog_timeout_s + kWatchdogGraceS);
+    CHECK(seconds_since(t0) < 5.0);
     CHECK_EQ(svc.health().watchdog_kills, static_cast<std::uint64_t>(run));
   }
   clear_injected_failure();
@@ -447,6 +448,44 @@ void test_watchdog_and_quarantine() {
   CHECK(col.find("c17").status.ok());
   svc.drain(-1);
   check_accounting(svc.health());
+}
+
+// ---------------------------------------------------------------------------
+// Own deadline wins: a job with its own job_timeout_s that keeps polling (in
+// retry backoff here) stops itself at that deadline, inside the watchdog's
+// grace, so the watchdog never kills it and its name is never quarantined.
+void test_own_deadline_beats_watchdog() {
+  Collector col;
+  ServiceOptions o;
+  o.threads = 1;
+  o.watchdog_timeout_s = 0.05;
+  o.quarantine_after = 1;  // a single kill would quarantine the name
+  JobService svc(o, col.sink());
+
+  set_injected_failure("sweep", "poller", /*times=*/-1, /*transient=*/true);
+  JobSpec poller = make_spec("c17", "poller");
+  poller.job_timeout_s = 0.125;  // lands mid-backoff: stops within a slice
+  poller.retry.attempts = 1000;
+  poller.retry.backoff_s = 0.05;
+  poller.retry.multiplier = 1.0;
+
+  for (int run = 1; run <= 4; ++run) {
+    CHECK(svc.submit(poller).code == SubmitCode::Accepted);
+    CHECK(col.wait_count(static_cast<std::size_t>(run), 10.0));
+  }
+  clear_injected_failure();
+
+  const JobReport rep = col.find("poller");
+  CHECK(!rep.status.ok());
+  CHECK(rep.stages.size() == 5 && rep.stages[1].attempts > 1);
+  CHECK(rep.stages[1].note.find("retry abandoned") != std::string::npos);
+  svc.drain(-1);
+  const ServiceHealth h = svc.health();
+  CHECK_EQ(h.watchdog_kills, 0u);
+  CHECK_EQ(h.quarantined_names, 0u);
+  CHECK_EQ(h.rejected_quarantine, 0u);
+  CHECK(svc.quarantined().empty());
+  check_accounting(h);
 }
 
 // ---------------------------------------------------------------------------
@@ -670,6 +709,7 @@ int main() {
   test_injection_matrix();
   test_file_fault_containment();
   test_watchdog_and_quarantine();
+  test_own_deadline_beats_watchdog();
   test_restart_replay_differential();
   test_concurrent_manifest_writers();
   test_interruptible_backoff();
