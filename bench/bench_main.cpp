@@ -84,7 +84,7 @@
 //                        [--drain-ms N] [--queue-limit N] [--watchdog-ms N]
 //                        [--quarantine-after N]
 //                        [--health FILE] [--health-period-ms N]
-//                        [--chaos stage:circuit[:times[:transient|det]]]
+//                        [--chaos stage:circuit[:times[:transient|det|cancel]]]
 //                        [--out FILE] [--plot]
 
 #include <algorithm>
@@ -487,9 +487,10 @@ int run_job_mode(const JobModeConfig& cfg) {
 // watchdog: a job is cancelled a fixed grace (kWatchdogGraceS) past its
 // timeout — --job-timeout-ms when set, which the job normally meets itself,
 // else N — and --quarantine-after K refuses a name after K such kills.
-// --chaos stage:circuit[:times[:transient|det]] arms the process-global
-// fault injection hook for chaos runs; a malformed spec (too few fields, or
-// a times that is not an int) exits 2.  A health snapshot JSON is published
+// --chaos stage:circuit[:times[:transient|det|cancel]] arms the
+// process-global fault injection hook for chaos runs (`cancel` cancels the
+// job's own token at stage entry); a malformed spec (too few fields, a
+// times that is not an int, or an unknown kind) exits 2.  A health snapshot JSON is published
 // atomically to --health every --health-period-ms and once more at exit.
 
 volatile std::sig_atomic_t g_stop_signal = 0;
@@ -505,7 +506,7 @@ struct ServeConfig {
   double watchdog_ms = 0;
   int quarantine_after = 3;
   double drain_ms = 5000;
-  std::string chaos;  // stage:circuit[:times[:transient|det]]
+  std::string chaos;  // stage:circuit[:times[:transient|det|cancel]]
   JobModeConfig job;  // shared spec/store/manifest knobs
 };
 
@@ -522,15 +523,26 @@ int run_serve_mode(const ServeConfig& cfg) {
       const auto [end, ec] = std::from_chars(parts[2].data(), last, times);
       bad = ec != std::errc() || end != last;
     }
+    bist::InjectedFailure kind = bist::InjectedFailure::Error;
+    if (!bad && parts.size() > 3) {
+      if (parts[3] == "transient")
+        kind = bist::InjectedFailure::Transient;
+      else if (parts[3] == "cancel")
+        kind = bist::InjectedFailure::Cancel;
+      else
+        bad = parts[3] != "det";
+    }
     if (bad) {
-      std::cerr << "error: --chaos wants stage:circuit[:times[:transient]]\n";
+      std::cerr << "error: --chaos wants "
+                   "stage:circuit[:times[:transient|det|cancel]]\n";
       return 2;
     }
-    const bool transient = parts.size() > 3 && parts[3] == "transient";
-    bist::set_injected_failure(parts[0], parts[1], times, transient);
-    std::cout << "chaos: injecting " << (transient ? "transient" : "sticky")
-              << " failure at " << parts[0] << "/" << parts[1] << " x"
-              << times << "\n";
+    const char* what = kind == bist::InjectedFailure::Transient ? "transient"
+                       : kind == bist::InjectedFailure::Cancel  ? "cancel"
+                                                                : "sticky";
+    bist::set_injected_failure(parts[0], parts[1], times, kind);
+    std::cout << "chaos: injecting " << what << " failure at " << parts[0]
+              << "/" << parts[1] << " x" << times << "\n";
   }
 
   ServiceSetup setup = service_setup(cfg.job, "service.manifest");

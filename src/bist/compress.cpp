@@ -1,6 +1,7 @@
 #include "bist/compress.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -58,14 +59,17 @@ std::uint64_t misr_signature(const SimKernel& cut,
                              const MisrSpec& m, std::uint64_t state) {
   const auto outs = cut.outputs();
   KernelSim sim(cut);
+  std::array<std::uint64_t, 64> inject;
   for (const PatternBlock& blk : blocks) {
     sim.simulate(blk);
-    for (std::size_t lane = 0; lane < blk.count; ++lane) {
-      std::uint64_t inj = 0;
-      for (std::size_t o = 0; o < outs.size(); ++o)
-        inj ^= ((sim.value_at(outs[o]) >> lane) & 1) << m.cls(o);
-      state = misr_step(m, state, inj);
-    }
+    // inject[c] lane t: stage c's injection bit at cycle t; transposed,
+    // inject[t] is cycle t's injection word.
+    inject.fill(0);
+    for (std::size_t o = 0; o < outs.size(); ++o)
+      inject[m.cls(o)] ^= sim.value_at(outs[o]);
+    transpose64(inject);
+    for (std::size_t t = 0; t < blk.count; ++t)
+      state = misr_step(m, state, inject[t]);
   }
   return state;
 }
@@ -92,10 +96,14 @@ MisrAudit::MisrAudit(const FaultSimulator& fsim, const SimKernel& cut,
       nbytes_((K + 7) / 8),
       stage_(std::size_t{K} * nbytes_ * 256, 0),
       e0_at_(horizon),
-      q_(fsim.faults().size() * outs_, 0) {
-  const Gf2Matrix M = lfsr_transition(K, taps);
+      q_(fsim.faults().size() * outs_, 0),
+      po_offset_(cut.gate_count() + 1, 0),
+      po_(outs_) {
+  // One register step is M applied to the state, so stepping e_0 walks its
+  // powers.
   std::uint64_t v = 1;
-  for (std::size_t t = horizon; t-- > 0; v = M.apply(v)) e0_at_[t] = v;
+  for (std::size_t t = horizon; t-- > 0; v = raw_step(v, K, taps))
+    e0_at_[t] = v;
   // Byte table i of stage c maps x to R_c * (x << 8i): each entry is one
   // XOR of a smaller entry and a column of R_c, so the tables cost K^2
   // applies in all.
@@ -109,6 +117,14 @@ MisrAudit::MisrAudit(const FaultSimulator& fsim, const SimKernel& cut,
       for (unsigned x = 1; x < 256; ++x)
         t[x] = t[x & (x - 1)] ^ col[std::countr_zero(x)];
     }
+  // Output gate -> its POs, as a CSR over kernel indices.
+  const auto outs = cut.outputs();
+  for (const KIndex g : outs) ++po_offset_[g + 1];
+  for (std::size_t g = 0; g < cut.gate_count(); ++g)
+    po_offset_[g + 1] += po_offset_[g];
+  std::vector<std::uint32_t> fill(po_offset_.begin(), po_offset_.end() - 1);
+  for (std::size_t o = 0; o < outs_; ++o)
+    po_[fill[outs[o]]++] = static_cast<std::uint32_t>(o);
 }
 
 void MisrAudit::add(std::span<const PatternBlock> blocks, std::size_t patterns,
@@ -118,44 +134,101 @@ void MisrAudit::add(std::span<const PatternBlock> blocks, std::size_t patterns,
   if (at + patterns > e0_at_.size())
     throw std::invalid_argument("MisrAudit::add: piece beyond the horizon");
   if (patterns == 0) return;
-  // First detections relative to the piece, as output_diff_sweep takes them.
-  std::vector<std::int64_t> fd(first_detected.size(), -1);
+  blocks = blocks.first(std::min(blocks.size(), (patterns + 63) / 64));
+  std::size_t held = 0;
+  for (const PatternBlock& b : blocks) held += b.count;
+  if (held != patterns)
+    throw std::invalid_argument("MisrAudit::add: blocks do not hold the piece");
+  // Join blocks relative to the piece.
+  std::vector<std::uint32_t> join(first_detected.size(),
+                                  OutputDiffSweep::kNever);
   const std::int64_t begin = std::int64_t(at);
   const std::int64_t end = begin + std::int64_t(patterns);
-  for (std::size_t f = 0; f < fd.size(); ++f)
+  for (std::size_t f = 0; f < join.size(); ++f)
     if (const std::int64_t d = first_detected[f]; d >= 0 && d < end)
-      fd[f] = std::max<std::int64_t>(d - begin, 0);
+      join[f] = static_cast<std::uint32_t>(
+          std::max(d - begin, std::int64_t{0}) / 64);
+  const Piece piece{0, at};
+  add_pieces(blocks, {&piece, 1}, join,
+             out ? std::span<Deltas>(out, 1) : std::span<Deltas>());
+}
+
+void MisrAudit::add_pieces(std::span<const PatternBlock> blocks,
+                           std::span<const Piece> pieces,
+                           std::span<const std::uint32_t> join,
+                           std::span<Deltas> out) {
+  if (!out.empty() && out.size() != pieces.size())
+    throw std::invalid_argument("MisrAudit::add_pieces: one Deltas per piece");
+  if (pieces.empty()) return;
+  // Stream cycle of lane 0 and piece of every block.
+  std::vector<std::size_t> cycle(blocks.size());
+  std::vector<std::uint32_t> piece_of(blocks.size());
+  for (std::size_t p = 0; p < pieces.size(); ++p) {
+    const std::size_t end =
+        p + 1 < pieces.size() ? pieces[p + 1].first_block : blocks.size();
+    if (pieces[p].first_block > end || (p == 0 && pieces[p].first_block != 0))
+      throw std::invalid_argument("MisrAudit: pieces out of order");
+    std::size_t at = pieces[p].at;
+    for (std::size_t b = pieces[p].first_block; b < end; ++b) {
+      cycle[b] = at;
+      piece_of[b] = static_cast<std::uint32_t>(p);
+      at += blocks[b].count;
+    }
+    if (at > e0_at_.size())
+      throw std::invalid_argument("MisrAudit: piece beyond the horizon");
+  }
+
   // A 64-lane diff word's contribution is the XOR of e0_at over its set
-  // lanes: eight byte-indexed tables per block, rebuilt as the sweep
-  // (ascending block order) moves on — table[j*256 + x] = XOR of
-  // e0_at[at + b*64 + 8j + i] over the set bits i of x.
+  // lanes: eight byte-indexed tables per block, built on the block's first
+  // nonzero diff — table[k*256 + x] = XOR of e0_at[cycle + 8k + i] over the
+  // set bits i of x.
   std::vector<std::uint64_t> table(8 * 256);
-  std::size_t table_block = SIZE_MAX;
-  fsim_->output_diff_sweep(
-      blocks, patterns, fd,
-      [&](std::size_t b, std::uint32_t f,
-          std::span<const FaultSimulator::OutputDiff> diffs) {
-        if (b != table_block) {
-          table_block = b;
-          for (std::size_t j = 0; j < 8; ++j) {
-            std::uint64_t* tj = table.data() + j * 256;
-            for (unsigned x = 1; x < 256; ++x) {
-              const std::size_t t = b * 64 + j * 8 + std::countr_zero(x);
-              tj[x] = tj[x & (x - 1)] ^ (t < patterns ? e0_at_[at + t] : 0);
+  OutputDiffSweep sweep(*fsim_, blocks, join);
+  while (sweep.next()) {
+    const auto stems = sweep.stems();
+    const auto words = sweep.words();
+    const auto hits = sweep.hits();
+    for (std::size_t j = 0; j < sweep.group_blocks(); ++j) {
+      const std::size_t b = sweep.first_block() + j;
+      Deltas* sink = out.empty() ? nullptr : &out[piece_of[b]];
+      bool table_built = false;
+      std::size_t w = 0, h = 0;
+      for (const OutputDiffSweep::Stem& st : stems) {
+        for (; w < st.words_end; ++w) {
+          const std::uint64_t sw = w_sub(words[w].second, j);
+          if (!sw) continue;
+          const std::size_t row = std::size_t{words[w].first} * outs_;
+          for (std::size_t i = h; i < st.hits_end; ++i) {
+            const std::uint64_t d = sw & w_sub(hits[i].second, j);
+            if (!d) continue;
+            if (!table_built) {
+              table_built = true;
+              const std::uint64_t* e0 = e0_at_.data() + cycle[b];
+              const std::size_t n = blocks[b].count;
+              for (std::size_t k = 0; k < 8; ++k) {
+                std::uint64_t* tk = table.data() + k * 256;
+                for (unsigned x = 1; x < 256; ++x) {
+                  const std::size_t t = k * 8 + std::countr_zero(x);
+                  tk[x] = tk[x & (x - 1)] ^ (t < n ? e0[t] : 0);
+                }
+              }
+            }
+            std::uint64_t delta = 0;
+            for (std::size_t k = 0; k < 8; ++k)
+              delta ^= table[k * 256 + ((d >> (8 * k)) & 255)];
+            const KIndex g = hits[i].first;
+            for (std::uint32_t e = po_offset_[g]; e < po_offset_[g + 1]; ++e) {
+              if (sink)
+                sink->emplace_back(row + po_[e], delta);
+              else
+                q_[row + po_[e]] ^= delta;
             }
           }
         }
-        const std::size_t row = std::size_t{f} * outs_;
-        for (const FaultSimulator::OutputDiff& d : diffs) {
-          std::uint64_t delta = 0;
-          for (std::size_t j = 0; j < 8; ++j)
-            delta ^= table[j * 256 + ((d.lanes >> (8 * j)) & 255)];
-          if (out)
-            out->emplace_back(row + d.output, delta);
-          else
-            q_[row + d.output] ^= delta;
-        }
-      });
+        h = st.hits_end;
+      }
+    }
+  }
 }
 
 void MisrAudit::toggle(const Deltas& d) {
@@ -299,38 +372,34 @@ RowCompression compress_cube(std::span<const Ternary> cube, unsigned degree,
   RowCompression rc;
 
   // Segmentation: walk the care bits in shift order through an incremental
-  // eliminator over the current seed's variables.  reg[j] is the symbolic
-  // coefficient mask of register bit j; the pre-shift output stage reg[D-1]
-  // is stream bit t.  On an inconsistency at shift t (only possible at
-  // t >= segment_start + D: the first D rows after a load are the identity)
-  // the solver reseeds at the last D-aligned boundary at or below t and
-  // replays the care bits from there, so progress is guaranteed.
+  // eliminator over the current seed's variables.  Stream bit t is the
+  // pre-shift output stage D-1, so u shifts after a load its coefficient
+  // mask is row D-1 of M^u: e_{D-1} at the load, and one shift multiplies
+  // it by M from the right, (r M)_i = r_0 taps_i ^ r_{i+1}.  On an
+  // inconsistency at shift t (only possible at t >= segment_start + D: the
+  // first D rows after a load are the identity) the solver reseeds at the
+  // last D-aligned boundary at or below t and replays the care bits from
+  // there, so progress is guaranteed.
   std::vector<std::pair<std::uint32_t, Gf2Solver>> segments;  // (offset, sys)
   if (w > D) {
     std::uint32_t start = 0;
     while (true) {
       Gf2Solver sys(D);
       Gf2Solver at_boundary;  // snapshot at the last D-aligned boundary
-      std::vector<std::uint64_t> reg(D);
-      for (unsigned j = 0; j < D; ++j) reg[j] = std::uint64_t{1} << j;
+      std::uint64_t row = std::uint64_t{1} << (D - 1);
       std::uint32_t conflict_at = 0;
       bool conflicted = false;
       for (std::size_t t = start; t < w; ++t) {
         if (t > start && (t % D) == 0) at_boundary = sys;
         if (cube[t] != Ternary::VX) {
           const bool bit = cube[t] == Ternary::V1;
-          if (sys.add(reg[D - 1], bit) == Gf2Add::Inconsistent) {
+          if (sys.add(row, bit) == Gf2Add::Inconsistent) {
             conflict_at = static_cast<std::uint32_t>((t / D) * D);
             conflicted = true;
             break;
           }
         }
-        // step: fb = parity over tapped stages, shift up
-        std::uint64_t fb = 0;
-        for (unsigned j = 0; j < D; ++j)
-          if ((taps >> j) & 1) fb ^= reg[j];
-        for (unsigned j = D; j-- > 1;) reg[j] = reg[j - 1];
-        reg[0] = fb;
+        row = (row >> 1) ^ ((row & 1) ? taps & degree_mask(D) : 0);
       }
       if (!conflicted) {
         segments.emplace_back(start, std::move(sys));

@@ -110,7 +110,9 @@ std::vector<Gf2Matrix> misr_stage_operators(unsigned degree,
 /// pattern stream (already packed into blocks; each block's `count` gives
 /// its live lanes), folding every cycle's outputs, starting from `state` —
 /// chainable, so LFSR phase and top-off phase compose without materializing
-/// one concatenated stream.
+/// one concatenated stream.  Word-parallel: each block's outputs fold into
+/// 64 per-stage lane words, and one transpose64 turns them into the 64
+/// cycles' injection words.
 std::uint64_t misr_signature(const SimKernel& cut,
                              std::span<const PatternBlock> blocks,
                              const MisrSpec& m, std::uint64_t state = 0);
@@ -128,8 +130,8 @@ struct AliasingReport {
 /// accumulate its output-difference MISR contribution and count the faults
 /// whose contribution cancels to zero (signature == golden).  Exact —
 /// per-output difference words come from the fault simulator's stem stage
-/// (FaultSimulator::output_diff_sweep) — and independent of the golden
-/// value itself by MISR linearity.  `patterns` is the stream length (the
+/// (OutputDiffSweep) — and independent of the golden value itself by MISR
+/// linearity.  `patterns` is the stream length, which the blocks hold (the
 /// last block may be partial).
 AliasingReport misr_aliasing_check(FaultSimulator& fsim, const SimKernel& cut,
                                    std::span<const PatternBlock> blocks,
@@ -153,6 +155,13 @@ std::vector<std::vector<std::uint16_t>> misr_fold_candidates(
 /// without re-weighing.  The stream may be fed in pieces at any cycle
 /// offsets, which lets one accumulator serve a prefix that grows from
 /// point to point while each point's own suffix is toggled in and out.
+///
+/// Every feed is one OutputDiffSweep whose buffered 256-lane stem words and
+/// output-gate hits the audit reads directly: per (fault, hit, block) with
+/// a nonzero diff word, eight byte-table lookups over the block's weights
+/// M^(horizon-1-t) * e_0 give its contribution.  The weights come from
+/// stepping e_0 through the register (one shift and a parity per cycle),
+/// and the output-gate-to-PO map is built once per audit.
 class MisrAudit {
  public:
   /// Output differences of one fed piece: (accumulator slot, delta) pairs.
@@ -163,15 +172,39 @@ class MisrAudit {
   MisrAudit(const FaultSimulator& fsim, const SimKernel& cut, unsigned K,
             std::uint64_t taps, std::size_t horizon);
 
-  /// Feed the first `patterns` patterns of `blocks`, which sit at stream
-  /// cycles [at, at + patterns).  `first_detected` is per sim fault in
-  /// whole-stream cycles (-1 = never): a fault detected before the piece
-  /// joins at its first block, one the piece first detects at that
-  /// pattern's block, a later or undetected one not at all.  Accumulated in
-  /// place, or only appended to `*out` when it is given (see toggle()).
+  /// Feed the first `patterns` patterns of `blocks`, which must fill its
+  /// first ceil(patterns / 64) blocks exactly (the last of them may be
+  /// partial) and sit at stream cycles [at, at + patterns).
+  /// `first_detected` is per sim fault in whole-stream cycles (-1 = never):
+  /// a fault detected before the piece joins at its first block, one the
+  /// piece first detects at that pattern's block, a later or undetected one
+  /// not at all.  Accumulated in place, or only appended to `*out` when it
+  /// is given (see toggle()).
   void add(std::span<const PatternBlock> blocks, std::size_t patterns,
            std::size_t at, std::span<const std::int64_t> first_detected,
            Deltas* out = nullptr);
+
+  /// Where one piece of a batched feed sits: its blocks start at block
+  /// `first_block` of the block list and its first pattern at stream cycle
+  /// `at`.
+  struct Piece {
+    std::size_t first_block = 0;
+    std::size_t at = 0;
+  };
+
+  /// Feed several pieces through ONE sweep: `blocks` concatenates them in
+  /// `pieces` order (ascending first_block, pieces[0] at block 0; a piece
+  /// may be empty), each starting at lane 0, every block's `count` giving
+  /// its live lanes and its patterns following the block before it.  Fault
+  /// f joins at block join[f] (OutputDiffSweep::kNever = never) and stays
+  /// joined through the later pieces, which is exact as long as it flips no
+  /// output before its join block in any piece it joins.  Piece i's deltas
+  /// are appended to out[i], for toggle(), or accumulated in place when
+  /// `out` is empty.
+  void add_pieces(std::span<const PatternBlock> blocks,
+                  std::span<const Piece> pieces,
+                  std::span<const std::uint32_t> join,
+                  std::span<Deltas> out = {});
 
   /// XOR a fed piece's deltas into the accumulator; toggling twice removes
   /// them again.
@@ -192,6 +225,8 @@ class MisrAudit {
   std::vector<std::uint64_t> stage_;
   std::vector<std::uint64_t> e0_at_; ///< M^(horizon-1-t) * e_0 per cycle t
   std::vector<std::uint64_t> q_;     ///< sim faults x outputs
+  /// POs an output gate drives: po_[po_offset_[g] .. po_offset_[g+1]).
+  std::vector<std::uint32_t> po_offset_, po_;
 };
 
 /// The fold selection rule over misr_fold_candidates(): return `base` with
@@ -205,11 +240,12 @@ MisrSpec pick_misr_fold(
     const std::function<std::size_t(std::span<const std::uint16_t>)>& escapes);
 
 /// Audited fold selection over one applied stream: pick_misr_fold() scored
-/// by a MisrAudit fed the whole stream — ONE fault-propagation pass serves
-/// every candidate.  Callers audit the exact applied stream of the point
-/// being signed off — in particular including the top-off patterns, since
-/// the structural escapers are random-pattern-resistant faults the
-/// pseudo-random phase never detects (and so never audits).
+/// by a MisrAudit fed the whole stream (`blocks`, holding `patterns`
+/// patterns) — ONE fault-propagation pass serves every candidate.  Callers
+/// audit the exact applied stream of the point being signed off — in
+/// particular including the top-off patterns, since the structural
+/// escapers are random-pattern-resistant faults the pseudo-random phase
+/// never detects (and so never audits).
 MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
                           std::span<const PatternBlock> blocks,
                           std::size_t patterns,

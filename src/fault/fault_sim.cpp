@@ -376,124 +376,109 @@ std::uint64_t FaultSimulator::propagate_fault(const Fault& f,
   return det;
 }
 
-void FaultSimulator::output_diff_sweep(
-    std::span<const PatternBlock> blocks, std::size_t patterns,
-    std::span<const std::int64_t> first_detected,
-    const OutputDiffVisitor& visit) const {
-  const std::size_t n_blocks = (patterns + 63) / 64;
-  if (blocks.size() < n_blocks)
-    throw std::invalid_argument("output_diff_sweep: blocks short of stream");
-  if (first_detected.size() != faults_.size())
-    throw std::invalid_argument("output_diff_sweep: fault list mismatch");
-
-  // Per stem group, the faults the stream detects; each joins the sweep at
-  // its first-detection block.
-  const std::size_t ngroups = group_stem_.size();
-  std::vector<std::vector<std::uint32_t>> live(ngroups);
-  std::size_t first_block = n_blocks;
-  for (std::size_t g = 0; g < ngroups; ++g)
-    for (std::uint32_t i = group_offset_[g]; i < group_offset_[g + 1]; ++i) {
-      const std::uint32_t f = group_faults_[i];
-      const std::int64_t fd = first_detected[f];
-      if (fd < 0 || fd >= static_cast<std::int64_t>(patterns)) continue;
-      live[g].push_back(f);
-      first_block = std::min(first_block, static_cast<std::size_t>(fd) / 64);
-    }
-
-  // kMaxWordWidth blocks per pass: one good-machine pass and one cone
-  // propagation per stem for all of a group's lanes.
-  constexpr unsigned W = kMaxWordWidth;
-  using Word = SimWord<W>;
-
-  // PO indices driven by each output gate (a gate may feed several POs).
-  const auto outs = k_->outputs();
-  std::vector<std::vector<std::uint32_t>> po_of(k_->gate_count());
-  for (std::size_t i = 0; i < outs.size(); ++i)
-    po_of[outs[i]].push_back(static_cast<std::uint32_t>(i));
-
-  // One block group's observed stems, buffered so that the visits can come
-  // block by block: per stem, its faults' (fault, stem word) pairs in live
-  // order and its PO hits, both in flat arrays ending at `words_end` /
-  // `hits_end`.  Only faults whose stem word reaches some output are kept.
-  struct Stem {
-    std::size_t words_end, hits_end;
-  };
-  std::vector<Stem> stems;
-  std::vector<std::pair<std::uint32_t, Word>> words;
-  std::vector<std::pair<KIndex, Word>> hits;
-  std::vector<OutputDiff> diffs;
+// The sweep's state behind OutputDiffSweep's buffers: the joined faults per
+// stem group (a CSR filtered from the simulator's static grouping, in list
+// order), one good-machine simulator and one propagation scratch.
+struct OutputDiffSweep::Engine {
+  static constexpr unsigned W = kMaxWordWidth;
+  const FaultSimulator& fsim;
+  std::span<const PatternBlock> blocks;
+  std::span<const std::uint32_t> join;
+  std::vector<std::uint32_t> live_offset;  ///< per stem group, into live
+  std::vector<std::uint32_t> live;
+  std::size_t next_block = 0;
+  WideSimT<W> good;
   FfrScratch<W> s;
-  s.init(*k_);
   std::uint64_t evals = 0;
-  WideSimT<W> good(*k_);
-  for (std::size_t b0 = first_block; b0 < n_blocks; b0 += W) {
-    const std::size_t nb = std::min<std::size_t>(W, n_blocks - b0);
-    good.simulate(blocks.subspan(b0, nb));
-    // Live lanes come from `patterns` (the last block may be partial);
-    // joined_from[j] keeps only sub-blocks >= j, the lanes of a fault that
-    // joins at sub-block j.
-    Word joined_from[W];
-    Word lanes = w_zero<Word>();
-    for (std::size_t j = nb; j-- > 0;) {
-      const std::size_t live_lanes =
-          std::min<std::size_t>(64, patterns - (b0 + j) * 64);
-      const std::uint64_t m = live_lanes == 64
-                                  ? ~std::uint64_t{0}
-                                  : (std::uint64_t{1} << live_lanes) - 1;
-      w_sub(lanes, j) = m;
-      joined_from[j] = lanes;
-    }
-    const Word* gv = good.values().data();
 
-    stems.clear();
-    words.clear();
-    hits.clear();
-    for (std::size_t g = 0; g < live.size(); ++g) {
-      const auto& lf = live[g];
-      const std::size_t w0 = words.size();
-      Word acc = w_zero<Word>();
-      for (const std::uint32_t f : lf) {
-        const std::size_t jb = static_cast<std::size_t>(first_detected[f]) / 64;
-        if (jb >= b0 + nb) continue;  // joins at a later group
-        const Word sw = local_stem_word<W>(
-            *k_, faults_[f], gv, joined_from[jb > b0 ? jb - b0 : 0], &evals);
-        if (!w_any(sw)) continue;
-        words.emplace_back(f, sw);
-        acc |= sw;
-      }
-      if (!w_any(acc)) continue;
-      const std::size_t h0 = hits.size();
-      const Word obs =
-          propagate_stem<W>(*k_, group_stem_[g], acc, gv, lanes, s, &evals,
-                            &hits);
-      std::size_t keep = w0;
-      for (std::size_t i = w0; i < words.size(); ++i)
-        if (w_any(words[i].second & obs)) words[keep++] = words[i];
-      words.resize(keep);
-      if (keep > w0)
-        stems.push_back({words.size(), hits.size()});
-      else
-        hits.resize(h0);
-    }
-
-    // Visits block by block, each in stem-group then live order.
-    for (std::size_t j = 0; j < nb; ++j) {
-      std::size_t w = 0, h = 0;
-      for (const Stem& st : stems) {
-        for (; w < st.words_end; ++w) {
-          const std::uint64_t sw = w_sub(words[w].second, j);
-          if (!sw) continue;
-          diffs.clear();
-          for (std::size_t i = h; i < st.hits_end; ++i)
-            if (const std::uint64_t d = sw & w_sub(hits[i].second, j))
-              for (const std::uint32_t o : po_of[hits[i].first])
-                diffs.push_back({o, d});
-          if (!diffs.empty()) visit(b0 + j, words[w].first, diffs);
-        }
-        h = st.hits_end;
-      }
-    }
+  Engine(const FaultSimulator& f, std::span<const PatternBlock> b,
+         std::span<const std::uint32_t> j)
+      : fsim(f), blocks(b), join(j), good(*f.k_) {
+    s.init(*f.k_);
   }
+};
+
+OutputDiffSweep::OutputDiffSweep(const FaultSimulator& fsim,
+                                 std::span<const PatternBlock> blocks,
+                                 std::span<const std::uint32_t> join) {
+  if (join.size() != fsim.faults_.size())
+    throw std::invalid_argument("OutputDiffSweep: fault list mismatch");
+  e_ = std::make_unique<Engine>(fsim, blocks, join);
+  Engine& e = *e_;
+  const std::size_t ngroups = fsim.group_stem_.size();
+  e.live_offset.reserve(ngroups + 1);
+  e.live_offset.push_back(0);
+  e.next_block = blocks.size();
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    for (std::uint32_t i = fsim.group_offset_[g];
+         i < fsim.group_offset_[g + 1]; ++i) {
+      const std::uint32_t f = fsim.group_faults_[i];
+      if (join[f] >= blocks.size()) continue;
+      e.live.push_back(f);
+      e.next_block = std::min<std::size_t>(e.next_block, join[f]);
+    }
+    e.live_offset.push_back(static_cast<std::uint32_t>(e.live.size()));
+  }
+}
+
+OutputDiffSweep::~OutputDiffSweep() = default;
+
+bool OutputDiffSweep::next() {
+  constexpr unsigned W = Engine::W;
+  Engine& e = *e_;
+  const FaultSimulator& fsim = e.fsim;
+  const SimKernel& k = *fsim.k_;
+  stems_.clear();
+  words_.clear();
+  hits_.clear();
+  if (e.next_block >= e.blocks.size()) {
+    nb_ = 0;
+    return false;
+  }
+  b0_ = e.next_block;
+  nb_ = std::min<std::size_t>(W, e.blocks.size() - b0_);
+  e.next_block += nb_;
+  const auto grp = e.blocks.subspan(b0_, nb_);
+  e.good.simulate(grp);
+  // Live lanes per block; joined_from[j] keeps only sub-blocks >= j, the
+  // lanes of a fault that joins at sub-block j.
+  Word joined_from[W];
+  Word lanes = w_zero<Word>();
+  for (std::size_t j = nb_; j-- > 0;) {
+    w_sub(lanes, j) = grp[j].lane_mask();
+    joined_from[j] = lanes;
+  }
+  const Word* gv = e.good.values().data();
+
+  for (std::size_t g = 0; g + 1 < e.live_offset.size(); ++g) {
+    const std::size_t w0 = words_.size();
+    Word acc = w_zero<Word>();
+    for (std::uint32_t i = e.live_offset[g]; i < e.live_offset[g + 1]; ++i) {
+      const std::uint32_t f = e.live[i];
+      const std::size_t jb = e.join[f];
+      if (jb >= b0_ + nb_) continue;  // joins at a later group
+      const Word sw = local_stem_word<W>(
+          k, fsim.faults_[f], gv, joined_from[jb > b0_ ? jb - b0_ : 0],
+          &e.evals);
+      if (!w_any(sw)) continue;
+      words_.emplace_back(f, sw);
+      acc |= sw;
+    }
+    if (!w_any(acc)) continue;
+    const std::size_t h0 = hits_.size();
+    const Word obs = propagate_stem<W>(k, fsim.group_stem_[g], acc, gv, lanes,
+                                       e.s, &e.evals, &hits_);
+    std::size_t keep = w0;
+    for (std::size_t i = w0; i < words_.size(); ++i)
+      if (w_any(words_[i].second & obs)) words_[keep++] = words_[i];
+    words_.resize(keep);
+    if (keep > w0)
+      stems_.push_back({static_cast<std::uint32_t>(words_.size()),
+                        static_cast<std::uint32_t>(hits_.size())});
+    else
+      hits_.resize(h0);
+  }
+  return true;
 }
 
 FaultSimResult FaultSimulator::run(std::span<const PatternBlock> blocks,

@@ -38,7 +38,6 @@
 // equivalence-class size, denominator = uncollapsed fault count).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -164,7 +163,7 @@ class FaultSimulator {
   /// detect_lanes plus the per-primary-output difference words: diffs[i]
   /// (PO order, size >= output count) gets the lanes on which fault f flips
   /// output i.  One full-cone propagation per fault: the reference oracle
-  /// for output_diff_sweep().
+  /// for OutputDiffSweep.
   std::uint64_t output_diffs(const Fault& f,
                              std::span<const std::uint64_t> good_values,
                              std::uint64_t lane_mask,
@@ -174,36 +173,8 @@ class FaultSimulator {
                            diffs.data());
   }
 
-  /// One flipped primary output of a fault in one block.
-  struct OutputDiff {
-    std::uint32_t output = 0;  ///< PO index
-    std::uint64_t lanes = 0;   ///< lanes on which the fault flips it
-  };
-  using OutputDiffVisitor = std::function<void(
-      std::size_t block, std::uint32_t fault, std::span<const OutputDiff>)>;
-
-  /// Per-output difference words of every fault with 0 <= first_detected[f]
-  /// < patterns (first_detected as run() reports it over the same stream),
-  /// over the first `patterns` patterns of `blocks` — the input of the MISR
-  /// aliasing audit (bist/compress), which needs *where* a fault is
-  /// observed, not just whether.  Built on the FFR stem stage: per block,
-  /// ONE cone propagation per stem for the OR of its faults' stem words
-  /// yields the stem flip's per-output words D_o, and since lanes are
-  /// independent, fault f's diff on output o is stem_word(f) & D_o.  A fault
-  /// joins at its first-detection block (its diffs are zero before it).
-  /// `visit` is called in ascending block order for each (block, fault) with
-  /// any flipped output, each flipped output listed once; the words equal
-  /// output_diffs() lane for lane.  Single-threaded.  The sweep runs
-  /// kMaxWordWidth blocks per pass (one good-machine pass and one cone
-  /// propagation per stem for 256 lanes), buffers the group's stem words and
-  /// PO hits, and then visits its blocks one by one in the order a 64-lane
-  /// sweep does.
-  void output_diff_sweep(std::span<const PatternBlock> blocks,
-                         std::size_t patterns,
-                         std::span<const std::int64_t> first_detected,
-                         const OutputDiffVisitor& visit) const;
-
  private:
+  friend class OutputDiffSweep;
   std::uint64_t propagate_fault(const Fault& f, const std::uint64_t* good,
                                 std::uint64_t lanes, std::uint64_t* evals,
                                 std::uint64_t* po_diffs = nullptr);
@@ -238,6 +209,70 @@ class FaultSimulator {
   std::vector<KIndex> touched_list_;
   std::vector<std::vector<KIndex>> level_queues_;
   std::vector<char> queued_;
+};
+
+/// The output-diff sweep: per-output difference words of the faults a block
+/// list detects, one kMaxWordWidth-block group at a time — the input of the
+/// MISR aliasing audit (bist/compress), which needs *where* a fault is
+/// observed, not just whether.  Built on the FFR stem stage: per group, ONE
+/// good-machine pass and ONE cone propagation per stem for the OR of its
+/// joined faults' stem words yields the stem flip's per-output-gate words
+/// D_g, and since lanes are independent, fault f's diff on output gate g is
+/// stem_word(f) & D_g — output_diffs() lane for lane.
+///
+/// Contract:
+///  - Block b's live lanes are blocks[b].lane_mask() (its own `count`), so
+///    the list may concatenate several pieces, each starting at lane 0 with
+///    a partial last block of its own.
+///  - Fault f joins at block join[f] (kNever: not at all) and its words are
+///    zero on the blocks before.  A join is only a filter: it saves the
+///    work of faults that cannot flip anything yet, so a caller that joins
+///    each fault no later than its first detection gets every nonzero diff.
+///  - A pull cursor, single-threaded: next() sweeps the next group and
+///    exposes its buffers until the following call.  The faults of an
+///    observed stem are listed in stem-group then fault-list order, with
+///    only those whose stem word reaches some output kept.
+/// The simulator and the spans must outlive the sweep.
+class OutputDiffSweep {
+ public:
+  using Word = SimWord<kMaxWordWidth>;
+  /// join[] value of a fault that never joins.
+  static constexpr std::uint32_t kNever = ~std::uint32_t{0};
+
+  /// One observed stem of the current group: its faults are words()[the
+  /// previous stem's words_end, words_end) and the primary-output gates its
+  /// flip reaches hits()[the previous stem's hits_end, hits_end).
+  struct Stem {
+    std::uint32_t words_end = 0, hits_end = 0;
+  };
+
+  OutputDiffSweep(const FaultSimulator& fsim,
+                  std::span<const PatternBlock> blocks,
+                  std::span<const std::uint32_t> join);
+  ~OutputDiffSweep();
+
+  /// Sweep the next group of up to kMaxWordWidth blocks (leading blocks that
+  /// no fault has joined yet are skipped); false once every block is done.
+  bool next();
+
+  /// Block index of the group's sub-word 0, and the blocks it holds.
+  std::size_t first_block() const { return b0_; }
+  std::size_t group_blocks() const { return nb_; }
+  std::span<const Stem> stems() const { return stems_; }
+  /// (sim fault, stem word): sub-word j holds block first_block() + j.
+  std::span<const std::pair<std::uint32_t, Word>> words() const {
+    return words_;
+  }
+  /// (output gate, lanes on which the stem's flip reaches it).
+  std::span<const std::pair<KIndex, Word>> hits() const { return hits_; }
+
+ private:
+  struct Engine;  ///< good-machine simulator, propagation scratch, live lists
+  std::unique_ptr<Engine> e_;
+  std::size_t b0_ = 0, nb_ = 0;
+  std::vector<Stem> stems_;
+  std::vector<std::pair<std::uint32_t, Word>> words_;
+  std::vector<std::pair<KIndex, Word>> hits_;
 };
 
 }  // namespace bist

@@ -28,10 +28,11 @@ std::mutex g_inject_mutex;
 std::string g_inject_stage;
 std::string g_inject_circuit;
 int g_inject_times = -1;
-bool g_inject_transient = false;
+InjectedFailure g_inject_kind = InjectedFailure::Error;
 std::atomic<bool> g_inject_armed{false};
 
-void maybe_inject(const char* stage, const std::string& circuit) {
+void maybe_inject(const char* stage, const std::string& circuit,
+                  CancelToken* token) {
   if (!g_inject_armed.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(g_inject_mutex);
   if (g_inject_stage != stage ||
@@ -42,8 +43,13 @@ void maybe_inject(const char* stage, const std::string& circuit) {
     g_inject_armed.store(false, std::memory_order_relaxed);
   const std::string what = "injected failure: stage '" + g_inject_stage +
                            "' circuit '" + circuit + "'";
-  if (g_inject_transient) throw TransientError(what);
-  throw std::runtime_error(what);
+  switch (g_inject_kind) {
+    case InjectedFailure::Error: throw std::runtime_error(what);
+    case InjectedFailure::Transient: throw TransientError(what);
+    case InjectedFailure::Cancel:
+      if (token) token->cancel();
+      return;
+  }
 }
 
 // ---- stage runner ----------------------------------------------------------
@@ -69,14 +75,16 @@ bool interruptible_backoff(double seconds, const Deadline& job_dl) {
 
 // Run one stage body under the job's isolation contract: wall-clock it,
 // catch anything it throws, and record a StageReport.  Exceptions classified
-// transient retry under `retry` (deterministic backoff, stopped early when
-// the job deadline fires — that budget is already spent); everything else
-// fails fast.  The body receives its StageReport so it can attach notes
-// (cache verdicts, quarantine messages).  Returns true when the stage
-// completed (Ok or a deadline-shaped soft stop), false on Error.
+// transient retry under `retry` (deterministic backoff); everything else
+// fails fast.  A job stopped before a retry could run (deadline or cancel,
+// also during the backoff) ends the stage with the stop status, the last
+// error kept in the note: the budget is spent, the stage did not fail.  The
+// body receives its StageReport so it can attach notes (cache verdicts,
+// quarantine messages).
 template <class Body>
-bool run_stage(JobReport& rep, const char* name, const std::string& circuit,
-               const RetryPolicy& retry, const Deadline& job_dl, Body&& body) {
+void run_stage(JobReport& rep, const char* name, const std::string& circuit,
+               const RetryPolicy& retry, const Deadline& job_dl,
+               CancelToken* token, Body&& body) {
   StageReport sr;
   sr.name = name;
   const auto t0 = WallClock::now();
@@ -85,20 +93,21 @@ bool run_stage(JobReport& rep, const char* name, const std::string& circuit,
   for (unsigned attempt = 1;; ++attempt) {
     sr.attempts = attempt;
     try {
-      maybe_inject(name, circuit);
+      maybe_inject(name, circuit, token);
       sr.status = body(sr);  // body returns the stage's own status verdict
       break;
     } catch (const std::exception& e) {
       sr.status = StageStatus::error(std::string(name) + ": " + e.what());
-      if (!is_transient_error(e) || attempt >= max_attempts ||
-          job_dl.should_stop())
-        break;
+      if (!is_transient_error(e) || attempt >= max_attempts) break;
       if (!sr.note.empty()) sr.note += "; ";
-      sr.note += "transient failure, retrying: " + std::string(e.what());
-      if (backoff_s > 0 && !interruptible_backoff(backoff_s, job_dl)) {
-        sr.note += "; retry abandoned: job stopped during backoff";
+      if (job_dl.should_stop() ||
+          (backoff_s > 0 && !interruptible_backoff(backoff_s, job_dl))) {
+        sr.note += "retry abandoned, job stopped; last error: " +
+                   std::string(e.what());
+        sr.status = job_dl.stop_status(name);
         break;
       }
+      sr.note += "transient failure, retrying: " + std::string(e.what());
       backoff_s *= retry.multiplier;
     } catch (...) {
       sr.status = StageStatus::error(std::string(name) + ": unknown exception");
@@ -106,9 +115,7 @@ bool run_stage(JobReport& rep, const char* name, const std::string& circuit,
     }
   }
   sr.seconds = seconds_since(t0);
-  const bool ok = sr.status.code != StageCode::Error;
   rep.stages.push_back(std::move(sr));
-  return ok;
 }
 
 // Mark the stages after a failure/stop as not run, so the report always
@@ -180,12 +187,12 @@ Digest128 job_key(const JobSpec& spec) {
 }
 
 void set_injected_failure(std::string stage, std::string circuit, int times,
-                          bool transient) {
+                          InjectedFailure kind) {
   std::lock_guard<std::mutex> lock(g_inject_mutex);
   g_inject_stage = std::move(stage);
   g_inject_circuit = std::move(circuit);
   g_inject_times = times;
-  g_inject_transient = transient;
+  g_inject_kind = kind;
   g_inject_armed.store(true, std::memory_order_relaxed);
 }
 
@@ -194,7 +201,7 @@ void clear_injected_failure() {
   g_inject_stage.clear();
   g_inject_circuit.clear();
   g_inject_times = -1;
-  g_inject_transient = false;
+  g_inject_kind = InjectedFailure::Error;
   g_inject_armed.store(false, std::memory_order_relaxed);
 }
 
@@ -227,25 +234,32 @@ JobReport run_plan_job(const JobSpec& spec) {
     return true;
   };
 
+  // A stage that ended without its result: the later stages are not run,
+  // and when it stopped rather than failed, the job stopped too.
+  const auto end_after = [&](const char* stage) {
+    const bool failed = rep.stages.back().status.code == StageCode::Error;
+    mark_not_run(rep, std::string(stage) + (failed ? " failed" : " stopped"));
+    if (!failed) rep.status = job_dl.stop_status("job");
+  };
+
   // --- parse ---------------------------------------------------------------
   Netlist cut;
   bool have_cut = false;
   if (!boundary_stop("parse")) {
-    const bool ok =
-        run_stage(rep, "parse", spec.name, spec.retry, job_dl, [&](StageReport&) {
-          cut = read_bench(spec.bench_text, spec.name, spec.limits);
-          have_cut = true;
-          return StageStatus{};
-        });
-    if (!ok) {
-      mark_not_run(rep, "parse failed");
-    }
+    run_stage(rep, "parse", spec.name, spec.retry, job_dl, spec.cancel,
+              [&](StageReport&) {
+      cut = read_bench(spec.bench_text, spec.name, spec.limits);
+      have_cut = true;
+      return StageStatus{};
+    });
+    if (!have_cut) end_after("parse");
   }
 
   // --- sweep ---------------------------------------------------------------
   bool have_sweep = false;
   if (have_cut && rep.stages.size() < 2 && !boundary_stop("sweep")) {
-    run_stage(rep, "sweep", spec.name, spec.retry, job_dl, [&](StageReport& sr) {
+    run_stage(rep, "sweep", spec.name, spec.retry, job_dl, spec.cancel,
+              [&](StageReport& sr) {
       // Store consult: a hit replaces the whole LFSR+PODEM computation with
       // the cached (bit-identical, publish-gated) result.  A quarantined
       // record degrades to a recompute with the verdict noted.
@@ -295,48 +309,47 @@ JobReport run_plan_job(const JobSpec& spec) {
       }
       return rep.sweep.status;  // Ok, or the anytime stop reason
     });
-    if (!have_sweep) mark_not_run(rep, "sweep failed");
+    if (!have_sweep) end_after("sweep");
   }
 
   // --- schedule ------------------------------------------------------------
   bool have_plan = false;
   if (have_sweep && rep.stages.size() < 3 && !boundary_stop("schedule")) {
-    const bool ok =
-        run_stage(rep, "schedule", spec.name, spec.retry, job_dl, [&](StageReport&) {
-          ScheduleOptions so = spec.schedule;
-          so.lfsr_degree = spec.tpg.lfsr_degree;
-          so.lfsr_seed = spec.tpg.lfsr_seed;
-          rep.plan = schedule_bist(rep.sweep, rep.sweep.width, so);
-          rep.degraded = rep.plan.degraded;
-          have_plan = true;
-          return StageStatus{};
-        });
-    if (!ok) mark_not_run(rep, "schedule failed");
+    run_stage(rep, "schedule", spec.name, spec.retry, job_dl, spec.cancel,
+              [&](StageReport&) {
+      ScheduleOptions so = spec.schedule;
+      so.lfsr_degree = spec.tpg.lfsr_degree;
+      so.lfsr_seed = spec.tpg.lfsr_seed;
+      rep.plan = schedule_bist(rep.sweep, rep.sweep.width, so);
+      rep.degraded = rep.plan.degraded;
+      have_plan = true;
+      return StageStatus{};
+    });
+    if (!have_plan) end_after("schedule");
   }
 
   // --- synth ---------------------------------------------------------------
   Netlist wrapper;
   bool have_wrapper = false;
   if (have_plan && rep.stages.size() < 4 && !boundary_stop("synth")) {
-    const bool ok =
-        run_stage(rep, "synth", spec.name, spec.retry, job_dl, [&](StageReport&) {
-          BistSynthResult syn =
-              synthesize_bist_wrapper(cut, rep.plan, stage_dl);
-          if (!syn.status.ok()) return syn.status;  // mid-stage soft stop
-          rep.synth = {syn.actual, syn.bist_gates, syn.counter_bits,
-                       syn.wrapper.gate_count()};
-          wrapper = std::move(syn.wrapper);
-          rep.wrapper_bench = write_bench(wrapper);
-          have_wrapper = true;
-          return StageStatus{};
-        });
-    if (!ok) mark_not_run(rep, "synth failed");
-    else if (!have_wrapper) mark_not_run(rep, "synth stopped");
+    run_stage(rep, "synth", spec.name, spec.retry, job_dl, spec.cancel,
+              [&](StageReport&) {
+      BistSynthResult syn = synthesize_bist_wrapper(cut, rep.plan, stage_dl);
+      if (!syn.status.ok()) return syn.status;  // mid-stage soft stop
+      rep.synth = {syn.actual, syn.bist_gates, syn.counter_bits,
+                   syn.wrapper.gate_count()};
+      wrapper = std::move(syn.wrapper);
+      rep.wrapper_bench = write_bench(wrapper);
+      have_wrapper = true;
+      return StageStatus{};
+    });
+    if (!have_wrapper) end_after("synth");
   }
 
   // --- verify --------------------------------------------------------------
   if (have_wrapper && rep.stages.size() < 5 && !boundary_stop("verify")) {
-    run_stage(rep, "verify", spec.name, spec.retry, job_dl, [&](StageReport&) {
+    run_stage(rep, "verify", spec.name, spec.retry, job_dl, spec.cancel,
+              [&](StageReport&) {
       rep.verification = verify_wrapper(
           wrapper, cut, rep.plan, rep.sweep.points[rep.plan.point_index],
           spec.tpg.fsim, stage_dl);

@@ -31,6 +31,7 @@
 //    from where it died.
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -90,8 +91,9 @@ struct JobSpec {
   /// stage status instead of blowing the budget).
   double job_timeout_s = 0;
   /// Optional external cancel; observed by the job's deadline, so every
-  /// stage and stage boundary polls it.  Not owned; may be null.
-  const CancelToken* cancel = nullptr;
+  /// stage and stage boundary polls it.  Not owned; may be null.  Not const:
+  /// the `cancel` injection (set_injected_failure) fires it.
+  CancelToken* cancel = nullptr;
   /// Sweep-result cache consulted/published around the sweep stage (see the
   /// durability notes above).  Not owned; may be null (no caching).
   ResultStore* store = nullptr;
@@ -163,17 +165,28 @@ Digest128 job_key(const JobSpec& spec);
 /// deadline-shaped outcomes excepted).
 JobReport run_plan_job(const JobSpec& spec);
 
+/// What an armed injection does at the entry of its stage.
+enum class InjectedFailure : std::uint8_t {
+  Error,      ///< throw std::runtime_error: the stage fails fast
+  Transient,  ///< throw TransientError, exercising the retry loop
+  /// Cancel the job's own token (JobSpec::cancel; a job without one is
+  /// untouched).  It fires after the between-stage check, so the stage's
+  /// own polls must catch it.
+  Cancel,
+};
+
 /// Fault-injection hook for the containment test suite.  After
 /// set_injected_failure("sweep", "c880"), the sweep stage of any job named
 /// "c880" throws std::runtime_error at entry; every other job and stage is
 /// untouched.  Empty circuit matches every job.  `times` bounds how many
-/// injections fire before the hook disarms itself (-1 = unlimited);
-/// `transient` throws TransientError instead, exercising the retry loop.
-/// The hook is process-global and sticky until cleared; it is inert (one
-/// relaxed atomic load per stage) when unset.  Test-only, but always
-/// compiled so release builds exercise the same code path.
+/// injections fire before the hook disarms itself (-1 = unlimited); `kind`
+/// picks what an injection does.  The hook is process-global and sticky
+/// until cleared; it is inert (one relaxed atomic load per stage) when
+/// unset.  Test-only, but always compiled so release builds exercise the
+/// same code path.
 void set_injected_failure(std::string stage, std::string circuit,
-                          int times = -1, bool transient = false);
+                          int times = -1,
+                          InjectedFailure kind = InjectedFailure::Error);
 void clear_injected_failure();
 
 }  // namespace bist

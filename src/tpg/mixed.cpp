@@ -225,20 +225,46 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
   const std::size_t outs = k.outputs().size();
   MisrAudit audit(fsim, k, base.degree, base.taps, horizon);
 
+  // Every point's top-off, one piece each (empty for an empty top-off),
+  // through ONE sweep.  A fault joins at the earliest piece whose point
+  // detects it: on any pattern of a piece whose point does not, its output
+  // diffs are zero (the point's prefix detections plus its hits are
+  // everything its top-off detects), so each piece's deltas are exactly its
+  // own.
+  std::vector<PatternBlock> tblocks;
+  std::vector<MisrAudit::Piece> pieces;  // per point of `order`
+  std::vector<std::uint32_t> join(first_detected.size(),
+                                  OutputDiffSweep::kNever);
+  for (const SignOffPoint* p : order) {
+    const MixedSchemeResult& r = *p->r;
+    const auto first = static_cast<std::uint32_t>(tblocks.size());
+    pieces.push_back({first, r.lfsr_patterns});
+    if (r.topoff.empty()) continue;
+    for (PatternBlock& b : pack_all(r.topoff, width))
+      tblocks.push_back(std::move(b));
+    const std::int64_t len = std::int64_t(r.lfsr_patterns);
+    for (std::size_t f = 0; f < join.size(); ++f)
+      if (first_detected[f] >= 0 && first_detected[f] < len)
+        join[f] = std::min(join[f], first);
+    for (const TopoffHit& h : p->hits)
+      join[h.fault] = std::min(join[h.fault], first + h.pattern / 64);
+  }
+  std::vector<MisrAudit::Deltas> topoff_deltas(pieces.size());
+  audit.add_pieces(tblocks, pieces, join, topoff_deltas);
+
   // The LFSR stream so far, one segment per point: each segment starts at
   // lane 0, so no block straddles a point's length and the golden
   // signatures chain over the kept blocks.
   Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
   std::vector<PatternBlock> stream;
-  std::vector<std::int64_t> applied_fd(first_detected.size());
-  MisrAudit::Deltas topoff_deltas;
   std::size_t at = 0;  // stream patterns so far
   // The golden signature of the stream's first `signed_blocks` blocks under
   // fold `signed_fold`, carried from point to point while the fold stays.
   std::uint64_t state = 0;
   std::size_t signed_blocks = 0;
   MisrSpec signed_fold;
-  for (SignOffPoint* p : order) {
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const SignOffPoint* p = order[i];
     MixedSchemeResult& r = *p->r;
     const std::size_t len = r.lfsr_patterns;
 
@@ -249,26 +275,18 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
     audit.add(std::span(stream).subspan(first), len - at, at, first_detected);
     at = len;
 
-    // The point's top-off, toggled in for scoring only, audited over
+    // The point's top-off deltas, toggled in for scoring only, audited over
     // everything the point's applied stream detects.
     std::vector<std::uint32_t> checked;
-    for (std::size_t f = 0; f < applied_fd.size(); ++f) {
-      const std::int64_t d = first_detected[f];
-      applied_fd[f] = d >= 0 && d < std::int64_t(len) ? d : -1;
-      if (applied_fd[f] >= 0) checked.push_back(static_cast<std::uint32_t>(f));
-    }
-    for (const TopoffHit& h : p->hits) {
-      applied_fd[h.fault] = std::int64_t(len + h.pattern);
-      checked.push_back(h.fault);
-    }
-    const std::vector<PatternBlock> tblocks = pack_all(r.topoff, width);
-    topoff_deltas.clear();
-    audit.add(tblocks, r.topoff.size(), len, applied_fd, &topoff_deltas);
-    audit.toggle(topoff_deltas);
+    for (std::size_t f = 0; f < first_detected.size(); ++f)
+      if (first_detected[f] >= 0 && first_detected[f] < std::int64_t(len))
+        checked.push_back(static_cast<std::uint32_t>(f));
+    for (const TopoffHit& h : p->hits) checked.push_back(h.fault);
+    audit.toggle(topoff_deltas[i]);
     const MisrSpec m = pick_misr_fold(base, outs, [&](auto map) {
       return audit.escapes(map, checked);
     });
-    audit.toggle(topoff_deltas);
+    audit.toggle(topoff_deltas[i]);
 
     CompressedTopoff& c = r.comp;
     c.enabled = true;
@@ -283,7 +301,12 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
     state = misr_signature(k, std::span(stream).subspan(signed_blocks), m,
                            state);
     signed_blocks = stream.size();
-    c.golden = misr_signature(k, tblocks, m, state);
+    const std::size_t tend =
+        i + 1 < pieces.size() ? pieces[i + 1].first_block : tblocks.size();
+    c.golden = misr_signature(
+        k, std::span(tblocks).subspan(pieces[i].first_block,
+                                      tend - pieces[i].first_block),
+        m, state);
   }
 }
 

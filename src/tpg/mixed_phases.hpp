@@ -119,20 +119,27 @@ struct SignOffPoint {
 /// `base` MISR (the pipeline's is misr_spec_for(outputs)).  Each point's
 /// applied stream is the first r->lfsr_patterns LFSR patterns, then
 /// r->topoff; `first_detected` is the LFSR pass's first-detection index per
-/// sim fault (-1 = never), valid up to the longest point.  The pass
-/// produces the stream in one Lfsr::blocks() segment per point and feeds
-/// each segment once into a running MisrAudit; at each point it toggles the
-/// point's own top-off in, scores the fold candidates with
-/// pick_misr_fold() over exactly the faults the point's stream detects
-/// (prefix detections plus `hits`), toggles the top-off out again, and
-/// takes the golden signature under the chosen fold, chained over the kept
-/// segments and the top-off: the register state over the LFSR stream is
-/// carried on from the previous point while the chosen fold stays the same,
-/// and recomputed from cycle 0 when it changes.  By MISR linearity every
-/// point's fold and golden equal choose_misr_fold() and misr_signature()
-/// over its whole applied stream.  Sets r->comp's enabled, degree,
-/// cut_outputs, misr and golden.
-/// Points may come in any order, at distinct lengths.
+/// sim fault (-1 = never), valid up to the longest point.  One MisrAudit
+/// serves every point, and each audited block is paid for once:
+///  - every point's top-off is one piece of a single batched feed
+///    (MisrAudit::add_pieces, one OutputDiffSweep), each piece's deltas
+///    kept apart.  A fault joins at the earliest piece whose point detects
+///    it (a prefix detection or one of the point's `hits`), which is exact:
+///    on a piece whose point does not detect it its output diffs are zero;
+///  - the LFSR stream is produced in one Lfsr::blocks() segment per point
+///    and each segment is fed once into the running accumulator.
+/// At each point the pass toggles the point's own top-off deltas in, scores
+/// the fold candidates with pick_misr_fold() over exactly the faults the
+/// point's stream detects (prefix detections plus `hits`), toggles them out
+/// again, and takes the golden signature under the chosen fold, chained
+/// over the kept segments and the top-off: the register state over the
+/// LFSR stream is carried on from the previous point while the chosen fold
+/// stays the same, and recomputed from cycle 0 when it changes.  By MISR
+/// linearity every point's fold and golden equal choose_misr_fold() and
+/// misr_signature() over its whole applied stream.  Sets r->comp's enabled,
+/// degree, cut_outputs, misr and golden.
+/// Points may come in any order; equal lengths share one (the first) LFSR
+/// segment.
 void sign_off(const SimKernel& k, const FaultSimulator& fsim,
               const MixedTpgOptions& opt, const MisrSpec& base,
               std::span<const std::int64_t> first_detected,

@@ -549,11 +549,21 @@ MixedSweepResult resign(const SimKernel& k, FaultSimulator& fsim,
   return sw;
 }
 
+// Blocks of the sign-off's batched top-off sweep: one piece per point, each
+// starting at lane 0.
+std::size_t topoff_blocks(const MixedSweepResult& sw) {
+  std::size_t n = 0;
+  for (const MixedSchemeResult& r : sw.points) n += (r.topoff.size() + 63) / 64;
+  return n;
+}
+
 void test_sweep_sign_off_matches_independent() {
   // c880s, whose natural fold escapes.  Unsorted lengths with a duplicate,
   // none a multiple of the block size, so the pass's segments split blocks
   // everywhere; the 30-pattern point chooses a different fold from the
   // rest, and the 4000-pattern point is Complete with an empty top-off.
+  // The top-off pieces together span more than one 256-lane group of the
+  // batched top-off sweep, so pieces share groups and cross group edges.
   const Netlist cut = make_iscas85("c880s");
   const SimKernel k(cut);
   FaultSimulator fsim(k);
@@ -562,6 +572,7 @@ void test_sweep_sign_off_matches_independent() {
   opt.podem.backtrack_limit = 20;
   const MixedSweepResult sw = run_mixed_sweep(k, fsim, lengths, opt);
   CHECK(sw.status.ok());
+  CHECK(topoff_blocks(sw) > kMaxWordWidth);
   const MisrSpec base = misr_spec_for(k.outputs().size());
   CHECK_EQ(check_sign_off("c880s", k, fsim, opt, sw, base), lengths.size());
   std::set<std::vector<std::uint16_t>> folds;
@@ -604,9 +615,10 @@ void test_sweep_sign_off_matches_independent() {
     const Netlist c = make_iscas85(name);
     const SimKernel ck(c);
     FaultSimulator cf(ck);
-    const std::vector<std::size_t> unaligned{1000, 100, 333, 30};
+    const std::vector<std::size_t> unaligned{1000, 100, 333, 30, 200, 70};
     const MixedSweepResult s8 =
         resign(ck, cf, opt, run_mixed_sweep(ck, cf, unaligned, opt), base8);
+    CHECK(topoff_blocks(s8) > kMaxWordWidth);
     const std::string what = std::string(name) + " K=8";
     CHECK_EQ(check_sign_off(what.c_str(), ck, cf, opt, s8, base8),
              unaligned.size());

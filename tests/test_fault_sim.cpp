@@ -22,37 +22,54 @@ using namespace bist;
 
 namespace {
 
-// output_diff_sweep derives fault f's output diffs as stem_word(f) & D_o
+// OutputDiffSweep derives fault f's output diffs as stem_word(f) & D_g
 // from one cone propagation per stem per block group; output_diffs
 // propagates f alone.  They must agree on every (fault, block, output):
-// zero before the block holding first_detected[f] (where the fault joins)
-// and for faults the stream does not detect, exact from that block on,
-// including on a partial last block.  Visits come in ascending block order.
+// zero before the fault's join block and for faults that never join, exact
+// from that block on, on each block's own live lanes.  A fault that never
+// joins must never flip an output.  Groups come in ascending block order.
 void check_diff_sweep(const char* what, const SimKernel& k,
                       FaultSimulator& sim, std::span<const PatternBlock> blocks,
-                      std::size_t pats,
-                      std::span<const std::int64_t> first_detected) {
-  const std::size_t n_outs = k.outputs().size();
+                      std::span<const std::uint32_t> join) {
+  const auto outs = k.outputs();
+  const std::size_t n_outs = outs.size();
   const std::size_t n_blocks = blocks.size();
   std::vector<std::uint64_t> got(sim.faults().size() * n_blocks * n_outs, 0);
   std::size_t visits = 0;
   bool ordered = true;
-  std::size_t last_block = 0;
-  sim.output_diff_sweep(
-      blocks, pats, first_detected,
-      [&](std::size_t b, std::uint32_t f,
-          std::span<const FaultSimulator::OutputDiff> diffs) {
-        ++visits;
-        if (b < last_block) ordered = false;
-        last_block = b;
-        CHECK(!diffs.empty());
-        for (const auto& d : diffs) {
-          CHECK(d.lanes != 0);
-          std::uint64_t& slot = got[(f * n_blocks + b) * n_outs + d.output];
-          CHECK_EQ(slot, std::uint64_t{0});  // each output listed once
-          slot = d.lanes;
+  std::size_t next_block = 0;
+  OutputDiffSweep sweep(sim, blocks, join);
+  while (sweep.next()) {
+    if (sweep.first_block() < next_block) ordered = false;
+    next_block = sweep.first_block() + sweep.group_blocks();
+    CHECK(next_block <= n_blocks);
+    std::size_t w = 0, h = 0;
+    for (const OutputDiffSweep::Stem& st : sweep.stems()) {
+      CHECK(h < st.hits_end);
+      for (; w < st.words_end; ++w) {
+        const auto& [f, sw] = sweep.words()[w];
+        bool observed = false;
+        for (std::size_t i = h; i < st.hits_end; ++i) {
+          const auto& [gate, lanes] = sweep.hits()[i];
+          for (std::size_t j = 0; j < sweep.group_blocks(); ++j) {
+            const std::uint64_t d = w_sub(sw, j) & w_sub(lanes, j);
+            if (!d) continue;
+            observed = true;
+            ++visits;
+            const std::size_t b = sweep.first_block() + j;
+            for (std::size_t o = 0; o < n_outs; ++o) {
+              if (outs[o] != gate) continue;
+              std::uint64_t& slot = got[(f * n_blocks + b) * n_outs + o];
+              CHECK_EQ(slot, std::uint64_t{0});  // each output listed once
+              slot = d;
+            }
+          }
         }
-      });
+        CHECK(observed);  // only faults that reach an output are kept
+      }
+      h = st.hits_end;
+    }
+  }
   CHECK(ordered);
   CHECK(visits > 0);
   KernelSim good(k);
@@ -63,13 +80,11 @@ void check_diff_sweep(const char* what, const SimKernel& k,
     const std::uint64_t lanes = blocks[b].lane_mask();
     for (std::size_t f = 0; f < sim.faults().size(); ++f) {
       sim.output_diffs(sim.faults()[f], good.values(), lanes, want);
-      const std::int64_t fd = first_detected[f];
-      const bool joined = fd >= 0 && fd < std::int64_t(pats) &&
-                          b >= std::size_t(fd) / 64;
+      const bool never = join[f] == OutputDiffSweep::kNever;
+      const bool joined = !never && b >= join[f];
       for (std::size_t o = 0; o < n_outs; ++o) {
         const std::uint64_t g = got[(f * n_blocks + b) * n_outs + o];
-        // A fault the stream leaves undetected must never flip an output.
-        if (g != (joined ? want[o] : 0) || (fd < 0 && want[o])) ++mismatches;
+        if (g != (joined ? want[o] : 0) || (never && want[o])) ++mismatches;
       }
     }
   }
@@ -77,6 +92,16 @@ void check_diff_sweep(const char* what, const SimKernel& k,
     std::printf("%s: %zu stem-shared output diff mismatches\n", what,
                 mismatches);
   CHECK_EQ(mismatches, std::size_t{0});
+}
+
+// Join blocks of a piece starting at block `first`: each fault joins at the
+// block of its first detection, `fd` as run() reports it over the piece.
+void join_piece(std::span<const std::int64_t> fd, std::size_t first,
+                std::vector<std::uint32_t>& join) {
+  for (std::size_t f = 0; f < fd.size(); ++f)
+    if (fd[f] >= 0)
+      join[f] = std::min<std::uint32_t>(
+          join[f], static_cast<std::uint32_t>(first + fd[f] / 64));
 }
 
 }  // namespace
@@ -249,25 +274,35 @@ int main() {
   // 1000 patterns = 15 full blocks + 40 lanes (a partial last block);
   // 130 patterns = 3 blocks (one group short of kMaxWordWidth blocks);
   // 256 = exactly one wide group; 300 = a wide group plus a partial block.
+  // Then all four as the pieces of one block list, each starting at lane 0,
+  // so partial blocks sit inside wide groups and each fault joins at its
+  // earliest detecting piece.
   for (const char* name : {"c432s", "c880s", "c1355s"}) {
     const Netlist n = make_iscas85(name);
     const SimKernel k(n);
     FaultSimulator sim(k);
+    const std::size_t nf = sim.faults().size();
+    std::vector<PatternBlock> pieces;
+    std::vector<std::uint32_t> pieces_join(nf, OutputDiffSweep::kNever);
     for (const std::size_t pats : {1000u, 130u, 256u, 300u}) {
       const auto blocks = Lfsr::maximal(24, 7).blocks(n.input_count(), pats);
       const FaultSimResult r = sim.run(blocks);
       const std::string what = std::string(name) + " @" + std::to_string(pats);
-      check_diff_sweep(what.c_str(), k, sim, blocks, pats, r.first_detected);
+      std::vector<std::uint32_t> join(nf, OutputDiffSweep::kNever);
+      join_piece(r.first_detected, 0, join);
+      check_diff_sweep(what.c_str(), k, sim, blocks, join);
+      join_piece(r.first_detected, pieces.size(), pieces_join);
+      pieces.insert(pieces.end(), blocks.begin(), blocks.end());
       if (pats != 1000) continue;
-      // First detections pushed into blocks 1..4, so faults join in the
-      // middle of wide groups and the first group starts at block 1.
-      std::vector<std::int64_t> late = r.first_detected;
-      for (std::size_t f = 0; f < late.size(); ++f)
-        if (late[f] >= 0)
-          late[f] = std::max<std::int64_t>(late[f], 64 * (1 + f % 4) + 7);
-      check_diff_sweep((what + " late joins").c_str(), k, sim, blocks, pats,
-                       late);
+      // Joins pushed into blocks 1..4, so faults join in the middle of wide
+      // groups and the first group starts at block 1.
+      for (std::size_t f = 0; f < nf; ++f)
+        if (join[f] != OutputDiffSweep::kNever)
+          join[f] = std::max<std::uint32_t>(join[f], 1 + f % 4);
+      check_diff_sweep((what + " late joins").c_str(), k, sim, blocks, join);
     }
+    check_diff_sweep((std::string(name) + " pieces").c_str(), k, sim, pieces,
+                     pieces_join);
   }
 
   return bist_test::summary();

@@ -135,7 +135,7 @@ void test_quarantine_through_job(ResultStore& store) {
 void test_retry_and_fail_fast() {
   // Two transient faults, three attempts: the third try wins.
   {
-    set_injected_failure("sweep", "c17", /*times=*/2, /*transient=*/true);
+    set_injected_failure("sweep", "c17", /*times=*/2, InjectedFailure::Transient);
     JobSpec spec = make_spec("c17");
     spec.retry.attempts = 3;
     const JobReport rep = run_plan_job(spec);
@@ -148,7 +148,7 @@ void test_retry_and_fail_fast() {
   }
   // Transient faults outlasting the budget: Error after exactly `attempts`.
   {
-    set_injected_failure("sweep", "c17", /*times=*/-1, /*transient=*/true);
+    set_injected_failure("sweep", "c17", /*times=*/-1, InjectedFailure::Transient);
     JobSpec spec = make_spec("c17");
     spec.retry.attempts = 2;
     const JobReport rep = run_plan_job(spec);
@@ -159,7 +159,7 @@ void test_retry_and_fail_fast() {
   }
   // Deterministic failure: fail fast on the first attempt, retries unspent.
   {
-    set_injected_failure("sweep", "c17", /*times=*/-1, /*transient=*/false);
+    set_injected_failure("sweep", "c17", /*times=*/-1, InjectedFailure::Error);
     JobSpec spec = make_spec("c17");
     spec.retry.attempts = 3;
     const JobReport rep = run_plan_job(spec);

@@ -2,8 +2,9 @@
 // parsing, Deadline/CancelToken semantics, anytime degradation of the sweep
 // (deadline-cut runs stay bit-identical for the work they completed and
 // always yield a schedulable, verifiable plan), per-stage fault
-// containment in the pipeline job layer (jobs run through JobService), and
-// a plan job over a gate wider than 64 inputs.
+// containment in the pipeline job layer (jobs run through JobService), stops
+// that land inside synth and verify and read as stops, and a plan job over
+// a gate wider than 64 inputs.
 
 #include <cstdio>
 #include <cstring>
@@ -626,6 +627,80 @@ static void test_job_timeout_and_cancel() {
   }
 }
 
+// A stop must land inside the stage it hits.  The `cancel` injection fires
+// the job's own token at stage entry, after the between-stage check, so only
+// the stage's own polls can catch it: synth and verify must report the stop
+// themselves (verify with the cycles it proved, short of the test time),
+// and the job reads cancelled.  A job that loses its retries to a stop reads
+// the stop status; one that runs out of retries still reads error.
+static void test_stop_lands_in_stage() {
+  JobSpec s;
+  s.name = "c432s";
+  s.bench_text = write_bench(make_iscas85("c432s"));
+  s.sweep_lengths = {256, 512};
+  s.tpg.lfsr_patterns = 512;
+  s.tpg.podem.backtrack_limit = 50;
+
+  {
+    CancelToken tok;
+    JobSpec t = s;
+    t.cancel = &tok;
+    set_injected_failure("synth", "c432s", /*times=*/-1,
+                         InjectedFailure::Cancel);
+    const JobReport r = run_plan_job(t);
+    clear_injected_failure();
+    CHECK(tok.cancelled());
+    CHECK(r.status.code == StageCode::Cancelled);
+    CHECK_EQ(r.stages.size(), 5u);
+    CHECK(r.stages[3].name == "synth");
+    CHECK(r.stages[3].status.code == StageCode::Cancelled);
+    CHECK(r.wrapper_bench.empty());
+  }
+  {
+    CancelToken tok;
+    JobSpec t = s;
+    t.cancel = &tok;
+    set_injected_failure("verify", "c432s", /*times=*/-1,
+                         InjectedFailure::Cancel);
+    const JobReport r = run_plan_job(t);
+    clear_injected_failure();
+    CHECK(r.status.code == StageCode::Cancelled);
+    CHECK_EQ(r.stages.size(), 5u);
+    CHECK(r.stages[4].status.code == StageCode::Cancelled);
+    CHECK(r.verification.status.code == StageCode::Cancelled);
+    CHECK(r.plan.test_time > 0);
+    CHECK(r.verification.cycles < r.plan.test_time);
+    CHECK(!r.wrapper_ok);
+  }
+
+  // Sticky transient sweep failure, endless retries: the job's own deadline
+  // ends it in the backoff, and it reads deadline_exceeded.
+  set_injected_failure("sweep", "c432s", /*times=*/-1,
+                       InjectedFailure::Transient);
+  {
+    JobSpec t = s;
+    t.retry.attempts = 1000;
+    t.retry.backoff_s = 0.01;
+    t.retry.multiplier = 1.0;
+    t.job_timeout_s = 0.05;
+    const JobReport r = run_plan_job(t);
+    CHECK(r.status.code == StageCode::DeadlineExceeded);
+    CHECK_EQ(r.stages.size(), 5u);
+    CHECK(r.stages[1].status.code == StageCode::DeadlineExceeded);
+    CHECK(r.stages[1].note.find("injected failure") != std::string::npos);
+  }
+  // The same failure with a spent retry budget and no stop is an error.
+  {
+    JobSpec t = s;
+    t.retry.attempts = 2;
+    t.retry.backoff_s = 0.001;
+    const JobReport r = run_plan_job(t);
+    CHECK(r.status.code == StageCode::Error);
+    CHECK(r.stages[1].status.code == StageCode::Error);
+  }
+  clear_injected_failure();
+}
+
 // A gate with more than 64 fanins is legal everywhere: the job runs every
 // stage Ok, and PODEM (not the LFSR, which never sets 80 inputs to 1 at
 // once) covers the wide AND's input-pin faults.
@@ -676,6 +751,7 @@ int main() {
   test_zero_deadline_full_family_degraded();
   test_job_stage_containment();
   test_job_timeout_and_cancel();
+  test_stop_lands_in_stage();
   test_wide_gate_job();
   return bist_test::summary();
 }

@@ -1,7 +1,7 @@
 // Chaos campaign for the resilient job service: deterministic fairness,
 // bounded intake with fast Overloaded shedding, the per-stage fault-injection
-// matrix (deterministic / transient-healing / transient-exhausting across all
-// five pipeline stages), file-fault containment (failed manifest appends and
+// matrix (deterministic / transient-healing / transient-exhausting / cancel
+// across all five pipeline stages), file-fault containment (failed manifest appends and
 // health publishes degrade, never crash), watchdog kills + quarantine
 // escalation (a job that meets its own deadline is never a kill),
 // drain-always-terminates (clean and deadline-forced), and the
@@ -208,7 +208,7 @@ void test_overload_and_forced_drain() {
   // retry loop sleeps 50ms between attempts — a deterministic busy window
   // (seconds long) that drain's cancel cuts short via the interruptible
   // backoff.
-  set_injected_failure("sweep", "blocker", /*times=*/-1, /*transient=*/true);
+  set_injected_failure("sweep", "blocker", /*times=*/-1, InjectedFailure::Transient);
   JobSpec blocker = make_spec("c17", "blocker");
   blocker.retry.attempts = 200;
   blocker.retry.backoff_s = 0.05;
@@ -258,7 +258,7 @@ void test_fairness_integration() {
   JobService svc(o, col.sink());
 
   // Pin the worker for ~0.4s (8 transient attempts x 50ms backoff).
-  set_injected_failure("sweep", "blocker", /*times=*/-1, /*transient=*/true);
+  set_injected_failure("sweep", "blocker", /*times=*/-1, InjectedFailure::Transient);
   JobSpec blocker = make_spec("c17", "blocker");
   blocker.retry.attempts = 8;
   blocker.retry.backoff_s = 0.05;
@@ -304,7 +304,7 @@ void test_injection_matrix() {
     // Deterministic fault: fails fast (one attempt), job reports Error.
     {
       const std::string name = std::string("det_") + stage;
-      set_injected_failure(stage, name, /*times=*/-1, /*transient=*/false);
+      set_injected_failure(stage, name, /*times=*/-1, InjectedFailure::Error);
       JobSpec s = make_spec("c17", name);
       s.retry.attempts = 3;
       CHECK(svc.submit(s).code == SubmitCode::Accepted);
@@ -318,7 +318,7 @@ void test_injection_matrix() {
     // Transient fault that heals: retry wins, job reports Ok.
     {
       const std::string name = std::string("heal_") + stage;
-      set_injected_failure(stage, name, /*times=*/2, /*transient=*/true);
+      set_injected_failure(stage, name, /*times=*/2, InjectedFailure::Transient);
       JobSpec s = make_spec("c17", name);
       s.retry.attempts = 3;
       CHECK(svc.submit(s).code == SubmitCode::Accepted);
@@ -332,7 +332,7 @@ void test_injection_matrix() {
     // Transient fault outlasting the budget: Error after `attempts` tries.
     {
       const std::string name = std::string("exh_") + stage;
-      set_injected_failure(stage, name, /*times=*/-1, /*transient=*/true);
+      set_injected_failure(stage, name, /*times=*/-1, InjectedFailure::Transient);
       JobSpec s = make_spec("c17", name);
       s.retry.attempts = 2;
       CHECK(svc.submit(s).code == SubmitCode::Accepted);
@@ -342,6 +342,19 @@ void test_injection_matrix() {
       CHECK(r.status.code == StageCode::Error);
       for (const StageReport& sr : r.stages)
         if (sr.name == stage) CHECK_EQ(sr.attempts, 2u);
+    }
+    // The job's token cancelled at stage entry: the stage's own polls, or
+    // the next stage boundary, stop it, and it reads cancelled, not error.
+    {
+      const std::string name = std::string("cancel_") + stage;
+      set_injected_failure(stage, name, /*times=*/-1, InjectedFailure::Cancel);
+      CHECK(svc.submit(make_spec("c17", name)).code == SubmitCode::Accepted);
+      CHECK(col.wait_count(++done));
+      clear_injected_failure();
+      const JobReport r = col.find(name);
+      CHECK(r.status.code == StageCode::Cancelled);
+      CHECK(!r.wrapper_ok);
+      CHECK_EQ(r.stages.size(), 5u);
     }
     CHECK(svc.accepting());  // the service shrugged all of it off
     check_accounting(svc.health());
@@ -359,6 +372,7 @@ void test_injection_matrix() {
   const ServiceHealth h = svc.health();
   CHECK_EQ(h.completed_ok, 5u);                      // the heal_* jobs
   CHECK_EQ(h.completed_error, 11u);                  // det/exh per stage + bad
+  CHECK_EQ(h.completed_stopped, 5u);                 // the cancel_* jobs
   CHECK(h.retried_jobs >= 10u);                      // heal_* and exh_* retried
   check_accounting(h);
 }
@@ -415,7 +429,7 @@ void test_watchdog_and_quarantine() {
 
   // "wedge" spins in the transient-retry loop for ~50s unless killed; it has
   // no job_timeout_s, so only the service watchdog can stop it.
-  set_injected_failure("sweep", "wedge", /*times=*/-1, /*transient=*/true);
+  set_injected_failure("sweep", "wedge", /*times=*/-1, InjectedFailure::Transient);
   JobSpec wedge = make_spec("c17", "wedge");
   wedge.retry.attempts = 1000;
   wedge.retry.backoff_s = 0.05;
@@ -431,6 +445,16 @@ void test_watchdog_and_quarantine() {
     CHECK_EQ(svc.health().watchdog_kills, static_cast<std::uint64_t>(run));
   }
   clear_injected_failure();
+
+  // A kill lands in the retry backoff: the job reads cancelled and counts
+  // as stopped, with the last error kept in the stage note.
+  const JobReport killed = col.find("wedge");
+  CHECK(killed.status.code == StageCode::Cancelled);
+  CHECK(killed.stages[1].status.code == StageCode::Cancelled);
+  CHECK(killed.stages[1].note.find("retry abandoned") != std::string::npos);
+  CHECK(killed.stages[1].note.find("injected failure") != std::string::npos);
+  CHECK_EQ(svc.health().completed_stopped, 2u);
+  CHECK_EQ(svc.health().completed_error, 0u);
 
   // Two offenses spent the budget: the name is now refused at admission.
   CHECK(svc.submit(wedge).code == SubmitCode::Quarantined);
@@ -462,7 +486,7 @@ void test_own_deadline_beats_watchdog() {
   o.quarantine_after = 1;  // a single kill would quarantine the name
   JobService svc(o, col.sink());
 
-  set_injected_failure("sweep", "poller", /*times=*/-1, /*transient=*/true);
+  set_injected_failure("sweep", "poller", /*times=*/-1, InjectedFailure::Transient);
   JobSpec poller = make_spec("c17", "poller");
   poller.job_timeout_s = 0.125;  // lands mid-backoff: stops within a slice
   poller.retry.attempts = 1000;
@@ -476,11 +500,14 @@ void test_own_deadline_beats_watchdog() {
   clear_injected_failure();
 
   const JobReport rep = col.find("poller");
-  CHECK(!rep.status.ok());
+  CHECK(rep.status.code == StageCode::DeadlineExceeded);
   CHECK(rep.stages.size() == 5 && rep.stages[1].attempts > 1);
+  CHECK(rep.stages[1].status.code == StageCode::DeadlineExceeded);
   CHECK(rep.stages[1].note.find("retry abandoned") != std::string::npos);
   svc.drain(-1);
   const ServiceHealth h = svc.health();
+  CHECK_EQ(h.completed_stopped, 4u);
+  CHECK_EQ(h.completed_error, 0u);
   CHECK_EQ(h.watchdog_kills, 0u);
   CHECK_EQ(h.quarantined_names, 0u);
   CHECK_EQ(h.rejected_quarantine, 0u);
@@ -510,7 +537,7 @@ void test_restart_replay_differential() {
     JobService svc(o, col.sink());
     CHECK(svc.submit(j1).code == SubmitCode::Accepted);
     CHECK(col.wait_count(1));
-    set_injected_failure("sweep", "c432s", /*times=*/-1, /*transient=*/true);
+    set_injected_failure("sweep", "c432s", /*times=*/-1, InjectedFailure::Transient);
     JobSpec slow2 = j2;
     slow2.retry.attempts = 200;
     slow2.retry.backoff_s = 0.05;
@@ -615,7 +642,7 @@ void test_concurrent_manifest_writers() {
 // Satellite: retry backoff observes the job deadline/cancel — a stop during
 // a long backoff returns within one poll slice, not after the full sleep.
 void test_interruptible_backoff() {
-  set_injected_failure("sweep", "c17", /*times=*/-1, /*transient=*/true);
+  set_injected_failure("sweep", "c17", /*times=*/-1, InjectedFailure::Transient);
   JobSpec spec = make_spec("c17");
   spec.retry.attempts = 2;
   spec.retry.backoff_s = 30.0;  // would sleep 30s if the wait were blind
@@ -624,14 +651,14 @@ void test_interruptible_backoff() {
   const JobReport rep = run_plan_job(spec);
   clear_injected_failure();
   CHECK(seconds_since(t0) < 5.0);  // one poll slice past the 50ms deadline
-  CHECK(!rep.status.ok());
+  CHECK(rep.status.code == StageCode::DeadlineExceeded);
   bool noted = false;
   for (const StageReport& sr : rep.stages)
     if (sr.note.find("retry abandoned") != std::string::npos) noted = true;
   CHECK(noted);
 
   // Same for an explicit cancel arriving mid-backoff.
-  set_injected_failure("sweep", "c17", /*times=*/-1, /*transient=*/true);
+  set_injected_failure("sweep", "c17", /*times=*/-1, InjectedFailure::Transient);
   CancelToken token;
   JobSpec spec2 = make_spec("c17");
   spec2.retry.attempts = 2;
@@ -646,7 +673,7 @@ void test_interruptible_backoff() {
   canceller.join();
   clear_injected_failure();
   CHECK(seconds_since(t1) < 5.0);
-  CHECK(!rep2.status.ok());
+  CHECK(rep2.status.code == StageCode::Cancelled);
 }
 
 // ---------------------------------------------------------------------------
