@@ -10,9 +10,9 @@ namespace bist {
 
 PodemScan::PodemScan(const SimKernel& k)
     : k_(&k),
-      cone_lanes_(k.gate_count(), 0),
-      branch_site_(k.gate_count(), 0),
-      reach_(k.gate_count(), 0) {
+      cone_lanes_(k.gate_count(), LaneWords{}),
+      branch_site_(k.gate_count(), LaneWords{}),
+      reach_(k.gate_count(), LaneWords{}) {
   // Static distance-to-PO (min fanout hops), used to steer the D-frontier
   // towards the closest output.  Kernel order is level order, so a reverse
   // sweep sees every fanout before its driver.
@@ -26,10 +26,12 @@ PodemScan::PodemScan(const SimKernel& k)
 }
 
 void PodemScan::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
-  const std::uint64_t bit = std::uint64_t{1} << (4 * lane);
+  // The lane's bit of word w of each mask.
+  const unsigned w = lane / PairSim::kWordLanes;
+  const std::uint64_t bit = std::uint64_t{1} << PairSim::shift(lane);
   Lane& ln = lanes_[lane];
-  for (KIndex u : ln.cone) cone_lanes_[u] &= ~bit;
-  if (ln.branch_fault) branch_site_[ln.site] &= ~bit;
+  for (KIndex u : ln.cone) cone_lanes_[u][w] &= ~bit;
+  if (ln.branch_fault) branch_site_[ln.site][w] &= ~bit;
   ln.cone.clear();
   ln.site = kNoGate;
   ln.branch_fault = false;
@@ -41,23 +43,23 @@ void PodemScan::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
   ln.branch_fault = pin >= 0;
   ln.line = ln.branch_fault ? k_->fanins(site)[pin] : site;
   ln.stuck = stuck;
-  if (ln.branch_fault) branch_site_[site] |= bit;
+  if (ln.branch_fault) branch_site_[site][w] |= bit;
   // The cone: the site and its transitive fanout, marked in cone_lanes_.
   ln.cone.push_back(site);
-  cone_lanes_[site] |= bit;
+  cone_lanes_[site][w] |= bit;
   for (std::size_t c = 0; c < ln.cone.size(); ++c)
     for (KIndex fo : k_->fanouts(ln.cone[c]))
-      if (!(cone_lanes_[fo] & bit)) {
-        cone_lanes_[fo] |= bit;
+      if (!(cone_lanes_[fo][w] & bit)) {
+        cone_lanes_[fo][w] |= bit;
         ln.cone.push_back(fo);
       }
 }
 
 void PodemScan::scan(const PairSim& sim) {
-  const std::uint64_t* val = sim.values().data();
+  const LaneWords* val = sim.values().data();
   // Per lane: activated (the fault line holds !stuck) lanes look for a
   // D-frontier; a line at its stuck value is dead whatever the X-paths say.
-  std::uint64_t activated = 0, not_stuck = 0;
+  LaneWords activated{}, not_stuck{};
   KIndex lo = static_cast<KIndex>(k_->gate_count());
   for (unsigned l = 0; l < PairSim::kLanes; ++l) {
     frontier_[l] = kNoGate;
@@ -66,9 +68,10 @@ void PodemScan::scan(const PairSim& sim) {
     if (ln.site == kNoGate) continue;
     lo = std::min(lo, ln.site);
     const Ternary g = sim.good(l, ln.line);
-    const std::uint64_t bit = std::uint64_t{1} << (4 * l);
-    if (g != ln.stuck) not_stuck |= bit;
-    if (g == t_not(ln.stuck)) activated |= bit;
+    const unsigned w = l / PairSim::kWordLanes;
+    const std::uint64_t bit = std::uint64_t{1} << PairSim::shift(l);
+    if (g != ln.stuck) not_stuck[w] |= bit;
+    if (g == t_not(ln.stuck)) activated[w] |= bit;
   }
   // One reverse walk over the union of the cones.  A gate of a lane's cone
   // has every fanout in that cone, at a higher index, so its fanouts' reach
@@ -79,43 +82,44 @@ void PodemScan::scan(const PairSim& sim) {
   //  - frontier: X in some machine, and a difference on a fanin (or the
   //    site of a branch fault); of those the lowest po_dist, ties to the
   //    lowest index — `<=` in a descending walk.
-  std::uint64_t detected = 0, live = 0;
+  LaneWords detected{}, live{};
   for (KIndex u = static_cast<KIndex>(k_->gate_count()); u-- > lo;) {
-    const std::uint64_t cone = cone_lanes_[u];
-    if (!cone) continue;
-    const std::uint64_t x = PairSim::x_lanes(val[u]) & cone;
-    const std::uint64_t d = PairSim::diff_lanes(val[u]) & cone;
-    if (!(x | d)) {
-      reach_[u] = 0;
+    const LaneWords cone = cone_lanes_[u];
+    if (!PairSim::any(cone)) continue;
+    const LaneWords x = PairSim::x_lanes(val[u]) & cone;
+    const LaneWords d = PairSim::diff_lanes(val[u]) & cone;
+    if (!PairSim::any(x | d)) {
+      reach_[u] = LaneWords{};
       continue;
     }
-    std::uint64_t out = ~std::uint64_t{0};
+    LaneWords out = ~LaneWords{};
     if (k_->is_output(u)) {
       detected |= d;
     } else {
-      out = 0;
+      out = LaneWords{};
       for (KIndex f : k_->fanouts(u)) out |= reach_[f];
     }
     reach_[u] = x & out;
     live |= d & out;
-    std::uint64_t front = x & activated;
-    if (!front) continue;
-    std::uint64_t fin = branch_site_[u];
+    LaneWords front = x & activated;
+    if (!PairSim::any(front)) continue;
+    LaneWords fin = branch_site_[u];
     for (KIndex w : k_->fanins(u)) fin |= PairSim::diff_lanes(val[w]);
     front &= fin;
-    while (front) {
-      const unsigned l = static_cast<unsigned>(std::countr_zero(front)) / 4;
-      front &= front - 1;
-      if (po_dist_[u] <= frontier_dist_[l]) {
-        frontier_[l] = u;
-        frontier_dist_[l] = po_dist_[u];
+    for (unsigned w = 0; w < PairSim::kLanes / PairSim::kWordLanes; ++w)
+      for (std::uint64_t m = front[w]; m; m &= m - 1) {
+        const unsigned l = w * PairSim::kWordLanes +
+                           static_cast<unsigned>(std::countr_zero(m)) / 4;
+        if (po_dist_[u] <= frontier_dist_[l]) {
+          frontier_[l] = u;
+          frontier_dist_[l] = po_dist_[u];
+        }
       }
-    }
   }
   // The fault effect can still materialize at an unresolved site.
   for (unsigned l = 0; l < PairSim::kLanes; ++l)
-    if (lanes_[l].site != kNoGate)
-      live |= reach_[lanes_[l].site] & (std::uint64_t{1} << (4 * l));
+    if (lanes_[l].site != kNoGate && PairSim::lane_in(reach_[lanes_[l].site], l))
+      live[l / PairSim::kWordLanes] |= std::uint64_t{1} << PairSim::shift(l);
   detected_ = detected;
   live_ = live & not_stuck;
 }
@@ -221,9 +225,9 @@ void Podem::prove(std::span<const Fault> faults,
     }
 }
 
-// Load the next unclaimed fault the pre-pass left open into lane l; false
-// (lane idle) when none is left.
-bool Podem::claim(unsigned l, std::span<const Fault> faults,
+// Load the next unclaimed fault the pre-pass left open into lane l; the lane
+// goes idle when none is left.
+void Podem::claim(unsigned l, std::span<const Fault> faults,
                   std::span<const char> proven,
                   std::atomic<std::size_t>& next) {
   Lane& ln = lanes_[l];
@@ -234,20 +238,19 @@ bool Podem::claim(unsigned l, std::span<const Fault> faults,
   if (i >= faults.size()) {
     sim_.load(l, kNoGate, -1, Ternary::VX);
     scan_.load(l, kNoGate, -1, Ternary::VX);
-    return false;
+    return;
   }
   const Fault& f = faults[i];
   const KIndex site = k_->index_of(f.gate);
   const Ternary stuck = f.stuck ? Ternary::V1 : Ternary::V0;
-  // Each drops the lane's previous fault; a bad pin throws, and run()
-  // reloads every lane before its first scan.
+  // Each drops the lane's previous fault; a bad pin throws, and reset()
+  // unloads every lane before the next session.
   sim_.load(l, site, f.pin, stuck);
   scan_.load(l, site, f.pin, stuck);
   ln.frames.clear();
   ln.backtracks = 0;
   ln.decisions = 0;
   ln.slot = i;
-  return true;
 }
 
 bool Podem::step(unsigned l, PodemStatus* verdict) {
@@ -305,19 +308,33 @@ PodemResult Podem::result(unsigned l, PodemStatus s) const {
   return r;
 }
 
-void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
-                std::span<PodemResult> results, std::span<const char> proven,
-                const PodemOptions& opt, const Deadline* deadline) {
+void Podem::reset(const PodemOptions& opt) {
   limit_ = opt.backtrack_limit;
-  unsigned busy = 0;
+  for (unsigned l = 0; l < PairSim::kLanes; ++l) {
+    lanes_[l].slot = kIdle;
+    sim_.load(l, kNoGate, -1, Ternary::VX);
+    scan_.load(l, kNoGate, -1, Ternary::VX);
+  }
+}
+
+void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
+                std::size_t until, std::span<PodemResult> results,
+                std::span<const char> proven, const Deadline* deadline) {
   for (unsigned l = 0; l < PairSim::kLanes; ++l)
-    busy += claim(l, faults, proven, next);
-  while (busy) {
+    if (lanes_[l].slot == kIdle) claim(l, faults, proven, next);
+  // Idle lanes hold kIdle, which is never below `until`.
+  const auto owed = [&] {
+    for (const Lane& ln : lanes_)
+      if (ln.slot < until) return true;
+    return false;
+  };
+  while (owed()) {
     // Cooperative stop, polled once per step: a step is a full pass, a scan
     // and a node in every busy lane, far above the poll, so cancellation
     // latency is one node while an undeadlined search is untouched — the
     // poll reads a clock and a flag, never search state.
     if (deadline && deadline->should_stop()) {
+      next.store(faults.size(), std::memory_order_relaxed);
       for (unsigned l = 0; l < PairSim::kLanes; ++l)
         if (lanes_[l].slot != kIdle) {
           results[lanes_[l].slot] = result(l, PodemStatus::Cancelled);
@@ -331,7 +348,7 @@ void Podem::run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
       PodemStatus verdict;
       if (lanes_[l].slot == kIdle || !step(l, &verdict)) continue;
       results[lanes_[l].slot] = result(l, verdict);
-      if (!claim(l, faults, proven, next)) --busy;
+      claim(l, faults, proven, next);
     }
   }
 }
@@ -343,11 +360,12 @@ PodemResult Podem::generate(const Fault& f, const PodemOptions& opt,
     r.status = PodemStatus::Cancelled;
     return r;
   }
+  reset(opt);
   const std::uint32_t only = 0;
   char proven = 0;
   prove({&f, 1}, {&only, 1}, {&r, 1}, {&proven, 1});
   std::atomic<std::size_t> next{0};
-  run({&f, 1}, next, {&r, 1}, {&proven, 1}, opt, deadline);
+  run({&f, 1}, next, 1, {&r, 1}, {&proven, 1}, deadline);
   return r;
 }
 
@@ -362,17 +380,20 @@ PodemBatch::~PodemBatch() = default;
 
 unsigned PodemBatch::workers() const { return pool_->workers(); }
 
-std::vector<PodemResult> PodemBatch::generate(std::span<const Fault> faults,
-                                              const PodemOptions& opt,
-                                              const Deadline* deadline) {
-  std::vector<PodemResult> results(faults.size());
+void PodemBatch::start(std::span<const Fault> faults, const PodemOptions& opt,
+                       const Deadline* deadline) {
+  faults_ = faults;
+  deadline_ = deadline;
+  next_.store(0, std::memory_order_relaxed);
+  for (const std::unique_ptr<Podem>& e : engines_) e->reset(opt);
+  results_.assign(faults.size(), PodemResult{});
   if (deadline) {
     // Pre-mark every slot Cancelled so faults never claimed once the
     // deadline fires read as "no verdict" rather than the default status.
     // Claimed faults overwrite their slot (with Cancelled if the deadline
     // fired mid-search); completed verdicts are bit-identical to an
     // undeadlined run by the engine's reuse contract.
-    for (PodemResult& r : results) r.status = PodemStatus::Cancelled;
+    for (PodemResult& r : results_) r.status = PodemStatus::Cancelled;
   }
   // The pre-pass, one stem group at a time: fault indices ordered by
   // (stem, index), cut where the stem changes.
@@ -387,21 +408,30 @@ std::vector<PodemResult> PodemBatch::generate(std::span<const Fault> faults,
     order[j] = keyed[j].second;
   }
   begin.push_back(order.size());
-  std::vector<char> proven(faults.size(), 0);
+  proven_.assign(faults.size(), 0);
   parallel_for(*pool_, begin.size() - 1, 1,
                [&](unsigned wid, std::size_t g, std::size_t) {
                  if (deadline && deadline->should_stop()) return;
                  engines_[wid]->prove(
                      faults,
                      std::span(order).subspan(begin[g], begin[g + 1] - begin[g]),
-                     results, proven);
+                     results_, proven_);
                });
+}
 
-  std::atomic<std::size_t> next{0};
+std::span<PodemResult> PodemBatch::decide(std::size_t n) {
   pool_->run([&](unsigned wid) {
-    engines_[wid]->run(faults, next, results, proven, opt, deadline);
+    engines_[wid]->run(faults_, next_, n, results_, proven_, deadline_);
   });
-  return results;
+  return results_;
+}
+
+std::vector<PodemResult> PodemBatch::generate(std::span<const Fault> faults,
+                                              const PodemOptions& opt,
+                                              const Deadline* deadline) {
+  start(faults, opt, deadline);
+  decide(faults.size());
+  return std::move(results_);
 }
 
 }  // namespace bist

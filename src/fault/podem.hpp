@@ -13,7 +13,8 @@
 // X-valued region to a primary-input assignment, imply it, and backtrack on
 // failure.  The recursion is an explicit per-lane stack of decision frames
 // (PI, value, second branch tried), so a search can stop after any node and
-// resume after the next pass.  A step is one pass over all lanes, then one
+// resume after the next pass — or in a later Podem::run() of the same
+// session.  A step is one pass over all lanes, then one
 // PodemScan of its values — the detected, X-path and D-frontier checks of
 // every lane at once, as lane masks over one reverse walk of the kernel —
 // and then one node in every busy lane: a backtrace from the next
@@ -89,11 +90,11 @@ struct PodemResult {
 ///    the D-frontier gate (X in some machine, with a difference on a fanin,
 ///    or the site gate of a branch fault) closest to a primary output,
 ///    lowest kernel index on ties; kNoGate otherwise.
-/// All three come from lane masks (lane L is bit 4L, the low bit of its
-/// PairSim nibble) over one reverse walk of kernel order, which stops at the
-/// lowest fault site: per gate, the lanes whose fault cone holds it, the
-/// lanes with an X or a difference there, and the lanes an X-path leads from
-/// it to an output.
+/// All three come from lane masks (lane L is the low bit of its PairSim
+/// nibble, bit 4(L%16) of word L/16) over one reverse walk of kernel order,
+/// which stops at the lowest fault site: per gate, the lanes whose fault
+/// cone holds it, the lanes with an X or a difference there, and the lanes
+/// an X-path leads from it to an output.
 class PodemScan {
  public:
   /// The kernel must outlive the scan.  Every lane starts without a fault.
@@ -110,13 +111,15 @@ class PodemScan {
   /// loaded here).
   void scan(const PairSim& sim);
 
-  bool detected(unsigned lane) const { return (detected_ >> (4 * lane)) & 1; }
-  bool live(unsigned lane) const { return (live_ >> (4 * lane)) & 1; }
+  bool detected(unsigned lane) const {
+    return PairSim::lane_in(detected_, lane);
+  }
+  bool live(unsigned lane) const { return PairSim::lane_in(live_, lane); }
   KIndex frontier(unsigned lane) const { return frontier_[lane]; }
   /// Gate u lies in the lane's fault cone (the site and its transitive
   /// fanout); never true for a lane without a fault.
   bool in_cone(unsigned lane, KIndex u) const {
-    return (cone_lanes_[u] >> (4 * lane)) & 1;
+    return PairSim::lane_in(cone_lanes_[u], lane);
   }
   /// The faulted line's driving signal and its stuck value.
   KIndex line(unsigned lane) const { return lanes_[lane].line; }
@@ -136,11 +139,11 @@ class PodemScan {
   // whose cone holds it, the lanes with a branch fault at it, and the lanes
   // with an X-path from it to an output (valid on cone gates after a scan).
   std::vector<std::uint32_t> po_dist_;
-  std::vector<std::uint64_t> cone_lanes_, branch_site_, reach_;
+  std::vector<LaneWords> cone_lanes_, branch_site_, reach_;
   std::array<Lane, PairSim::kLanes> lanes_;
   std::array<KIndex, PairSim::kLanes> frontier_;
   std::array<std::uint32_t, PairSim::kLanes> frontier_dist_;
-  std::uint64_t detected_ = 0, live_ = 0;
+  LaneWords detected_{}, live_{};
 };
 
 /// Reusable lane-parallel PODEM engine.  The kernel must outlive it.
@@ -149,9 +152,12 @@ class PodemScan {
 /// be refilled mid-run): loading a fault into a lane replaces the lane's
 /// previous fault, unassigns every one of its PIs and resets every per-lane
 /// search field, so a verdict depends only on (kernel, fault, options) —
-/// never on the faults searched before it, beside it, or in which lane.
-/// run() starts every lane afresh, even after a throw or a cancellation.
-/// The engine carries no RNG; the search is fully deterministic.
+/// never on the faults searched before it, beside it, in which lane, or
+/// across how many run() calls its search was spread.  reset() starts a
+/// session: every lane idle, even after a throw or a cancellation.  Within
+/// a session, run() returns with searches still in flight (lanes that ran
+/// ahead of its `until`) and the next run() resumes them where they
+/// stopped.  The engine carries no RNG; the search is fully deterministic.
 ///
 /// Every entry point takes an optional cooperative deadline/cancel
 /// (nullptr = never stops), polled once per stem group of the implication
@@ -177,15 +183,21 @@ class Podem {
              std::span<const std::uint32_t> group,
              std::span<PodemResult> results, std::span<char> proven);
 
-  /// Search faults until none is left: each free lane claims the next fault
-  /// index from `next` (which several engines may share) that `proven` does
-  /// not flag and writes the verdict to that slot of `results`.  When the
-  /// deadline fires, every claimed search still in flight gets a Cancelled
-  /// result and no further fault is claimed.  Throws std::out_of_range on a
-  /// fault with a bad pin.
+  /// Start a session under opt: drop every lane's search.
+  void reset(const PodemOptions& opt);
+
+  /// Search until no lane of this engine holds a fault index below `until`:
+  /// each free lane claims the next fault index from `next` (which several
+  /// engines may share) that `proven` does not flag — past `until` too, so
+  /// no lane idles while another finishes — and writes the verdict to that
+  /// slot of `results`.  A lane still searching a fault at or past `until`
+  /// keeps its search for the next run() of the session.  When the deadline
+  /// fires, every claimed search still in flight gets a Cancelled result
+  /// and `next` is run out, so no further fault is claimed.  Throws
+  /// std::out_of_range on a fault with a bad pin.
   void run(std::span<const Fault> faults, std::atomic<std::size_t>& next,
-           std::span<PodemResult> results, std::span<const char> proven,
-           const PodemOptions& opt, const Deadline* deadline = nullptr);
+           std::size_t until, std::span<PodemResult> results,
+           std::span<const char> proven, const Deadline* deadline = nullptr);
 
  private:
   static constexpr std::size_t kIdle = ~std::size_t{0};
@@ -204,7 +216,7 @@ class Podem {
     std::uint64_t decisions = 0;
   };
 
-  bool claim(unsigned l, std::span<const Fault> faults,
+  void claim(unsigned l, std::span<const Fault> faults,
              std::span<const char> proven, std::atomic<std::size_t>& next);
   bool step(unsigned l, PodemStatus* verdict);
   PodemResult result(unsigned l, PodemStatus s) const;
@@ -223,18 +235,24 @@ class Podem {
 };
 
 /// Parallel PODEM: one persistent lane-parallel engine per worker of an
-/// owned WorkerPool, reused across generate() calls — the construction cost
-/// (pool threads + per-engine kernel-sized scratch) is paid once per batch
-/// object, which is what a sweep over many candidate LFSR lengths needs.
+/// owned WorkerPool, reused across sessions — the construction cost (pool
+/// threads + per-engine kernel-sized scratch) is paid once per batch object.
 ///
-/// generate() first runs the implication pre-pass, handing the faults out
-/// by stem group, then searches the faults it left open, handed out one at
-/// a time from a shared cursor: a lane that finishes claims the next
-/// unclaimed fault, whichever worker it belongs to (per-fault cost is heavily skewed: an easy detection takes a
+/// A session is resumable, which is what a sweep over many candidate LFSR
+/// lengths needs: start() runs the implication pre-pass over the whole
+/// fault list, handing the faults out by stem group, and each decide(n)
+/// then steps the engines until slots [0, n) all hold verdicts.  The
+/// searches are handed out one fault at a time from a shared cursor: a lane
+/// that finishes claims the next unclaimed fault, whichever worker it
+/// belongs to (per-fault cost is heavily skewed: an easy detection takes a
 /// few nodes while a redundancy proof or abort burns the whole backtrack
-/// budget).  Each verdict lands in its fault's slot of the returned vector.
-/// Combined with the engine's reuse contract, the result is in input order
-/// and bit-identical for every worker count.
+/// budget), and it claims past n while other lanes finish theirs.  Such a
+/// lane keeps its search when decide() returns, and the next decide()
+/// resumes it, so lanes idle only at the end of the session, not at each
+/// boundary.  Each verdict lands in its fault's slot.  Combined with the
+/// engine's reuse contract, the results are in input order and
+/// bit-identical for every worker count and every sequence of decide()
+/// boundaries.
 class PodemBatch {
  public:
   /// `threads` resolved as in resolve_threads(); 1 spawns no threads and
@@ -247,8 +265,25 @@ class PodemBatch {
 
   unsigned workers() const;
 
-  /// One verdict per fault, input order; see the class comment.  Under a
-  /// deadline (polled as in Podem), faults never reached read Cancelled.
+  /// Begin a session over `faults`, which (like `deadline`) must outlive
+  /// it: reset every engine and run the implication pre-pass over the
+  /// whole list (polling the deadline once per stem group).  Under a
+  /// deadline every slot starts out Cancelled.  Throws std::out_of_range on
+  /// a fault with a bad pin.
+  void start(std::span<const Fault> faults, const PodemOptions& opt = {},
+             const Deadline* deadline = nullptr);
+
+  /// Step the engines until slots [0, n) all hold verdicts, then return
+  /// every slot of the session (a view valid until the next start() or
+  /// generate()); slots at or past n may hold verdicts too.
+  /// Under the session's deadline (polled as in Podem), a search cut in
+  /// flight and every fault never reached read Cancelled, and once it has
+  /// fired no later decide() starts a search.  Verdicts reached before the
+  /// stop are bit-identical to an undeadlined session.
+  std::span<PodemResult> decide(std::size_t n);
+
+  /// start() plus decide(faults.size()): one verdict per fault, input
+  /// order.  Ends the session.
   std::vector<PodemResult> generate(std::span<const Fault> faults,
                                     const PodemOptions& opt = {},
                                     const Deadline* deadline = nullptr);
@@ -257,6 +292,12 @@ class PodemBatch {
   const SimKernel* k_;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<Podem>> engines_;  // one per worker
+  // The session.
+  std::span<const Fault> faults_;
+  const Deadline* deadline_ = nullptr;
+  std::vector<PodemResult> results_;
+  std::vector<char> proven_;
+  std::atomic<std::size_t> next_{0};
 };
 
 }  // namespace bist

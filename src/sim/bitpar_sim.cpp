@@ -1,5 +1,7 @@
 #include "sim/bitpar_sim.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace bist {
@@ -9,12 +11,19 @@ PatternBlock pack_patterns(std::span<const BitVec> patterns, std::size_t width) 
   b.width = width;
   b.count = std::min<std::size_t>(patterns.size(), 64);
   b.input_words.assign(width, 0);
-  for (std::size_t lane = 0; lane < b.count; ++lane) {
-    const BitVec& p = patterns[lane];
-    if (p.size() != width)
+  for (std::size_t lane = 0; lane < b.count; ++lane)
+    if (patterns[lane].size() != width)
       throw std::invalid_argument("pack_patterns: pattern width mismatch");
-    for (std::size_t i = 0; i < width; ++i)
-      if (p.get(i)) b.input_words[i] |= std::uint64_t{1} << lane;
+  // Per 64-input column: row p is pattern p's BitVec word for those inputs
+  // (zero past its last bit), and one transpose turns the rows into the
+  // inputs' lane words.
+  std::array<std::uint64_t, 64> rows;
+  for (std::size_t c = 0; c < width; c += 64) {
+    for (std::size_t p = 0; p < 64; ++p)
+      rows[p] = p < b.count ? patterns[p].word(c / 64) : 0;
+    transpose64(rows);
+    std::copy_n(rows.begin(), std::min<std::size_t>(64, width - c),
+                b.input_words.begin() + c);
   }
   return b;
 }

@@ -17,7 +17,7 @@ std::uint64_t both_machines(Ternary v) {
 }
 
 // Inversion: swap the rails within each machine (X stays X).
-inline std::uint64_t swap_rails(std::uint64_t p) {
+inline LaneWords swap_rails(LaneWords p) {
   return ((p & kRail0) << 1) | ((p & kRail1) >> 1);
 }
 
@@ -25,9 +25,9 @@ inline std::uint64_t swap_rails(std::uint64_t p) {
 // X if either is X.  `same` has rail r set where both inputs have rail r,
 // `cross` where a has rail r and b the other one; folding each machine's two
 // rails of `same` gives the 0-rail, of `cross` the 1-rail.
-inline std::uint64_t xor2(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t same = a & b;
-  const std::uint64_t cross = a & swap_rails(b);
+inline LaneWords xor2(LaneWords a, LaneWords b) {
+  const LaneWords same = a & b;
+  const LaneWords cross = a & swap_rails(b);
   return ((same | (same >> 1)) & kRail0) |
          (((cross | (cross >> 1)) & kRail0) << 1);
 }
@@ -35,12 +35,12 @@ inline std::uint64_t xor2(std::uint64_t a, std::uint64_t b) {
 }  // namespace
 
 PairSim::PairSim(const SimKernel& k) : k_(&k) {
-  values_.assign(k.gate_count(), 0);
-  pi_.assign(k.inputs().size(), 0);
-  stem_mask_.assign(k.gate_count(), 0);
-  stem_val_.assign(k.gate_count(), 0);
-  pin_mask_.assign(k.fanin_offset_data()[k.gate_count()], 0);
-  pin_val_.assign(pin_mask_.size(), 0);
+  values_.assign(k.gate_count(), LaneWords{});
+  pi_.assign(k.inputs().size(), LaneWords{});
+  stem_mask_.assign(k.gate_count(), LaneWords{});
+  stem_val_.assign(k.gate_count(), LaneWords{});
+  pin_mask_.assign(k.fanin_offset_data()[k.gate_count()], LaneWords{});
+  pin_val_.assign(pin_mask_.size(), LaneWords{});
   injected_.assign(k.gate_count(), 0);
   const std::span<const std::uint32_t> lv = k.schedule_level_offsets();
   const std::span<const KIndex> sched = k.schedule();
@@ -66,51 +66,52 @@ PairSim::PairSim(const SimKernel& k) : k_(&k) {
 }
 
 void PairSim::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
-  const unsigned sh = 4 * lane;
+  // Every mask below touches only lane's word w.
+  const unsigned w = lane / kWordLanes, sh = shift(lane);
   const std::uint64_t rails = std::uint64_t{0xC} << sh;  // the faulty machine
   LaneFault& lf = faults_[lane];
   if (lf.site != kNoGate) {
     if (lf.pin < 0) {
-      stem_mask_[lf.site] &= ~rails;
-      stem_val_[lf.site] &= ~rails;
+      stem_mask_[lf.site][w] &= ~rails;
+      stem_val_[lf.site][w] &= ~rails;
     } else {
       const std::uint32_t slot =
           k_->fanin_offset_data()[lf.site] + static_cast<std::uint32_t>(lf.pin);
-      pin_mask_[slot] &= ~rails;
-      pin_val_[slot] &= ~rails;
+      pin_mask_[slot][w] &= ~rails;
+      pin_val_[slot][w] &= ~rails;
     }
     --injected_[lf.site];
     lf = LaneFault{};
   }
-  for (std::uint64_t& w : pi_) w &= ~(std::uint64_t{0xF} << sh);
+  for (LaneWords& p : pi_) p[w] &= ~(std::uint64_t{0xF} << sh);
   if (site == kNoGate) return;
 
   const std::uint64_t val = (both_machines(stuck) << sh) & rails;
   if (pin < 0) {
-    stem_mask_[site] |= rails;
-    stem_val_[site] |= val;
+    stem_mask_[site][w] |= rails;
+    stem_val_[site][w] |= val;
   } else {
     const std::uint32_t* off = k_->fanin_offset_data();
     if (off[site] + static_cast<std::uint32_t>(pin) >= off[site + 1])
       throw std::out_of_range("PairSim::load: fault pin out of range");
     const std::uint32_t slot = off[site] + static_cast<std::uint32_t>(pin);
-    pin_mask_[slot] |= rails;
-    pin_val_[slot] |= val;
+    pin_mask_[slot][w] |= rails;
+    pin_val_[slot][w] |= val;
   }
   ++injected_[site];
   lf = {site, pin};
 }
 
 void PairSim::set_input(unsigned lane, std::size_t input_idx, Ternary v) {
-  const unsigned sh = 4 * lane;
-  std::uint64_t& w = pi_[input_idx];
-  w = (w & ~(std::uint64_t{0xF} << sh)) | (both_machines(v) << sh);
+  const unsigned w = lane / kWordLanes, sh = shift(lane);
+  LaneWords& p = pi_[input_idx];
+  p[w] = (p[w] & ~(std::uint64_t{0xF} << sh)) | (both_machines(v) << sh);
 }
 
 template <MicroOp kOp, bool kInjected>
-std::uint64_t PairSim::eval(const Slot& s) const {
+LaneWords PairSim::eval(const Slot& s) const {
   const auto in = [&](std::uint32_t i) {
-    const std::uint64_t p = values_[fin_[i]];
+    const LaneWords p = values_[fin_[i]];
     if constexpr (kInjected) {
       const std::uint32_t slot =
           k_->fanin_offset_data()[s.gate] + (i - s.begin);
@@ -118,11 +119,11 @@ std::uint64_t PairSim::eval(const Slot& s) const {
     }
     return p;
   };
-  std::uint64_t r = in(s.begin);
+  LaneWords r = in(s.begin);
   if constexpr (kOp == MicroOp::And || kOp == MicroOp::Or) {
-    std::uint64_t any = r, all = r;
+    LaneWords any = r, all = r;
     for (std::uint32_t i = s.begin + 1; i < s.end; ++i) {
-      const std::uint64_t p = in(i);
+      const LaneWords p = in(i);
       any |= p;
       all &= p;
     }
@@ -139,7 +140,7 @@ template <MicroOp kOp>
 void PairSim::eval_run(const Slot* s, const Slot* end, std::uint64_t inv) {
   for (; s != end; ++s) {
     const KIndex g = s->gate;
-    std::uint64_t r = injected_[g] ? eval<kOp, true>(*s) : eval<kOp, false>(*s);
+    LaneWords r = injected_[g] ? eval<kOp, true>(*s) : eval<kOp, false>(*s);
     r ^= inv & (r ^ swap_rails(r));  // inv all ones: r = swap_rails(r)
     if (injected_[g]) r = (r & ~stem_mask_[g]) | stem_val_[g];
     values_[g] = r;
@@ -154,7 +155,7 @@ void PairSim::evaluate() {
   }
   for (const KIndex g : k_->constants()) {
     const std::uint64_t c = k_->type(g) == GateType::Const0 ? kRail0 : kRail1;
-    values_[g] = (c & ~stem_mask_[g]) | stem_val_[g];
+    values_[g] = (~stem_mask_[g] & c) | stem_val_[g];
   }
   // Runs follow level order: every fanin is final before its gate.
   const Slot* g = order_.data();

@@ -43,18 +43,34 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
   std::sort(order.begin(), order.end(), std::greater<>());
   order.erase(std::unique(order.begin(), order.end()), order.end());
 
-  // Cross-point verdict cache, one slot per sim fault.
-  std::vector<char> cached(fsim.faults().size(), 0);
-  std::vector<PodemResult> cache(fsim.faults().size());
+  // One PODEM session over the union of the tails, its slots in the order
+  // faults enter them: a tail only grows from point to point, so point i's
+  // tail is exactly slots [0, |tail i|), its new faults the slots from
+  // |tail i-1| on.  Each point decides its own prefix just before its
+  // top-off phases, and lanes that run ahead keep their searches for the
+  // next point.
+  std::vector<std::vector<std::uint32_t>> tails(order.size());
+  std::vector<std::uint32_t> slot_of(fsim.faults().size(), ~0u);
+  std::vector<Fault> session;
+  for (std::size_t i = 0; i < order.size() && full.status.ok(); ++i) {
+    tails[i] = full.tail_at(order[i]);
+    for (const std::uint32_t idx : tails[i])
+      if (slot_of[idx] == ~0u) {
+        slot_of[idx] = static_cast<std::uint32_t>(session.size());
+        session.push_back(fsim.faults()[idx]);
+      }
+  }
   PodemBatch batch(k, opt.podem_threads);
   sr.stats.podem_threads = batch.workers();
+  bool started = false;
 
   // Front ends in descending order; each point's top-off detections wait
   // for the ascending sign-off pass below.
   std::vector<MixedSchemeResult> by_order;
   std::vector<std::vector<mixed_phase::TopoffHit>> hits(order.size());
   by_order.reserve(order.size());
-  for (const std::size_t len : order) {
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::size_t len = order[i];
     MixedSchemeResult r;
 
     // Anytime check, once per sweep point.  A point whose exact LFSR prefix
@@ -77,33 +93,23 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     }
 
     const FaultSimResult lr = fsim.prefix_result(full, len);
-    const std::vector<std::uint32_t> tail = full.tail_at(len);
+    const std::vector<std::uint32_t>& tail = tails[i];
 
     // PODEM only the faults that just entered the tail; everything else is
     // a cache hit.
     const auto t1 = WallClock::now();
-    std::vector<std::uint32_t> miss;
-    std::vector<Fault> miss_faults;
-    for (const std::uint32_t idx : tail)
-      if (!cached[idx]) {
-        miss.push_back(idx);
-        miss_faults.push_back(fsim.faults()[idx]);
-      }
-    std::vector<PodemResult> fresh = batch.generate(miss_faults, opt.podem, dl);
-    bool cut = false;
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-      // A Cancelled slot carries no verdict: never cache it — a later
-      // (shorter) point must not inherit a hole where a real verdict
-      // belongs.
-      if (fresh[j].status == PodemStatus::Cancelled) {
-        cut = true;
-        continue;
-      }
-      cache[miss[j]] = std::move(fresh[j]);
-      cached[miss[j]] = 1;
+    if (!started) {
+      batch.start(session, opt.podem, dl);
+      started = true;
     }
-    sr.stats.podem_calls += miss.size();
-    sr.stats.podem_cache_hits += tail.size() - miss.size();
+    const std::span<const PodemResult> verdicts = batch.decide(tail.size());
+    // A Cancelled slot carries no verdict: the point must not use it.
+    const bool cut = std::any_of(
+        verdicts.begin(), verdicts.begin() + tail.size(),
+        [](const PodemResult& v) { return v.status == PodemStatus::Cancelled; });
+    const std::size_t cached = i ? tails[i - 1].size() : 0;
+    sr.stats.podem_calls += tail.size() - cached;
+    sr.stats.podem_cache_hits += cached;
     sr.stats.podem_seconds += seconds_since(t1);  // a cut search ran too
     if (cut) {
       mixed_phase::finish_lfsr_only(
@@ -115,7 +121,8 @@ MixedSweepResult run_mixed_sweep(const SimKernel& k, FaultSimulator& fsim,
     }
 
     std::vector<const PodemResult*> vp(tail.size());
-    for (std::size_t i = 0; i < tail.size(); ++i) vp[i] = &cache[tail[i]];
+    for (std::size_t j = 0; j < tail.size(); ++j)
+      vp[j] = &verdicts[slot_of[tail[j]]];
     hits[by_order.size()] =
         mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, r, sr.stats);
     by_order.push_back(std::move(r));

@@ -14,10 +14,13 @@
 //                      pseudo-random phase is never re-simulated, and the
 //                      derived prefix is a transient input to the point's
 //                      top-off phases, not part of the point
-//   parallel PODEM     tail faults are partitioned across a persistent
-//                      PodemBatch (per-worker engines, dynamic grain-1
-//                      chunking, fixed-fault-order reduction), so verdicts
-//                      are bit-identical for every thread count; its
+//   parallel PODEM     the union of the tails is one resumable PodemBatch
+//                      session (per-worker engines, dynamic grain-1
+//                      hand-out, one slot per fault), so verdicts are
+//                      bit-identical for every thread count; each point
+//                      decides its own prefix of the session, and lanes
+//                      that run ahead keep their searches for the next
+//                      point instead of idling at the boundary; its
 //                      implication pre-pass proves most untestable faults
 //                      Redundant before any search, the rest of Redundant
 //                      being exhausted searches

@@ -586,9 +586,12 @@ void test_sweep_sign_off_matches_independent() {
 
   // Deadline-degraded sweeps: an immediate deadline leaves only the anytime
   // floor's own pass, later ones LfsrOnly points over a truncated pass, and
-  // LfsrOnly beside Complete points.  PODEM polls once per lane-parallel
-  // step, so 150 polls land inside the shortest point's search and 1000
-  // outlast the whole sweep.
+  // LfsrOnly beside Complete points.  PODEM polls once per stem group of
+  // its pre-pass and once per lane-parallel step.  The sweep's one session
+  // decides the longest point's tail first, while its lanes run ahead into
+  // the shorter points' faults, and 150 polls land just past that first
+  // decide: the 4000-pattern point is Complete and the rest LfsrOnly.  1000
+  // polls outlast the whole sweep.
   bool mixed_states = false;
   for (const std::uint64_t polls : {0ull, 40ull, 150ull, 1000ull}) {
     Deadline d = Deadline::after_checks(polls);

@@ -7,17 +7,23 @@
 // {1, 2, 8}, on the full ISCAS85 surrogate family.  The sweep derives each
 // point's LFSR-phase result as a prefix of one shared pass; that prefix is
 // checked directly against an independent run at every sweep length (first
-// detection indices and coverage-curve doubles).  Also checks the tail
-// helper and the parallel PODEM path of run_mixed_tpg itself against its
-// serial reduction.
+// detection indices and coverage-curve doubles).  The PODEM counters are
+// pinned as the store serializes them: the calls are the distinct faults of
+// the union tail (the sweep's one PODEM session), calls plus cache hits the
+// distinct points' tails, and the record is byte-identical at every thread
+// count.  Also checks the tail helper and the parallel PODEM path of
+// run_mixed_tpg itself against its serial reduction.
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "circuits/iscas85_family.hpp"
 #include "fault/fault_sim.hpp"
 #include "sim/kernel.hpp"
+#include "store/serialize.hpp"
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/mixed.hpp"
@@ -71,7 +77,9 @@ int main() {
 
     // Prefix/tail helpers against an independent shorter run, at every
     // sweep length (each a multiple of the 64-pattern block): the sweep
-    // hands exactly these prefixes to each point's top-off phases.
+    // hands exactly these prefixes to each point's top-off phases.  The
+    // union of the tails is the sweep's one PODEM session.
+    std::set<std::uint32_t> union_tail;
     {
       const std::size_t lmax = *std::max_element(lengths.begin(), lengths.end());
       Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
@@ -87,6 +95,7 @@ int main() {
         for (const std::uint32_t idx : tail) {
           const std::int64_t fd = full.first_detected[idx];
           CHECK(fd < 0 || fd >= std::int64_t(len));
+          union_tail.insert(idx);
         }
       }
       CHECK_EQ(full.tail_at(full.patterns).size(),
@@ -108,10 +117,19 @@ int main() {
       ref.push_back(run_mixed_tpg(k, fsim, o));
     }
 
+    std::vector<std::uint8_t> bytes_at_1;
     for (const unsigned threads : {1u, 2u, 8u}) {
       MixedTpgOptions o = opt;
       o.podem_threads = threads;
       const MixedSweepResult sw = run_mixed_sweep(k, fsim, lengths, o);
+      // The counters as the store keeps them: each distinct fault of the
+      // union tail is one engine call, whichever point decides it, and the
+      // record is byte-identical at every thread count.
+      const std::vector<std::uint8_t> bytes = serialize_sweep(sw);
+      const MixedSweepStats kept = deserialize_sweep(bytes).stats;
+      CHECK_EQ(kept.podem_calls, union_tail.size());
+      if (threads == 1) bytes_at_1 = bytes;
+      CHECK(bytes == bytes_at_1);
       CHECK_EQ(sw.points.size(), lengths.size());
       CHECK_EQ(sw.lengths.size(), lengths.size());
       for (std::size_t p = 0; p < lengths.size(); ++p) {
@@ -130,6 +148,7 @@ int main() {
           distinct_tails += sw.points[p].tail_faults;
       CHECK_EQ(sw.stats.podem_calls + sw.stats.podem_cache_hits,
                distinct_tails);
+      CHECK_EQ(kept.podem_calls + kept.podem_cache_hits, distinct_tails);
       CHECK_EQ(sw.stats.podem_threads, threads);
     }
   }

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -53,6 +55,38 @@ int main() {
 
   // empty pattern list → no blocks
   CHECK_EQ(pack_all({}, 5).size(), 0u);
+
+  // The column transposes against per-bit packing: widths on and off the
+  // 64-input column edge, one pattern, fewer than 64, exactly 64, and more
+  // (only the first 64 are packed).
+  {
+    std::size_t blocks_checked = 0, bad = 0;
+    for (const std::size_t width : {1u, 5u, 63u, 64u, 65u, 130u, 200u})
+      for (const std::size_t count : {1u, 2u, 37u, 63u, 64u, 70u}) {
+        std::vector<BitVec> pats;
+        for (std::size_t p = 0; p < count; ++p) {
+          BitVec v(width);
+          for (std::size_t i = 0; i < width; ++i) v.set(i, rng.next_bool());
+          pats.push_back(v);
+        }
+        const PatternBlock got = pack_patterns(pats, width);
+        std::vector<std::uint64_t> want(width, 0);
+        const std::size_t lanes = std::min<std::size_t>(count, 64);
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+          for (std::size_t i = 0; i < width; ++i)
+            if (pats[lane].get(i)) want[i] |= std::uint64_t{1} << lane;
+        ++blocks_checked;
+        bad += got.width != width || got.count != lanes ||
+               got.input_words != want;
+      }
+    CHECK_EQ(blocks_checked, 42u);
+    CHECK_EQ(bad, 0u);
+
+    // The width check still covers a pattern past the first column.
+    std::vector<BitVec> mixed(3, BitVec(130));
+    mixed[2] = BitVec(129);
+    CHECK_THROWS(pack_patterns(mixed, 130));
+  }
 
   return bist_test::summary();
 }

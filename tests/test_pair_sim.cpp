@@ -4,10 +4,14 @@
 // plain TernarySim with that lane's assignment, and its faulty machine a
 // TernarySim with the lane's fault forced.  The lanes start with different
 // faults — no fault, the same fault in two lanes, stem and branch faults —
-// and are reloaded mid-walk while the others keep walking.  Covers constant
-// gates, multi-input XOR/XNOR, a gate wider than 64 inputs, c17 and the
-// c432s/c880s/c1355s surrogates.  The lane-mask predicates x_lanes and
-// diff_lanes are checked against has_x and is_diff on random words.
+// and are reloaded mid-walk while the others keep walking.  The 80-input
+// wide gate is also driven in both words of the lane layout side by side
+// (lanes 0, 5, 15, 16, 17 and 31), so a word/nibble mix-up fails a named
+// check.
+// Covers constant gates, multi-input XOR/XNOR, a gate wider than 64 inputs,
+// c17 and the c432s/c880s/c1355s surrogates.  The lane-mask predicates
+// x_lanes and diff_lanes are checked against has_x and is_diff on random
+// words, one word and both words of a gate at once.
 
 #include <algorithm>
 #include <cstdio>
@@ -176,12 +180,31 @@ int main() {
     const KIndex wide = k.index_of(n.find("wide"));
     PairSim ps(k);
     // Lane 0 fault-free, lane 5 with the last pin of the wide gate stuck at
-    // 0, lane 15 with the wide gate's output stuck at 1.
+    // 0, lane 15 with the wide gate's output stuck at 1; in the second word,
+    // lane 16 (lane 0's nibble) with the output stuck at 0, lane 31 (lane
+    // 15's nibble) with the first pin stuck at 0 and lane 17 fault-free.
     ps.load(5, wide, 79, Ternary::V0);
     ps.load(15, wide, -1, Ternary::V1);
-    for (unsigned l : {0u, 5u, 15u})
+    ps.load(16, wide, -1, Ternary::V0);
+    ps.load(31, wide, 0, Ternary::V0);
+    for (unsigned l : {0u, 5u, 15u, 16u, 17u, 31u})
       for (std::size_t i = 0; i < 80; ++i) ps.set_input(l, i, Ternary::V1);
     ps.evaluate();
+    // A fault or an assignment in one word never shows at the same nibble
+    // of the other: lane 16 is lane 0's nibble in word 1.
+    const bool lane16_fault_stays_out_of_lane0 =
+        ps.faulty(0, wide) == Ternary::V1 && !PairSim::is_diff(ps.pair(0, wide));
+    CHECK(lane16_fault_stays_out_of_lane0);
+    const bool lane16_fault_lands_in_lane16 =
+        ps.good(16, wide) == Ternary::V1 && ps.faulty(16, wide) == Ternary::V0;
+    CHECK(lane16_fault_lands_in_lane16);
+    const bool lane31_pin_fault_lands_in_lane31 =
+        ps.good(31, wide) == Ternary::V1 && ps.faulty(31, wide) == Ternary::V0 &&
+        ps.faulty(31, k.inputs()[0]) == Ternary::V1;
+    CHECK(lane31_pin_fault_lands_in_lane31);
+    const bool lane17_assignment_stays_out_of_lane1 =
+        ps.good(1, wide) == Ternary::VX && ps.good(17, wide) == Ternary::V1;
+    CHECK(lane17_assignment_stays_out_of_lane1);
     CHECK_EQ(int(ps.good(0, wide)), int(Ternary::V1));
     CHECK_EQ(int(ps.faulty(0, wide)), int(Ternary::V1));
     CHECK_EQ(int(ps.good(5, wide)), int(Ternary::V1));
@@ -194,13 +217,18 @@ int main() {
     CHECK_EQ(int(ps.good(1, wide)), int(Ternary::VX));
 
     // Unassigning one input back to X: every lane's wide gate returns to X,
-    // except the stem fault's faulty machine.
-    for (unsigned l : {0u, 5u, 15u}) ps.set_input(l, 79, Ternary::VX);
+    // except the stem faults' faulty machines and the forced pins.
+    for (unsigned l : {0u, 5u, 15u, 16u, 31u}) ps.set_input(l, 79, Ternary::VX);
     ps.evaluate();
     CHECK_EQ(int(ps.good(0, wide)), int(Ternary::VX));
+    CHECK_EQ(int(ps.faulty(0, wide)), int(Ternary::VX));
     CHECK_EQ(int(ps.faulty(5, wide)), int(Ternary::V0));  // pin still forced
     CHECK_EQ(int(ps.good(5, wide)), int(Ternary::VX));
     CHECK_EQ(int(ps.faulty(15, wide)), int(Ternary::V1));
+    CHECK_EQ(int(ps.good(16, wide)), int(Ternary::VX));
+    CHECK_EQ(int(ps.faulty(16, wide)), int(Ternary::V0));
+    CHECK_EQ(int(ps.good(31, wide)), int(Ternary::VX));
+    CHECK_EQ(int(ps.faulty(31, wide)), int(Ternary::V0));  // pin 0 forced
     ps.set_input(0, 79, Ternary::V0);
     ps.evaluate();
     CHECK_EQ(int(ps.good(0, wide)), int(Ternary::V0));
@@ -218,24 +246,30 @@ int main() {
   }
 
   // --- lane masks against the per-nibble predicates ----------------------
-  // Words of valid nibbles (each machine 0, 1 or X): bit 4L of x_lanes and
-  // diff_lanes must be has_x and is_diff of lane L's nibble, and no other
-  // bit may be set.
+  // Gates' value words of valid nibbles (each machine 0, 1 or X): the lane
+  // bit of x_lanes and diff_lanes must be has_x and is_diff of the lane's
+  // nibble, and no other bit may be set — over both words at once and over
+  // each word alone.
   {
     Rng rng(0x1000);
     std::size_t bad = 0;
     for (int t = 0; t < 4096; ++t) {
-      std::uint64_t v = 0;
+      LaneWords v{};
       for (unsigned l = 0; l < kLanes; ++l) {
         const std::uint64_t good = rng.next_below(3), faulty = rng.next_below(3);
-        v |= (good | faulty << 2) << (4 * l);
+        v[l / PairSim::kWordLanes] |= (good | faulty << 2) << PairSim::shift(l);
       }
-      const std::uint64_t x = PairSim::x_lanes(v), d = PairSim::diff_lanes(v);
-      bad += ((x | d) & ~PairSim::kLaneBits) != 0;
+      const LaneWords x = PairSim::x_lanes(v), d = PairSim::diff_lanes(v);
+      for (unsigned w = 0; w < 2; ++w) {
+        bad += ((x[w] | d[w]) & ~PairSim::kLaneBits) != 0;
+        bad += PairSim::x_lanes(v[w]) != x[w];
+        bad += PairSim::diff_lanes(v[w]) != d[w];
+      }
       for (unsigned l = 0; l < kLanes; ++l) {
-        const std::uint8_t p = static_cast<std::uint8_t>((v >> (4 * l)) & 0xF);
-        bad += ((x >> (4 * l)) & 1) != PairSim::has_x(p);
-        bad += ((d >> (4 * l)) & 1) != PairSim::is_diff(p);
+        const std::uint8_t p = static_cast<std::uint8_t>(
+            (v[l / PairSim::kWordLanes] >> PairSim::shift(l)) & 0xF);
+        bad += PairSim::lane_in(x, l) != PairSim::has_x(p);
+        bad += PairSim::lane_in(d, l) != PairSim::is_diff(p);
       }
     }
     CHECK_EQ(bad, 0u);

@@ -8,9 +8,11 @@
 // that alters a single verdict or decision fails here — through the lane-parallel batch at 1 and 2
 // threads and every lane occupancy, and through one fault at a time — and a
 // batch reused over a shuffled fault order must reproduce the in-order
-// per-fault results.  The lane-mask scan (PodemScan) is checked lane by
-// lane against the per-lane scalar scans it replaced, kept here as the
-// reference, on seeded random PairSim states.
+// per-fault results.  A resumable session decided in steps, its boundaries
+// cut mid-pool, must leave every slot as generate() does, with and without
+// a deadline firing in a later decide().  The lane-mask scan (PodemScan) is
+// checked lane by lane against the per-lane scalar scans it replaced, kept
+// here as the reference, on seeded random PairSim states.
 
 #include <algorithm>
 #include <cstdio>
@@ -451,14 +453,14 @@ int main() {
   // of the lane-parallel search; any change to the pre-pass's rules or to a
   // search decision moves it.
   // It must hold through PodemBatch at 1 and 2 threads, with the tail
-  // handed over in batches of 1, 15, 16 and 17 faults and whole (partial,
+  // handed over in batches of 1, 31, 32 and 33 faults and whole (partial,
   // full and refilled lanes), and through Podem::generate one fault at a
   // time.  The batch and the single engine must also agree slot for slot,
   // and the same batch over a shuffled order (faults meeting other lane
   // neighbours) must return the same result for every fault.
   {
     const std::string pin("79aa6fe6149676fa7aa1e26c38cc59a8");
-    const std::size_t chunks[] = {1, 15, 16, 17, 0};  // 0: the whole tail
+    const std::size_t chunks[] = {1, 31, 32, 33, 0};  // 0: the whole tail
     std::vector<Hasher> batch_h(2 * std::size(chunks));
     Hasher solo_h;
     for (const std::string& name : {std::string("c432s"), std::string("c880s"),
@@ -530,6 +532,84 @@ int main() {
         CHECK_EQ(d, pin);
       }
     CHECK_EQ(solo_h.digest().hex(), pin);
+  }
+
+  // --- resumable sessions -------------------------------------------------
+  // One session decided in steps, its boundaries cut mid-pool so that lanes
+  // run ahead of a boundary and carry their searches into the next decide(),
+  // must leave every slot exactly as generate() does, at 1 and 2 threads.
+  // Under after_checks budgets the single engine takes the same steps and
+  // polls whatever the boundaries, so at 1 thread a stop leaves exactly
+  // generate()'s slots under the same budget; at both thread counts every
+  // slot before the last boundary that finished is identical to the
+  // undeadlined verdict and every other slot identical or Cancelled.
+  {
+    std::size_t ahead = 0, later_stops = 0, bad = 0;
+    for (const std::string& name : {std::string("c432s"), std::string("c880s"),
+                                    std::string("c1355s")}) {
+      const Netlist n = make_iscas85(name);
+      const SimKernel k(n);
+      FaultSimulator fsim(k);
+      const std::vector<Fault> tail = lfsr_tail(n, fsim, 512);
+      const std::size_t size = tail.size();
+      const std::size_t cuts[] = {1,           size / 5,     size / 5,
+                                  size / 5 + 1, size / 2,    size - 3,
+                                  size};
+      PodemOptions opt;
+      opt.backtrack_limit = 50;
+      PodemBatch solo_batch(k, 1), duo_batch(k, 2);
+      const std::vector<PodemResult> ref = solo_batch.generate(tail, opt);
+      for (PodemBatch* b : {&solo_batch, &duo_batch}) {
+        // Undeadlined, with a deadline that never fires so that a slot not
+        // reached yet reads Cancelled: after each boundary, some slots past
+        // it were already decided by lanes that ran ahead.
+        const Deadline never;
+        b->start(tail, opt, &never);
+        std::span<PodemResult> got;
+        for (const std::size_t cut : cuts) {
+          got = b->decide(cut);
+          for (std::size_t i = 0; i < size; ++i) {
+            const bool decided = got[i].status != PodemStatus::Cancelled;
+            bad += i < cut && !decided;
+            ahead += i >= cut && decided && got[i].decisions > 0;
+          }
+        }
+        for (std::size_t i = 0; i < size; ++i) bad += !same_result(got[i], ref[i]);
+
+        for (const std::uint64_t polls : {8u, 32u, 64u, 96u, 128u, 192u, 256u}) {
+          Deadline d = Deadline::after_checks(polls);
+          b->start(tail, opt, &d);
+          std::size_t finished = 0;  // the last boundary decided in full
+          for (const std::size_t cut : cuts) {
+            got = b->decide(cut);
+            if (std::none_of(got.begin(), got.begin() + cut,
+                             [](const PodemResult& r) {
+                               return r.status == PodemStatus::Cancelled;
+                             }))
+              finished = cut;
+          }
+          later_stops += finished > 0 && finished < size;
+          for (std::size_t i = 0; i < size; ++i)
+            bad += !same_result(got[i], ref[i]) &&
+                   (i < finished || got[i].status != PodemStatus::Cancelled);
+          if (b == &solo_batch) {
+            // got views the batch's slots, which the next session reuses.
+            const std::vector<PodemResult> cut_run(got.begin(), got.end());
+            Deadline same = Deadline::after_checks(polls);
+            const std::vector<PodemResult> whole =
+                solo_batch.generate(tail, opt, &same);
+            for (std::size_t i = 0; i < size; ++i)
+              bad += !same_result(cut_run[i], whole[i]);
+          }
+        }
+      }
+    }
+    std::printf("podem sessions: %zu slots decided ahead of a boundary, %zu "
+                "stops after a finished boundary, %zu mismatches\n",
+                ahead, later_stops, bad);
+    CHECK(ahead > 0);
+    CHECK(later_stops > 0);
+    CHECK_EQ(bad, 0u);
   }
 
   return bist_test::summary();
