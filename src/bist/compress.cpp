@@ -235,15 +235,27 @@ void MisrAudit::toggle(const Deltas& d) {
   for (const auto& [slot, delta] : d) q_[slot] ^= delta;
 }
 
-std::size_t MisrAudit::escapes(std::span<const std::uint16_t> map,
-                               std::span<const std::uint32_t> faults) const {
-  std::size_t n = 0;
+MisrAudit::Slots MisrAudit::nonzero(
+    std::span<const std::uint32_t> faults) const {
+  Slots s;
+  s.end.reserve(faults.size());
   for (const std::uint32_t f : faults) {
     const std::uint64_t* qf = q_.data() + std::size_t{f} * outs_;
+    for (std::size_t o = 0; o < outs_; ++o)
+      if (qf[o]) s.slots.emplace_back(static_cast<std::uint32_t>(o), qf[o]);
+    s.end.push_back(static_cast<std::uint32_t>(s.slots.size()));
+  }
+  return s;
+}
+
+std::size_t MisrAudit::escapes(std::span<const std::uint16_t> map,
+                               const Slots& slots) const {
+  std::size_t n = 0;
+  std::size_t e = 0;
+  for (const std::uint32_t end : slots.end) {
     std::uint64_t sig = 0;
-    for (std::size_t o = 0; o < outs_; ++o) {
-      const std::uint64_t q = qf[o];
-      if (!q) continue;
+    for (; e < end; ++e) {
+      const auto [o, q] = slots.slots[e];
       const std::uint64_t* t =
           stage_.data() + std::size_t{map[o]} * nbytes_ * 256;
       for (unsigned i = 0; i < nbytes_; ++i, t += 256)
@@ -347,8 +359,8 @@ MisrSpec choose_misr_fold(FaultSimulator& fsim, const SimKernel& cut,
   if (!base.enabled() || patterns == 0 || outs == 0) return base;
   MisrAudit audit(fsim, cut, base.degree, base.taps, patterns);
   audit.add(blocks, patterns, 0, first_detected);
-  const std::vector<std::uint32_t> checked =
-      detected_within(first_detected, patterns);
+  const MisrAudit::Slots checked =
+      audit.nonzero(detected_within(first_detected, patterns));
   return pick_misr_fold(std::move(base), outs, [&](auto map) {
     return audit.escapes(map, checked);
   });

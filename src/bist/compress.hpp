@@ -210,12 +210,28 @@ class MisrAudit {
   /// them again.
   void toggle(const Deltas& d);
 
-  /// Faults among `faults` (sim-fault indices) whose signature difference
-  /// cancels under fold map `map`.  Each nonzero q_o is moved to its stage
-  /// through the byte tables of R_map(o), built once per audit: ceil(K/8)
-  /// lookups per (fault, output).
+  /// The nonzero accumulator slots of a fault list, in fault order: fault
+  /// i's (output, q_o) pairs are slots[end[i-1] .. end[i]).
+  struct Slots {
+    std::vector<std::uint32_t> end;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> slots;
+  };
+
+  /// Collect the nonzero slots of `faults` (sim-fault indices) once, so that
+  /// every candidate map scores over them alone.
+  Slots nonzero(std::span<const std::uint32_t> faults) const;
+
+  /// Faults of `slots` whose signature difference cancels under fold map
+  /// `map` (a fault with no nonzero slot always does).  Each nonzero q_o is
+  /// moved to its stage through the byte tables of R_map(o), built once per
+  /// audit: ceil(K/8) lookups per (fault, nonzero output).
   std::size_t escapes(std::span<const std::uint16_t> map,
-                      std::span<const std::uint32_t> faults) const;
+                      const Slots& slots) const;
+  /// As above, over the slots of `faults`.
+  std::size_t escapes(std::span<const std::uint16_t> map,
+                      std::span<const std::uint32_t> faults) const {
+    return escapes(map, nonzero(faults));
+  }
 
  private:
   const FaultSimulator* fsim_;

@@ -8,11 +8,19 @@
 
 namespace bist {
 
+namespace {
+
+// One machine's dual rails of a PairSim nibble ("is 0" low, "is 1" high):
+// binary iff exactly one rail is set.
+constexpr unsigned kRailOne = 2;
+bool rails_x(unsigned rails) { return rails != 1 && rails != kRailOne; }
+
+}  // namespace
+
 PodemScan::PodemScan(const SimKernel& k)
     : k_(&k),
       cone_lanes_(k.gate_count(), LaneWords{}),
-      branch_site_(k.gate_count(), LaneWords{}),
-      reach_(k.gate_count(), LaneWords{}) {
+      marks_(k.gate_count(), Marks{}) {
   // Static distance-to-PO (min fanout hops), used to steer the D-frontier
   // towards the closest output.  Kernel order is level order, so a reverse
   // sweep sees every fanout before its driver.
@@ -31,7 +39,6 @@ void PodemScan::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
   const std::uint64_t bit = std::uint64_t{1} << PairSim::shift(lane);
   Lane& ln = lanes_[lane];
   for (KIndex u : ln.cone) cone_lanes_[u][w] &= ~bit;
-  if (ln.branch_fault) branch_site_[ln.site][w] &= ~bit;
   ln.cone.clear();
   ln.site = kNoGate;
   ln.branch_fault = false;
@@ -43,7 +50,6 @@ void PodemScan::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
   ln.branch_fault = pin >= 0;
   ln.line = ln.branch_fault ? k_->fanins(site)[pin] : site;
   ln.stuck = stuck;
-  if (ln.branch_fault) branch_site_[site][w] |= bit;
   // The cone: the site and its transitive fanout, marked in cone_lanes_.
   ln.cone.push_back(site);
   cone_lanes_[site][w] |= bit;
@@ -53,6 +59,20 @@ void PodemScan::load(unsigned lane, KIndex site, int pin, Ternary stuck) {
         cone_lanes_[fo][w] |= bit;
         ln.cone.push_back(fo);
       }
+}
+
+void PodemScan::offer(const LaneWords& m, KIndex f) {
+  const std::uint32_t dist = po_dist_[f];
+  for (unsigned w = 0; w < PairSim::kLanes / PairSim::kWordLanes; ++w)
+    for (std::uint64_t b = m[w]; b; b &= b - 1) {
+      const unsigned l = w * PairSim::kWordLanes +
+                         static_cast<unsigned>(std::countr_zero(b)) / 4;
+      if (dist < frontier_dist_[l] ||
+          (dist == frontier_dist_[l] && f < frontier_[l])) {
+        frontier_[l] = f;
+        frontier_dist_[l] = dist;
+      }
+    }
 }
 
 void PodemScan::scan(const PairSim& sim) {
@@ -74,58 +94,63 @@ void PodemScan::scan(const PairSim& sim) {
     if (g == t_not(ln.stuck)) activated[w] |= bit;
   }
   // One reverse walk over the union of the cones.  A gate of a lane's cone
-  // has every fanout in that cone, at a higher index, so its fanouts' reach
-  // is final when the walk gets to it.  reach_ is only ever read on cone
+  // has every fanout in that cone, at a higher index, so its fanouts' marks
+  // are final when the walk gets to it.  Marks are only ever read on cone
   // gates, which the walk rewrites.
   //  - reach: X in some machine, and an output or a reaching fanout;
   //  - live: a difference with an output or a reaching fanout;
-  //  - frontier: X in some machine, and a difference on a fanin (or the
-  //    site of a branch fault); of those the lowest po_dist, ties to the
-  //    lowest index — `<=` in a descending walk.
+  //  - frontier: a fanout of a difference (a difference only ever sits in
+  //    its lane's cone), X in some machine of an activated lane.
   LaneWords detected{}, live{};
   for (KIndex u = static_cast<KIndex>(k_->gate_count()); u-- > lo;) {
     const LaneWords cone = cone_lanes_[u];
     if (!PairSim::any(cone)) continue;
     const LaneWords x = PairSim::x_lanes(val[u]) & cone;
     const LaneWords d = PairSim::diff_lanes(val[u]) & cone;
+    Marks& mu = marks_[u];
+    mu.xa = x & activated;
     if (!PairSim::any(x | d)) {
-      reach_[u] = LaneWords{};
+      mu.reach = LaneWords{};
       continue;
     }
-    LaneWords out = ~LaneWords{};
-    if (k_->is_output(u)) {
-      detected |= d;
-    } else {
-      out = LaneWords{};
-      for (KIndex f : k_->fanouts(u)) out |= reach_[f];
-    }
-    reach_[u] = x & out;
-    live |= d & out;
-    LaneWords front = x & activated;
-    if (!PairSim::any(front)) continue;
-    LaneWords fin = branch_site_[u];
-    for (KIndex w : k_->fanins(u)) fin |= PairSim::diff_lanes(val[w]);
-    front &= fin;
-    for (unsigned w = 0; w < PairSim::kLanes / PairSim::kWordLanes; ++w)
-      for (std::uint64_t m = front[w]; m; m &= m - 1) {
-        const unsigned l = w * PairSim::kWordLanes +
-                           static_cast<unsigned>(std::countr_zero(m)) / 4;
-        if (po_dist_[u] <= frontier_dist_[l]) {
-          frontier_[l] = u;
-          frontier_dist_[l] = po_dist_[u];
-        }
+    const bool out_gate = k_->is_output(u);
+    LaneWords out = out_gate ? ~LaneWords{} : LaneWords{};
+    if (out_gate) detected |= d;
+    if (!out_gate || PairSim::any(d))
+      for (KIndex f : k_->fanouts(u)) {
+        out |= marks_[f].reach;
+        const LaneWords front = marks_[f].xa & d;
+        if (PairSim::any(front)) offer(front, f);
       }
+    mu.reach = x & out;
+    live |= d & out;
   }
-  // The fault effect can still materialize at an unresolved site.
-  for (unsigned l = 0; l < PairSim::kLanes; ++l)
-    if (lanes_[l].site != kNoGate && PairSim::lane_in(reach_[lanes_[l].site], l))
-      live[l / PairSim::kWordLanes] |= std::uint64_t{1} << PairSim::shift(l);
+  // Per lane, after the walk: the effect of a branch fault enters its site
+  // on the pin alone, and can still materialize at an unresolved site.
+  for (unsigned l = 0; l < PairSim::kLanes; ++l) {
+    const Lane& ln = lanes_[l];
+    if (ln.site == kNoGate) continue;
+    const unsigned w = l / PairSim::kWordLanes;
+    const std::uint64_t bit = std::uint64_t{1} << PairSim::shift(l);
+    const Marks& ms = marks_[ln.site];
+    if (ln.branch_fault && (ms.xa[w] & bit)) {
+      LaneWords m{};
+      m[w] = bit;
+      offer(m, ln.site);
+    }
+    if (ms.reach[w] & bit) live[w] |= bit;
+  }
   detected_ = detected;
   live_ = live & not_stuck;
 }
 
 Podem::Podem(const SimKernel& k)
-    : k_(&k), check_(k), sim_(k), scan_(k), lanes_(PairSim::kLanes) {
+    : k_(&k),
+      check_(k),
+      rule_(check_.rules().data()),
+      sim_(k),
+      scan_(k),
+      lanes_(PairSim::kLanes) {
   pi_ordinal_.assign(k.gate_count(), ~0u);
   for (std::uint32_t i = 0; i < k.inputs().size(); ++i)
     pi_ordinal_[k.inputs()[i]] = i;
@@ -146,33 +171,47 @@ bool Podem::objective(unsigned l, KIndex* gate, Ternary* v) const {
   if (best == kNoGate) return false;
   const KIndex pick = pick_x_fanin(l, best, /*easiest=*/false);
   if (pick == kNoGate) return false;
-  const int c = controlling_value(k_->type(best));
+  const GateRule r = rule_[best];
   *gate = pick;
   // Side inputs must take the non-controlling value; XOR-family gates
   // sensitize for any binary side value, so the choice there is free.
-  *v = c < 0 ? Ternary::V0 : (c == 0 ? Ternary::V1 : Ternary::V0);
+  *v = r.kind == GateRule::Kind::AndOr && r.ctrl == 0 ? Ternary::V1
+                                                      : Ternary::V0;
   return true;
 }
 
-KIndex Podem::pick_x_fanin(unsigned l, KIndex g, bool easiest) const {
+KIndex Podem::pick_x_fanin(unsigned l, KIndex g, bool easiest,
+                           bool* parity) const {
   // Among the unresolved fanins of g prefer the good machine's X region
   // (faulty-only X happens just inside the fault cone), then use logic level
   // as a controllability proxy: a shallow X (easiest) when a single
   // controlling input decides the gate, a deep X (hardest) when every input
   // must be justified — failing on the hard one first prunes earlier.
+  // The least key wins, the first fanin on a tie: a binary good machine
+  // above its level, the level flipped for the hardest X.
+  const std::uint32_t flip = easiest ? 0 : ~0u;
+  std::uint64_t best = ~std::uint64_t{0};
   KIndex pick = kNoGate;
-  bool pick_good = false;
+  bool ones = false, pick_one = false;  // parity of good-machine 1s
   for (KIndex w : k_->fanins(g)) {
-    const bool gx = sim_.good(l, w) == Ternary::VX;
-    const bool fx = sim_.faulty(l, w) == Ternary::VX;
-    if (!gx && !fx) continue;
-    if (pick == kNoGate || (gx && !pick_good) ||
-        (gx == pick_good &&
-         (easiest ? k_->level(w) < k_->level(pick)
-                  : k_->level(w) > k_->level(pick)))) {
+    const unsigned p = sim_.pair(l, w);
+    const bool gx = rails_x(p & 3);
+    const bool one = (p & 3) == kRailOne;
+    ones ^= one;
+    const std::uint64_t key =
+        std::uint64_t{!gx} << 32 | (k_->level(w) ^ flip);
+    if ((gx || rails_x(p >> 2)) && key < best) {
+      best = key;
       pick = w;
-      pick_good = gx;
+      pick_one = one;
     }
+  }
+  if (parity) {
+    // Every occurrence of the pick leaves the side fanins; each counted as
+    // a 1 iff the pick's good machine is 1.
+    *parity = ones;
+    if (pick_one)
+      for (KIndex w : k_->fanins(g)) *parity ^= w == pick;
   }
   return pick;
 }
@@ -183,28 +222,25 @@ void Podem::backtrace(unsigned l, KIndex g, Ternary v, std::uint32_t* pi_idx,
   // Every non-input gate on the walk has an unresolved fanin (its own value
   // is unresolved in some machine and pin forces are binary), so the walk
   // always lands on an unassigned PI.
-  while (k_->type(g) != GateType::Input) {
-    const GateType t = k_->type(g);
-    const bool inv = is_inverting(t);
-    const int c = controlling_value(t);
+  while (rule_[g].kind != GateRule::Kind::Source) {
+    const GateRule r = rule_[g];
     KIndex next;
-    if (t == GateType::Xor || t == GateType::Xnor) {
+    if (r.kind == GateRule::Kind::Xor) {
       // Parity-aware: the X input must supply v corrected for the inversion
       // and the parity already contributed by the binary fanins (unresolved
       // side fanins are optimistically counted as 0).
-      bool parity = inv;
-      next = pick_x_fanin(l, g, /*easiest=*/true);
+      bool side_ones;
+      next = pick_x_fanin(l, g, /*easiest=*/true, &side_ones);
       if (next == kNoGate)
         throw std::logic_error("Podem::backtrace: no X fanin on the walk");
-      for (KIndex w : k_->fanins(g))
-        if (w != next && sim_.good(l, w) == Ternary::V1) parity = !parity;
-      if (parity) v = t_not(v);
+      if (side_ones != (r.inv != 0)) v = t_not(v);
     } else {
-      if (inv) v = t_not(v);
+      if (r.inv) v = t_not(v);
       // v == controlling: one input decides, take the easiest X; otherwise
       // every input needs the non-controlling value, take the hardest.
       const bool one_input_decides =
-          c >= 0 && v == (c == 0 ? Ternary::V0 : Ternary::V1);
+          r.kind == GateRule::Kind::AndOr &&
+          v == (r.ctrl == 0 ? Ternary::V0 : Ternary::V1);
       next = pick_x_fanin(l, g, one_input_decides);
       if (next == kNoGate)
         throw std::logic_error("Podem::backtrace: no X fanin on the walk");

@@ -29,7 +29,11 @@
 // Before any search, a RedundancyCheck (fault/redundancy.hpp) tries to prove
 // each fault untestable by implication alone; a proven fault is never
 // searched and reads Redundant with 0 backtracks and 0 decisions.  So
-// Redundant is either that implication proof or an exhausted search.
+// Redundant is either that implication proof or an exhausted search.  The
+// check's GateRule table (kind, controlling value, inversion per gate,
+// lowered from the kernel's micro-ops) is the one the objective and the
+// backtrace read too; a backtrace level reads each X-candidate fanin's
+// lane nibble once.
 //
 // The frame stack is the depth-first recursion unrolled, and the scan
 // computes exactly the per-lane checks of a one-search-at-a-time PODEM, so
@@ -92,9 +96,15 @@ struct PodemResult {
 ///    lowest kernel index on ties; kNoGate otherwise.
 /// All three come from lane masks (lane L is the low bit of its PairSim
 /// nibble, bit 4(L%16) of word L/16) over one reverse walk of kernel order,
-/// which stops at the lowest fault site: per gate, the lanes whose fault
-/// cone holds it, the lanes with an X or a difference there, and the lanes
-/// an X-path leads from it to an output.
+/// which stops at the lowest fault site and reads each cone gate's own value
+/// only: per gate, the lanes whose fault cone holds it, the lanes with an X
+/// or a difference there, the lanes an X-path leads from it to an output,
+/// and the lanes where it is X and the fault activated.  A gate with a
+/// difference offers each fanout that is X in an activated lane as that
+/// lane's frontier candidate while the walk ORs its fanouts' X-paths; a
+/// branch fault's site, whose difference lives on the pin alone, is offered
+/// per lane after the walk.  A gate may be offered more than once, so the
+/// pick is the lexicographic least (po_dist, kernel index).
 class PodemScan {
  public:
   /// The kernel must outlive the scan.  Every lane starts without a fault.
@@ -134,12 +144,23 @@ class PodemScan {
     std::vector<KIndex> cone;  // transitive fanout of site incl site
   };
 
+  // Lanes of `m` take gate f as their frontier unless they hold a gate
+  // nearer an output, or as near and lower.
+  void offer(const LaneWords& m, KIndex f);
+
   const SimKernel* k_;
-  // Per gate: min fanout hops to an output, and lane masks of the lanes
-  // whose cone holds it, the lanes with a branch fault at it, and the lanes
-  // with an X-path from it to an output (valid on cone gates after a scan).
+  // What a scan leaves on a cone gate: the lanes with an X-path from it to
+  // an output, and the activated lanes where it is X.  Read together off
+  // each fanout.
+  struct Marks {
+    LaneWords reach, xa;
+  };
+
+  // Per gate: min fanout hops to an output, lane masks of the lanes whose
+  // cone holds it, and its marks (valid on cone gates after a scan).
   std::vector<std::uint32_t> po_dist_;
-  std::vector<LaneWords> cone_lanes_, branch_site_, reach_;
+  std::vector<LaneWords> cone_lanes_;
+  std::vector<Marks> marks_;
   std::array<Lane, PairSim::kLanes> lanes_;
   std::array<KIndex, PairSim::kLanes> frontier_;
   std::array<std::uint32_t, PairSim::kLanes> frontier_dist_;
@@ -221,12 +242,16 @@ class Podem {
   bool step(unsigned l, PodemStatus* verdict);
   PodemResult result(unsigned l, PodemStatus s) const;
   bool objective(unsigned l, KIndex* gate, Ternary* v) const;
-  KIndex pick_x_fanin(unsigned l, KIndex g, bool easiest) const;
+  /// The X fanin of g to justify next; with `parity`, also the parity of
+  /// the good-machine 1s on g's other fanins.
+  KIndex pick_x_fanin(unsigned l, KIndex g, bool easiest,
+                      bool* parity = nullptr) const;
   void backtrace(unsigned l, KIndex g, Ternary v, std::uint32_t* pi_idx,
                  Ternary* pv) const;
 
   const SimKernel* k_;
   RedundancyCheck check_;
+  const GateRule* rule_;  // check_'s table
   PairSim sim_;
   PodemScan scan_;
   std::vector<std::uint32_t> pi_ordinal_;  // kernel idx -> PI index, ~0 if not PI

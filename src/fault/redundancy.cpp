@@ -1,5 +1,6 @@
 #include "fault/redundancy.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bist {
@@ -7,22 +8,26 @@ namespace bist {
 RedundancyCheck::RedundancyCheck(const SimKernel& k)
     : k_(&k),
       ipdom_(k.gate_count(), kNoGate),
-      kind_(k.gate_count(), Kind::Source),
-      ctrl_(k.gate_count(), 0),
-      inv_(k.gate_count(), 0),
+      rule_(k.gate_count()),
+      tally_(k.gate_count()),
       val_(k.gate_count(), kX),
       derived_(k.gate_count(), 0),
       tfo_(k.gate_count(), 0) {
   const KIndex n = static_cast<KIndex>(k.gate_count());
   for (KIndex u = 0; u < n; ++u) {
-    inv_[u] = k.invert_mask(u) & 1;
+    GateRule& r = rule_[u];
+    r.inv = k.invert_mask(u) & 1;
+    tally_[u].open = static_cast<std::uint32_t>(k.fanins(u).size());
     if (k.fanins(u).empty()) continue;
     switch (k.op(u)) {
-      case MicroOp::And: kind_[u] = Kind::AndOr; ctrl_[u] = 0; break;
-      case MicroOp::Or: kind_[u] = Kind::AndOr; ctrl_[u] = 1; break;
-      case MicroOp::Xor: kind_[u] = Kind::Xor; break;
-      case MicroOp::Copy: kind_[u] = Kind::Copy; break;
+      case MicroOp::And: r.kind = Kind::AndOr; r.ctrl = 0; break;
+      case MicroOp::Or: r.kind = Kind::AndOr; r.ctrl = 1; break;
+      case MicroOp::Xor: r.kind = Kind::Xor; break;
+      case MicroOp::Copy: r.kind = Kind::Copy; break;
     }
+    tally_[u].counted = r.kind == Kind::AndOr ? r.ctrl
+                        : r.kind == Kind::Xor ? 1
+                                              : kX;
   }
   // Post-dominators over the graph plus a sink (index n) that every output
   // feeds.  Kernel order is level order, so a reverse sweep sees every
@@ -49,7 +54,7 @@ RedundancyCheck::RedundancyCheck(const SimKernel& k)
   // them, and nothing but true values follows from true values.
   for (KIndex u : k.constants())
     assign(u, k.type(u) == GateType::Const1 ? 1 : 0);
-  propagate(0);
+  propagate();
   base_ = mark_ = trail_.size();
 }
 
@@ -66,16 +71,16 @@ bool RedundancyCheck::untestable(const Fault& f) {
   // Activation, the site gate's other pins for a branch fault, and the
   // fanout-free path from the site up to the stem.
   bool ok = assign(branch ? in[f.pin] : site, f.stuck ? 0 : 1);
-  if (branch && kind_[site] == Kind::AndOr)
+  if (branch && rule_[site].kind == Kind::AndOr)
     for (std::size_t p = 0; ok && p < in.size(); ++p)
       if (p != static_cast<std::size_t>(f.pin))
-        ok = assign(in[p], 1 - ctrl_[site]);
+        ok = assign(in[p], 1 - rule_[site].ctrl);
   for (KIndex g = site; ok && g != stem;) {
     const KIndex next = k_->fanouts(g)[0];
     ok = sensitize(next, g);
     g = next;
   }
-  ok = ok && propagate(mark_);
+  ok = ok && propagate();
   undo(mark_);
   return !ok;
 }
@@ -83,6 +88,7 @@ bool RedundancyCheck::untestable(const Fault& f) {
 void RedundancyCheck::enter(KIndex stem) {
   undo(base_);
   stem_ = stem;
+  skip_tfo_ = false;
   // Mark TFO(stem): its gates may carry the fault effect, so a
   // post-dominator's input there may take any value.
   ++stamp_;
@@ -100,109 +106,137 @@ void RedundancyCheck::enter(KIndex stem) {
   const KIndex sink = static_cast<KIndex>(k_->gate_count());
   bool ok = ipdom_[stem] != kNoGate;
   for (KIndex d = ipdom_[stem]; ok && d != sink; d = ipdom_[d]) {
-    if (kind_[d] != Kind::AndOr) continue;
+    if (rule_[d].kind != Kind::AndOr) continue;
     for (KIndex w : k_->fanins(d))
-      if (tfo_[w] != stamp_ && !(ok = assign(w, 1 - ctrl_[d]))) break;
+      if (tfo_[w] != stamp_ && !(ok = assign(w, 1 - rule_[d].ctrl))) break;
   }
-  ok = ok && propagate(base_);
+  ok = ok && propagate();
   stem_conflict_ = !ok;
   mark_ = trail_.size();
+  // With no value in TFO(stem), a fault's implications reach it only
+  // through the stem, forward: every gate there but the stem stays
+  // unassigned, so its rule can only derive it from its inputs, and a
+  // derived value neither conflicts (derive() runs on X gates alone) nor
+  // implies anything back.  Forward implication inside TFO(stem) then
+  // proves nothing, and the check skips it.
+  skip_tfo_ = true;
+  for (std::size_t i = 0; skip_tfo_ && i < mark_; ++i)
+    skip_tfo_ = tfo_[trail_[i]] != stamp_;
+}
+
+void RedundancyCheck::set(KIndex u, std::uint8_t v) {
+  val_[u] = v;
+  trail_.push_back(u);
 }
 
 bool RedundancyCheck::assign(KIndex u, std::uint8_t v) {
   if (val_[u] != kX) return val_[u] == v;
-  val_[u] = v;
-  trail_.push_back(u);
+  set(u, v);
   return true;
 }
 
 bool RedundancyCheck::derive(KIndex g, std::uint8_t v) {
   if (val_[g] != kX) return val_[g] == v;
-  val_[g] = v;
+  set(g, v);
   derived_[g] = 1;
-  trail_.push_back(g);
   return true;
 }
 
 bool RedundancyCheck::sensitize(KIndex g, KIndex on) {
-  if (kind_[g] != Kind::AndOr) return true;
+  if (rule_[g].kind != Kind::AndOr) return true;
   for (KIndex w : k_->fanins(g))
-    if (w != on && !assign(w, 1 - ctrl_[g])) return false;
+    if (w != on && !assign(w, 1 - rule_[g].ctrl)) return false;
   return true;
 }
 
 bool RedundancyCheck::imply(KIndex g) {
-  const auto in = k_->fanins(g);
-  switch (kind_[g]) {
+  const GateRule r = rule_[g];
+  const Tally& t = tally_[g];
+  // The tally's one open fanin takes v, unless it already has a value (the
+  // rule fires again when that value reaches the tally).
+  const auto last_open = [&](std::uint8_t v) {
+    for (KIndex w : k_->fanins(g))
+      if (val_[w] == kX) return assign(w, v);
+    return true;
+  };
+  switch (r.kind) {
     case Kind::Source:
       return true;
-    case Kind::Copy:
-      if (val_[in[0]] != kX) return derive(g, val_[in[0]] ^ inv_[g]);
-      if (val_[g] != kX) return assign(in[0], val_[g] ^ inv_[g]);
+    case Kind::Copy: {
+      const KIndex in = k_->fanins(g)[0];
+      if (val_[in] != kX) return derive(g, val_[in] ^ r.inv);
+      if (val_[g] != kX) return assign(in, val_[g] ^ r.inv);
       return true;
+    }
     case Kind::Xor: {
-      std::uint8_t parity = inv_[g];
-      unsigned open = 0;
-      KIndex last = kNoGate;
-      for (KIndex w : in) {
-        if (val_[w] == kX) {
-          ++open;
-          last = w;
-        } else {
-          parity ^= val_[w];
-        }
-      }
-      if (open == 0) return derive(g, parity);
-      if (open == 1 && val_[g] != kX) return assign(last, val_[g] ^ parity);
+      const std::uint8_t parity = r.inv ^ (t.hits & 1);
+      if (t.open == 0) return derive(g, parity);
+      if (t.open == 1 && val_[g] != kX) return last_open(val_[g] ^ parity);
       return true;
     }
     case Kind::AndOr: {
-      const std::uint8_t c = ctrl_[g];
-      unsigned open = 0;
-      KIndex last = kNoGate;
-      for (KIndex w : in) {
-        if (val_[w] == c) return derive(g, c ^ inv_[g]);
-        if (val_[w] == kX) {
-          ++open;
-          last = w;
-        }
-      }
-      if (open == 0) return derive(g, (1 - c) ^ inv_[g]);
+      const std::uint8_t c = r.ctrl;
+      if (t.hits > 0) return derive(g, c ^ r.inv);
+      if (t.open == 0) return derive(g, (1 - c) ^ r.inv);
       if (val_[g] == kX) return true;
       // The reduction is known and no input is controlling yet: a
       // non-controlling result needs every input non-controlling, a
       // controlling one needs its last open input controlling.
-      if ((val_[g] ^ inv_[g]) != c) {
-        for (KIndex w : in)
+      if ((val_[g] ^ r.inv) != c) {
+        for (KIndex w : k_->fanins(g))
           if (!assign(w, 1 - c)) return false;
         return true;
       }
-      return open == 1 ? assign(last, c) : true;
+      return t.open == 1 ? last_open(c) : true;
     }
   }
   return true;
 }
 
-bool RedundancyCheck::propagate(std::size_t from) {
-  // The trail past `from` is the queue: each newly assigned gate's own rule
-  // (backward) and its fanouts' rules (forward, and backward through a
-  // fanout whose inputs it completes).  A gate whose value its own inputs
-  // derived has no rule left to fire.
-  for (std::size_t i = from; i < trail_.size(); ++i) {
-    const KIndex u = trail_[i];
+bool RedundancyCheck::propagate() {
+  // The trail past applied_ is the queue: each newly assigned gate's own
+  // rule (backward), then its value into its fanouts' tallies and their
+  // rules (forward, and backward through a fanout whose inputs it
+  // completes).  A gate whose value its own inputs derived has no rule left
+  // to fire.  A tally counts only the values applied so far, so a rule may
+  // fire before a fanin's value reaches it; that fanin's turn fires it
+  // again, and the fixpoint is the same.
+  while (applied_ < trail_.size()) {
+    const KIndex u = trail_[applied_];
     if (!derived_[u] && !imply(u)) return false;
-    for (KIndex g : k_->fanouts(u))
-      if (!derived_[g] && !imply(g)) return false;
+    const bool forward = !(skip_tfo_ && tfo_[u] == stamp_);
+    const std::uint8_t v = val_[u];
+    ++applied_;
+    // u counts as applied, so every fanout's tally takes it, even past a
+    // conflict.
+    bool ok = true;
+    for (KIndex g : k_->fanouts(u)) {
+      Tally& t = tally_[g];
+      --t.open;
+      t.hits += v == t.counted;
+      ok = ok && (!forward || derived_[g] || imply(g));
+    }
+    if (!ok) return false;
   }
   return true;
 }
 
 void RedundancyCheck::undo(std::size_t mark) {
   while (trail_.size() > mark) {
-    val_[trail_.back()] = kX;
-    derived_[trail_.back()] = 0;
+    const KIndex u = trail_.back();
+    if (trail_.size() <= applied_) {
+      const std::uint8_t v = val_[u];
+      for (KIndex g : k_->fanouts(u)) {
+        Tally& t = tally_[g];
+        ++t.open;
+        t.hits -= v == t.counted;
+      }
+    }
+    val_[u] = kX;
+    derived_[u] = 0;
     trail_.pop_back();
   }
+  applied_ = std::min(applied_, mark);
 }
 
 }  // namespace bist

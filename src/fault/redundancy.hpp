@@ -24,6 +24,16 @@
 // stem share its post-dominator assignments, so the check implies those
 // once per stem and undoes to them for each fault; checking the faults of
 // one stem back to back is the fast order.
+//
+// Implication is incremental: per gate, the check keeps a tally of its
+// open inputs and of its inputs at the controlling value (for XOR, of its
+// inputs at 1, whose parity is the binary inputs' parity).  An assigned
+// value enters its fanouts' tallies when the propagation queue reaches it
+// and leaves them on undo, so a gate's rule decides in O(1) and reads its
+// fanins only when it assigns one of them.  When the stem's assignments
+// leave TFO(stem) unassigned, forward implication inside TFO(stem) is
+// skipped: it could only derive values there, which neither conflict nor
+// imply anything back, so the same faults are proven.
 
 #include <cstdint>
 #include <vector>
@@ -32,6 +42,17 @@
 #include "sim/kernel.hpp"
 
 namespace bist {
+
+/// What implication and PODEM's backtrace read of a gate, lowered from the
+/// kernel's micro-ops: sources (inputs, constants) have no rule, the AND/OR
+/// family has a controlling value, XOR computes parity and BUF/NOT copy
+/// their input; each up to an output inversion.
+struct GateRule {
+  enum class Kind : std::uint8_t { Source, AndOr, Xor, Copy };
+  Kind kind = Kind::Source;
+  std::uint8_t ctrl = 0;  ///< AndOr: the controlling input value
+  std::uint8_t inv = 0;   ///< 1: the output inverts the reduction
+};
 
 class RedundancyCheck {
  public:
@@ -42,14 +63,25 @@ class RedundancyCheck {
   /// std::out_of_range on a fault with a bad pin.
   bool untestable(const Fault& f);
 
+  /// The rule of every kernel gate (kernel order); PODEM's backtrace reads
+  /// the same table.
+  const std::vector<GateRule>& rules() const { return rule_; }
+
  private:
+  using Kind = GateRule::Kind;
   static constexpr std::uint8_t kX = 2;
-  // What implication knows of a gate: sources (inputs, constants) have no
-  // rule, the AND/OR family has a controlling value, XOR computes parity
-  // and BUF/NOT copy their input; each up to an output inversion.
-  enum class Kind : std::uint8_t { Source, AndOr, Xor, Copy };
+  // Per gate, over the inputs whose value propagate() has applied: the
+  // open ones (not yet applied), and those at the value `counted` (the
+  // controlling value of the AND/OR family, 1 for XOR, kX otherwise).
+  struct Tally {
+    std::uint32_t open = 0;
+    std::uint32_t hits = 0;
+    std::uint8_t counted = kX;
+  };
 
   void enter(KIndex stem);
+  /// Record u = v (u was X) on the trail.
+  void set(KIndex u, std::uint8_t v);
   /// u takes value v; false on a conflict with its value.
   bool assign(KIndex u, std::uint8_t v);
   /// As assign, for g's value derived forward from its inputs: once the
@@ -60,22 +92,22 @@ class RedundancyCheck {
   /// non-controlling value, when g has one.
   bool sensitize(KIndex g, KIndex on);
   bool imply(KIndex g);
-  /// Runs the rules of every gate assigned since trail_[from] to a
+  /// Runs the rules of every gate assigned since trail_[applied_] to a
   /// fixpoint; false on a conflict.
-  bool propagate(std::size_t from);
+  bool propagate();
   void undo(std::size_t mark);
 
   const SimKernel* k_;
   // Immediate post-dominator (gate_count(): the virtual sink every output
-  // feeds; kNoGate: no path to an output), and per gate its kind, the
-  // controlling value of its reduction (AND/OR family) and its inversion.
+  // feeds; kNoGate: no path to an output), and per gate its rule.
   std::vector<KIndex> ipdom_;
-  std::vector<Kind> kind_;
-  std::vector<std::uint8_t> ctrl_, inv_;
+  std::vector<GateRule> rule_;
+  std::vector<Tally> tally_;
 
   std::vector<std::uint8_t> val_;  // good-machine value: 0, 1 or kX
   std::vector<std::uint8_t> derived_;  // value set by derive()
   std::vector<KIndex> trail_;      // assigned gates, in order
+  std::size_t applied_ = 0;        // trail prefix counted in the tallies
   std::vector<KIndex> work_;       // TFO walk
   std::vector<std::uint32_t> tfo_; // == stamp_: in TFO of the entered stem
   std::uint32_t stamp_ = 0;
@@ -83,6 +115,7 @@ class RedundancyCheck {
   std::size_t mark_ = 0;           // trail size with the stem's chain implied
   KIndex stem_ = kNoGate;          // the entered stem
   bool stem_conflict_ = false;     // its chain alone is unsatisfiable
+  bool skip_tfo_ = false;          // its chain left TFO(stem) unassigned
 };
 
 }  // namespace bist

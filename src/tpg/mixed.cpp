@@ -123,18 +123,25 @@ std::vector<TopoffHit> topoff_phases(
   stats.podem_seconds += seconds_since(t0) - solve;
   stats.solve_seconds += solve;
 
-  // Compaction and final accounting on one fault simulator over the tail.
-  // The back end always runs to completion (its work is bounded by the
-  // top-off set), so neither pass takes a deadline: a truncated pass would
-  // let the point claim a coverage it cannot prove.
+  // Compaction and final accounting on one fault simulator over the tail
+  // faults not proven Redundant: no pattern detects a proven one, and
+  // verify_wrapper's coverage pass still simulates every fault, so an
+  // unsound proof shows there as a coverage mismatch.  `unproven[j]` is the
+  // tail position of tailsim's fault j.  The back end always runs to
+  // completion (its work is bounded by the top-off set), so neither pass
+  // takes a deadline: a truncated pass would let the point claim a coverage
+  // it cannot prove.
   const auto t1 = WallClock::now();
-  FaultSimResult tr;  // the kept set against the tail
+  FaultSimResult tr;  // the kept set against the unproven tail
+  std::vector<std::uint32_t> unproven;
   if (!r.topoff.empty()) {
     std::vector<Fault> tail_faults;
     std::vector<std::uint32_t> tail_w;
-    for (const std::uint32_t idx : tail) {
-      tail_faults.push_back(fsim.faults()[idx]);
-      tail_w.push_back(fsim.weights()[idx]);
+    for (std::size_t j = 0; j < tail.size(); ++j) {
+      if (verdicts[j]->status == PodemStatus::Redundant) continue;
+      unproven.push_back(static_cast<std::uint32_t>(j));
+      tail_faults.push_back(fsim.faults()[tail[j]]);
+      tail_w.push_back(fsim.weights()[tail[j]]);
     }
     FaultSimulator tailsim(k, std::move(tail_faults), lr.total_faults,
                            std::move(tail_w));
@@ -147,8 +154,8 @@ std::vector<TopoffHit> topoff_phases(
     const std::vector<BitVec> rev(r.topoff.rbegin(), r.topoff.rend());
     const FaultSimResult cr = tailsim.run(pack_all(rev, width), opt.fsim);
     std::vector<char> keep(n, 0);
-    for (std::size_t j = 0; j < tail.size(); ++j)
-      if (verdicts[j]->status == PodemStatus::Detected &&
+    for (std::size_t j = 0; j < unproven.size(); ++j)
+      if (verdicts[unproven[j]]->status == PodemStatus::Detected &&
           cr.first_detected[j] >= 0)
         keep[n - 1 - std::size_t(cr.first_detected[j])] = 1;
     std::vector<BitVec> sel;
@@ -161,7 +168,7 @@ std::vector<TopoffHit> topoff_phases(
     r.topoff = std::move(sel);
     rows = std::move(sel_rows);
 
-    // Final accounting: the emitted set against the whole tail, so
+    // Final accounting: the emitted set against the unproven tail, so
     // incidental detections (random fill catching aborted faults) count.
     tr = tailsim.run(pack_all(r.topoff, width), opt.fsim);
   }
@@ -192,8 +199,8 @@ std::vector<TopoffHit> topoff_phases(
   std::vector<TopoffHit> hits;
   for (std::size_t j = 0; j < tr.first_detected.size(); ++j)
     if (tr.first_detected[j] >= 0)
-      hits.push_back(
-          {tail[j], static_cast<std::uint32_t>(tr.first_detected[j])});
+      hits.push_back({tail[unproven[j]],
+                      static_cast<std::uint32_t>(tr.first_detected[j])});
   return hits;
 }
 
@@ -283,10 +290,11 @@ void sign_off(const SimKernel& k, const FaultSimulator& fsim,
         checked.push_back(static_cast<std::uint32_t>(f));
     for (const TopoffHit& h : p->hits) checked.push_back(h.fault);
     audit.toggle(topoff_deltas[i]);
-    const MisrSpec m = pick_misr_fold(base, outs, [&](auto map) {
-      return audit.escapes(map, checked);
-    });
+    const MisrAudit::Slots slots = audit.nonzero(checked);
     audit.toggle(topoff_deltas[i]);
+    const MisrSpec m = pick_misr_fold(base, outs, [&](auto map) {
+      return audit.escapes(map, slots);
+    });
 
     CompressedTopoff& c = r.comp;
     c.enabled = true;

@@ -80,10 +80,13 @@ struct TopoffHit {
 /// lfsr_patterns and lfsr_coverage[_weighted] included, except the MISR
 /// half of r.comp: under opt.compress the kept rows' seed schedules are
 /// set, and sign_off() adds the audited fold and golden signature.
-/// Compaction and accounting run on one FaultSimulator over the tail
-/// (opt.fsim's engine, no deadline): compaction simulates the top-off set in
-/// reverse and keeps each target's first detecting pattern, and the
-/// accounting pass simulates the kept set.  Adds the GF(2) reseeding
+/// Compaction and accounting run on one FaultSimulator over the tail faults
+/// whose verdict is not Redundant (opt.fsim's engine, no deadline): a
+/// proven fault has no test, so leaving it out changes no detection, and
+/// verify_wrapper's coverage pass, which simulates every fault, would show
+/// an unsound proof as a coverage mismatch.  Compaction simulates the
+/// top-off set in reverse and keeps each target's first detecting pattern,
+/// and the accounting pass simulates the kept set.  Adds the GF(2) reseeding
 /// solves' wall-clock to stats.solve_seconds, the rest of the fill+verify
 /// to stats.podem_seconds and the compaction+accounting to
 /// stats.compact_seconds.  Returns the tail faults the kept set detects,

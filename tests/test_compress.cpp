@@ -589,11 +589,29 @@ void test_sweep_sign_off_matches_independent() {
   // LfsrOnly beside Complete points.  PODEM polls once per stem group of
   // its pre-pass and once per lane-parallel step.  The sweep's one session
   // decides the longest point's tail first, while its lanes run ahead into
-  // the shorter points' faults, and 150 polls land just past that first
-  // decide: the 4000-pattern point is Complete and the rest LfsrOnly.  1000
-  // polls outlast the whole sweep.
+  // the shorter points' faults, so the fewest polls that leave the
+  // 4000-pattern point Complete land just past that first decide, and the
+  // rest are LfsrOnly.  That budget moves whenever the poll count of the
+  // pre-pass or the search does, so it is found by bisection rather than
+  // pinned.  1000 polls outlast the whole sweep.
+  const auto longest_complete = [&](std::uint64_t polls) {
+    Deadline d = Deadline::after_checks(polls);
+    const MixedSweepResult dl = run_mixed_sweep(k, fsim, lengths, opt, &d);
+    return dl.points[5].state == PointState::Complete;  // lengths[5] == 4000
+  };
+  std::uint64_t short_of = 40, first_complete = 1000;
+  CHECK(!longest_complete(short_of));
+  CHECK(longest_complete(first_complete));
+  while (first_complete - short_of > 1) {
+    const std::uint64_t mid = (short_of + first_complete) / 2;
+    (longest_complete(mid) ? first_complete : short_of) = mid;
+  }
+  std::printf("c880s sweep: the longest point is Complete from %llu polls\n",
+              static_cast<unsigned long long>(first_complete));
   bool mixed_states = false;
-  for (const std::uint64_t polls : {0ull, 40ull, 150ull, 1000ull}) {
+  for (const std::uint64_t polls :
+       {std::uint64_t{0}, std::uint64_t{40}, first_complete,
+        std::uint64_t{1000}}) {
     Deadline d = Deadline::after_checks(polls);
     const MixedSweepResult dl = run_mixed_sweep(k, fsim, lengths, opt, &d);
     const std::size_t signed_off = check_sign_off("c880s deadlined", k, fsim,

@@ -1,8 +1,9 @@
 // Mixed-scheme pipeline: on every ISCAS85 surrogate the LFSR phase plus the
 // PODEM top-off must cover 100% of the detectable (non-redundant,
 // non-aborted) collapsed faults, every emitted pattern is fault-sim-verified
-// against its target, and compaction keeps exactly what reverse-order
-// compaction keeps.
+// against its target, compaction keeps exactly what reverse-order
+// compaction keeps, and the back end, which simulates only the tail faults
+// not proven Redundant, reports what the whole tail reports.
 
 #include <algorithm>
 #include <numeric>
@@ -17,6 +18,7 @@
 #include "test_util.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/mixed.hpp"
+#include "tpg/mixed_phases.hpp"
 
 using namespace bist;
 
@@ -67,6 +69,53 @@ void check_compaction(const SimKernel& k, FaultSimulator& fsim,
   CHECK(each_needed);
   CHECK(std::all_of(covered.begin(), covered.end(),
                     [](char c) { return c != 0; }));
+}
+
+// The back end's tail simulator leaves out the faults proven Redundant.
+// Against the whole tail, Redundant faults included, the point's final
+// top-off must detect exactly the faults and first patterns the back end
+// reports (its hits and coverage), and no Redundant fault at all.
+void check_whole_tail(const SimKernel& k, FaultSimulator& fsim,
+                      const MixedTpgOptions& opt, const MixedSchemeResult& r) {
+  const std::size_t width = k.inputs().size();
+  Lfsr lfsr = Lfsr::maximal(opt.lfsr_degree, opt.lfsr_seed);
+  const FaultSimResult lr =
+      fsim.run(lfsr.blocks(width, opt.lfsr_patterns), opt.fsim);
+  const std::vector<std::uint32_t> tail = lr.tail_at(lr.patterns);
+  std::vector<Fault> faults;
+  std::vector<std::uint32_t> weights;
+  for (const std::uint32_t idx : tail) {
+    faults.push_back(fsim.faults()[idx]);
+    weights.push_back(fsim.weights()[idx]);
+  }
+  PodemBatch batch(k, 1);
+  const std::vector<PodemResult> verdicts = batch.generate(faults, opt.podem);
+  std::vector<const PodemResult*> vp;
+  for (const PodemResult& v : verdicts) vp.push_back(&v);
+  MixedSchemeResult p;
+  MixedSweepStats stats;
+  const std::vector<mixed_phase::TopoffHit> hits =
+      mixed_phase::topoff_phases(k, fsim, lr, tail, vp, opt, p, stats);
+  CHECK(p.topoff == r.topoff);  // the same point as run_mixed_tpg's
+
+  FaultSimulator whole(k, std::move(faults), lr.total_faults,
+                       std::move(weights));
+  const FaultSimResult wr = whole.run(pack_all(p.topoff, width), opt.fsim);
+  std::size_t matched = 0, redundant_detected = 0;
+  for (std::size_t j = 0; j < tail.size(); ++j) {
+    if (wr.first_detected[j] < 0) continue;
+    redundant_detected += verdicts[j].status == PodemStatus::Redundant;
+    matched += matched < hits.size() && hits[matched].fault == tail[j] &&
+               hits[matched].pattern == std::uint32_t(wr.first_detected[j]);
+  }
+  CHECK_EQ(redundant_detected, std::size_t{0});
+  CHECK_EQ(wr.detected, hits.size());
+  CHECK_EQ(matched, hits.size());
+  CHECK_EQ(double(lr.detected + wr.detected) / double(lr.sim_faults),
+           r.final_coverage);
+  CHECK_EQ(double(lr.detected_weight + wr.detected_weight) /
+               double(lr.total_weight),
+           r.final_coverage_weighted);
 }
 
 }  // namespace
@@ -127,6 +176,7 @@ int main() {
     CHECK(r.topoff_patterns <= r.topoff_before_compaction);
     CHECK_EQ(r.topoff.size(), r.topoff_patterns);
     check_compaction(k, fsim, opt, r);
+    check_whole_tail(k, fsim, opt, r);
 
     // Weighted accounting stays glued to the enumerated-fault convention.
     CHECK_EQ(total_weight, enumerate_faults(n).size());
